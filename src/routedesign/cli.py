@@ -6,6 +6,12 @@ Commands:
     sweep   repeat the design over a list of entropy weights or radii
     gap     certify an equilibrium and print its optimality gap
 
+solve and gap share one handler and write the same equilibrium.json; they
+differ in the summary line and in gap's fixed budget of 200 iterations.
+Without --homotopy both try a direct solve from the interior starting flow
+and fall back to continuation from max(1, lambda) when it overflows or
+stalls; with --homotopy they run continuation alone.
+
 Exit codes: 0 on success, 1 on validation errors (bad flags, malformed game
 files), 2 on numerical failures (solver stalls, negative-cost cycles).
 All outputs are deterministic: rerunning a command reproduces its files
@@ -19,7 +25,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +32,7 @@ import numpy as np
 from .design import (
     DesignConfig,
     DesignTrace,
+    DesignVerification,
     design_loop,
     verify_design,
 )
@@ -35,13 +41,7 @@ from .game import AtomicRoutingGame, game_to_dict, load_game_file
 from .graph import path_links
 from .scenarios import SCENARIOS, build_scenario
 from .sensitivity import path_to_target, tracking_objective
-from .smooth_eq import (
-    EquilibriumSolution,
-    HomotopySchedule,
-    SmoothEqSettings,
-    homotopy_solve,
-    solve_nls,
-)
+from .smooth_eq import EquilibriumSolution, SmoothEqSettings, solve_equilibrium
 
 
 class _UsageError(Exception):
@@ -54,23 +54,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Summary of one design run."""
-
-    psi: float
-    gap: float
-    path_match: bool
-    wall_time: float
-    trace_path: str
-
-
 def _add_source_args(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", choices=sorted(SCENARIOS), help="built-in scenario")
     group.add_argument("--game", help="path to a game JSON file")
     sub.add_argument("--out", default=".", help="output directory (default: current)")
-    sub.add_argument("--seed", type=int, default=0, help="reserved for randomized runs; unused")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute a smoothed equilibrium")
     _add_source_args(solve)
     solve.add_argument("--lambda", dest="lam", type=float, default=None, help="entropy weight (default 0.01)")
-    solve.add_argument("--homotopy", action="store_true", help="continuation from 1.0 down to the target weight")
+    solve.add_argument("--homotopy", action="store_true", help="continuation alone, from max(1, lambda) down to lambda (which then defaults to 1e-3)")
     solve.add_argument("--max-iters", type=int, default=200, help="solver iteration budget")
 
     design = sub.add_parser("design", help="design cost parameters toward the desired paths")
@@ -107,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     gap = sub.add_parser("gap", help="compute an equilibrium's optimality gap")
     _add_source_args(gap)
     gap.add_argument("--lambda", dest="lam", type=float, default=None, help="entropy weight (default 0.01)")
-    gap.add_argument("--homotopy", action="store_true", help="continuation from 1.0 down to the target weight")
+    gap.add_argument("--homotopy", action="store_true", help="continuation alone, from max(1, lambda) down to lambda (which then defaults to 1e-3)")
+    gap.set_defaults(max_iters=200)
 
     return parser
 
@@ -130,7 +119,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _equilibrium_payload(game: AtomicRoutingGame, sol: EquilibriumSolution, gap: float) -> dict:
+def _equilibrium_payload(sol: EquilibriumSolution, gap: float) -> dict:
     return {
         "lambda": sol.lam,
         "residual": sol.residual_norm,
@@ -141,37 +130,28 @@ def _equilibrium_payload(game: AtomicRoutingGame, sol: EquilibriumSolution, gap:
     }
 
 
-def _solve_at(game: AtomicRoutingGame, lam: float, max_iters: int) -> EquilibriumSolution:
-    """Single solve at lam, retried via continuation when the cold start stalls."""
-    settings = SmoothEqSettings(lam=lam, max_iters=max_iters)
-    sol = solve_nls(game, settings)
-    if sol.converged:
-        return sol
-    schedule = HomotopySchedule(lambda_start=max(1.0, lam), lambda_min=lam)
-    result = homotopy_solve(game, schedule, settings)
-    assert isinstance(result, EquilibriumSolution)
-    return result
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
+    """Handler of both solve and gap."""
     game, _ = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.homotopy:
-        lam_min = args.lam if args.lam is not None else 1e-3
-        schedule = HomotopySchedule(lambda_min=lam_min)
-        settings = SmoothEqSettings(lam=schedule.lambda_start, max_iters=args.max_iters)
-        sol = homotopy_solve(game, schedule, settings)
-        assert isinstance(sol, EquilibriumSolution)
-    else:
-        lam = args.lam if args.lam is not None else 0.01
-        sol = _solve_at(game, lam, args.max_iters)
+    default_lam = 1e-3 if args.homotopy else 0.01
+    lam = args.lam if args.lam is not None else default_lam
+    settings = SmoothEqSettings(lam=lam, max_iters=args.max_iters)
+    warm = None
+    if not args.homotopy:
+        # solve_nls's own cold start, so a direct solve is tried before continuation
+        warm = (game.interior_point(settings.interior_eps), np.zeros(game.dim_v))
+    sol = solve_equilibrium(game, settings, warm)
     gap = game.nash_gap(sol.x)
-    _write_json(out / "equilibrium.json", _equilibrium_payload(game, sol, gap))
-    print(
-        f"solve: lambda={sol.lam:g} residual={sol.residual_norm:.3e} "
-        f"iterations={sol.iterations} gap={gap:.6f}"
-    )
+    _write_json(out / "equilibrium.json", _equilibrium_payload(sol, gap))
+    if args.command == "gap":
+        print(f"gap: lambda={sol.lam:g} gap={gap:.6e} residual={sol.residual_norm:.3e}")
+    else:
+        print(
+            f"solve: lambda={sol.lam:g} residual={sol.residual_norm:.3e} "
+            f"iterations={sol.iterations} gap={gap:.6f}"
+        )
     print(f"wrote {out / 'equilibrium.json'}")
     return 0
 
@@ -189,7 +169,8 @@ def _run_design(
     game: AtomicRoutingGame,
     desired: list[list[int]] | None,
     config: DesignConfig,
-) -> tuple[np.ndarray, np.ndarray, DesignTrace, RunReport, AtomicRoutingGame]:
+) -> tuple[DesignTrace, AtomicRoutingGame, DesignVerification, float]:
+    """Design, then verify the designed game; also returns the design's wall time."""
     if desired is None:
         raise ValueError(
             "design needs desired paths: use a scenario or add 'desired_paths' to the game file"
@@ -200,15 +181,7 @@ def _run_design(
     b, c_mat, trace = design_loop(game, objective, config)
     wall = time.perf_counter() - start
     designed = game.with_costs(b, c_mat, rho=config.rho)
-    verdict = verify_design(designed, objective)
-    report = RunReport(
-        psi=verdict.psi,
-        gap=verdict.gap,
-        path_match=verdict.path_match,
-        wall_time=wall,
-        trace_path="trace.csv",
-    )
-    return b, c_mat, trace, report, designed
+    return trace, designed, verify_design(designed, objective), wall
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -224,15 +197,15 @@ def cmd_design(args: argparse.Namespace) -> int:
         rho=rho,
         max_outer_iters=args.max_iters,
     )
-    _, _, trace, report, designed = _run_design(game, desired, config)
+    trace, designed, verdict, wall = _run_design(game, desired, config)
     trace.write_csv(out / "trace.csv")
     payload = game_to_dict(designed)
     payload["desired_paths"] = _desired_paths_payload(game, desired)
     _write_json(out / "designed_game.json", payload)
     print(
-        f"design: psi={report.psi:.6f} gap={report.gap:.6f} "
-        f"path_match={report.path_match} iterations={len(trace.records)} "
-        f"wall_time={report.wall_time:.2f}s"
+        f"design: psi={verdict.psi:.6f} gap={verdict.gap:.6f} "
+        f"path_match={verdict.path_match} iterations={len(trace.records)} "
+        f"wall_time={wall:.2f}s"
     )
     print(f"wrote {out / 'trace.csv'}")
     print(f"wrote {out / 'designed_game.json'}")
@@ -272,7 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             max_outer_iters=args.max_iters,
         )
         try:
-            _, _, trace, report, _ = _run_design(game, desired, config)
+            trace, _, verdict, _ = _run_design(game, desired, config)
         except NumericalError as exc:
             print(f"sweep {param}={value:g} failed: {exc}", file=sys.stderr)
             rows.append((value, float("nan")))
@@ -280,8 +253,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         trace_name = f"trace_{param}_{value:g}.csv"
         trace.write_csv(out / trace_name)
-        rows.append((value, report.psi))
-        print(f"sweep {param}={value:g}: psi={report.psi:.6f} gap={report.gap:.6f}")
+        rows.append((value, verdict.psi))
+        print(f"sweep {param}={value:g}: psi={verdict.psi:.6f} gap={verdict.gap:.6f}")
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["param", "psi_final"])
@@ -291,30 +264,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 2 if failures == len(values) else 0
 
 
-def cmd_gap(args: argparse.Namespace) -> int:
-    game, _ = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.homotopy:
-        lam_min = args.lam if args.lam is not None else 1e-3
-        result = homotopy_solve(game, HomotopySchedule(lambda_min=lam_min))
-        assert isinstance(result, EquilibriumSolution)
-        sol = result
-    else:
-        lam = args.lam if args.lam is not None else 0.01
-        sol = _solve_at(game, lam, 200)
-    gap = game.nash_gap(sol.x)
-    _write_json(out / "equilibrium.json", _equilibrium_payload(game, sol, gap))
-    print(f"gap: lambda={sol.lam:g} gap={gap:.6e} residual={sol.residual_norm:.3e}")
-    print(f"wrote {out / 'equilibrium.json'}")
-    return 0
-
-
 _COMMANDS = {
     "solve": cmd_solve,
     "design": cmd_design,
     "sweep": cmd_sweep,
-    "gap": cmd_gap,
+    "gap": cmd_solve,
 }
 
 

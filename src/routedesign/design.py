@@ -17,16 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
-from .errors import ExponentOverflowError, NegativeCycleError, NotConvergedError
+from .errors import NegativeCycleError, NotConvergedError
 from .game import AtomicRoutingGame
 from .sensitivity import DesignObjective, implicit_gradients
-from .smooth_eq import (
-    EquilibriumSolution,
-    HomotopySchedule,
-    SmoothEqSettings,
-    homotopy_solve,
-    solve_nls,
-)
+from .smooth_eq import EquilibriumSolution, SmoothEqSettings, solve_equilibrium
 
 TRACE_COLUMNS = ("iter", "psi_bar", "psi_lambda", "db_norm", "dC_norm", "residual", "gap")
 
@@ -143,8 +137,7 @@ def project_D(
     block_size: int,
     tol: float = 1e-10,
     max_sweeps: int = 100,
-    return_info: bool = False,
-) -> np.ndarray | tuple[np.ndarray, int, bool]:
+) -> np.ndarray:
     """Project onto the admissible interaction set in Frobenius norm.
 
     Dykstra's algorithm alternates three exact projections: symmetrize the
@@ -152,9 +145,6 @@ def project_D(
     semidefinite cone (keeping the skew part), and scale into the Frobenius
     ball of radius rho.  Sweeps stop when successive iterates differ by at
     most tol; hitting the sweep cap leaves the best iterate and warns.
-
-    Returns the projected matrix, or (matrix, sweeps, converged) when
-    return_info is set.
     """
     c = np.asarray(C, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -172,8 +162,7 @@ def project_D(
     corr_ball = np.zeros_like(y)
     prev = y.copy()
     converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for _ in range(max_sweeps):
         z = _project_diag_blocks(y + corr_blocks, block_size)
         corr_blocks = y + corr_blocks - z
         y = z
@@ -189,27 +178,7 @@ def project_D(
         prev = y.copy()
     if not converged:
         warnings.warn("projection sweeps hit the cap before converging", RuntimeWarning)
-    if return_info:
-        return y, sweeps, converged
     return y
-
-
-def _reference_chain(
-    game: AtomicRoutingGame, ref_settings: SmoothEqSettings
-) -> EquilibriumSolution:
-    """Continuation pass down to the certification weight.
-
-    Mid-schedule stalls are tolerated: a stage's best iterate still warm
-    starts the next stage, and the caller certifies the endpoint by its
-    optimality gap rather than by per-stage convergence flags.
-    """
-    carry: tuple[np.ndarray, np.ndarray] | None = None
-    sol: EquilibriumSolution | None = None
-    for lam in HomotopySchedule(lambda_min=REFERENCE_LAMBDA).stages():
-        sol = solve_nls(game, replace(ref_settings, lam=lam), warm_start=carry)
-        carry = (sol.x, sol.v)
-    assert sol is not None
-    return sol
 
 
 def _certified_reference(
@@ -222,7 +191,8 @@ def _certified_reference(
     Tries a warm single solve first, falls back to continuation, and accepts
     the result only when its optimality gap certifies it.  A warm start off
     the solution's support never recovers, so the warm attempt gets a short
-    iteration budget instead of the full one.
+    iteration budget instead of the full one.  Continuation stages may stall:
+    the endpoint is certified by its gap, not by per-stage convergence.
 
     When the marginal costs admit a negative-cost cycle the first-order gap
     is unbounded (the flow polytope has circulation rays); the gap is then
@@ -233,21 +203,9 @@ def _certified_reference(
         InfeasibleFlowError: the reference iterate is not even feasible.
     """
     ref_settings = replace(settings, lam=REFERENCE_LAMBDA, residual_tol=REFERENCE_RESIDUAL_TOL)
-    sol: EquilibriumSolution | None = None
-    if warm is not None:
-        try:
-            candidate = solve_nls(
-                game,
-                replace(ref_settings, max_iters=REFERENCE_WARM_ITERS),
-                warm_start=warm,
-            )
-        except ExponentOverflowError:
-            # the parameters moved too far for the stale warm start
-            candidate = None
-        if candidate is not None and candidate.converged:
-            sol = candidate
-    if sol is None:
-        sol = _reference_chain(game, ref_settings)
+    sol = solve_equilibrium(
+        game, ref_settings, warm, warm_iters=REFERENCE_WARM_ITERS, strict=False
+    )
     try:
         gap = game.nash_gap(sol.x, feas_tol=1e-5)
     except NegativeCycleError:
@@ -295,23 +253,7 @@ def design_loop(
     for outer in range(1, config.max_outer_iters + 1):
         current = game.with_costs(b, c_mat, rho=config.rho)
         try:
-            if inner_warm is None:
-                schedule = HomotopySchedule(
-                    lambda_start=max(1.0, config.lam), lambda_min=config.lam
-                )
-                sol = homotopy_solve(current, schedule, settings)
-                assert isinstance(sol, EquilibriumSolution)
-            else:
-                try:
-                    sol = solve_nls(current, settings, warm_start=inner_warm)
-                except ExponentOverflowError:
-                    sol = None
-                if sol is None or not sol.converged:
-                    schedule = HomotopySchedule(
-                        lambda_start=max(1.0, config.lam), lambda_min=config.lam
-                    )
-                    sol = homotopy_solve(current, schedule, settings)
-                    assert isinstance(sol, EquilibriumSolution)
+            sol = solve_equilibrium(current, settings, inner_warm)
             reference, gap = _certified_reference(current, settings, ref_warm)
         except NotConvergedError as exc:
             raise NotConvergedError(f"design iteration {outer}: {exc}") from exc

@@ -221,17 +221,21 @@ def homotopy_solve(
     schedule: HomotopySchedule | None = None,
     settings: SmoothEqSettings | None = None,
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
-    return_stages: bool = False,
-) -> EquilibriumSolution | list[EquilibriumSolution]:
+    *,
+    strict: bool = True,
+) -> list[EquilibriumSolution]:
     """Continuation in the entropy weight, warm-starting every re-solve.
 
     Solves at lambda_start, then repeatedly multiplies the weight by decay
     (clamping the final stage to exactly lambda_min) and re-solves from the
-    previous stage's solution.  With return_stages=True the full stage list is
-    returned, final solution last.
+    previous stage's solution.  Returns every stage's solution, final stage
+    last.  With strict=False a stage that stalls is kept unconverged and its
+    best iterate warm starts the next stage; the caller then judges the
+    endpoint by other means, such as its optimality gap.
 
     Raises:
-        NotConvergedError: some stage failed; the message names its weight.
+        NotConvergedError: strict and some stage failed; the message names
+            its weight.
     """
     if schedule is None:
         schedule = HomotopySchedule()
@@ -242,10 +246,43 @@ def homotopy_solve(
     for lam in schedule.stages():
         stage_settings = replace(settings, lam=lam)
         sol = solve_nls(game, stage_settings, warm_start=carry)
-        if not sol.converged:
+        if strict and not sol.converged:
             raise NotConvergedError(
                 f"continuation stage at lam={lam:g} stalled with residual {sol.residual_norm:.3e}"
             )
         stages.append(sol)
         carry = (sol.x, sol.v)
-    return stages if return_stages else stages[-1]
+    return stages
+
+
+def solve_equilibrium(
+    game: AtomicRoutingGame,
+    settings: SmoothEqSettings,
+    warm: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
+    warm_iters: int | None = None,
+    strict: bool = True,
+) -> EquilibriumSolution:
+    """Smoothed equilibrium at settings.lam: a direct solve, else continuation.
+
+    Given a warm start, first solves directly from it with at most
+    warm_iters iterations (default: settings.max_iters).  When there is no
+    warm start, it overflows, or the direct solve does not converge, runs
+    continuation from max(1, lam) down to lam with the full budget per stage
+    and returns its final stage; strict is passed on to homotopy_solve.
+
+    Raises:
+        NotConvergedError: strict and a continuation stage stalled.
+        ExponentOverflowError: a continuation stage started out of range.
+    """
+    if warm is not None:
+        direct = settings if warm_iters is None else replace(settings, max_iters=warm_iters)
+        try:
+            sol = solve_nls(game, direct, warm_start=warm)
+        except ExponentOverflowError:
+            # the warm start lies too far from this game's solution
+            sol = None
+        if sol is not None and sol.converged:
+            return sol
+    schedule = HomotopySchedule(lambda_start=max(1.0, settings.lam), lambda_min=settings.lam)
+    return homotopy_solve(game, schedule, settings, strict=strict)[-1]

@@ -101,7 +101,7 @@ def test_criterion_03_solution_unique_across_starting_points():
         pair = []
         for eps in (0.1, 0.9):
             settings = SmoothEqSettings(lam=lam, interior_eps=eps)
-            sol = homotopy_solve(game, HomotopySchedule(1.0, 0.5, lam), settings)
+            sol = homotopy_solve(game, HomotopySchedule(1.0, 0.5, lam), settings)[-1]
             assert sol.converged
             pair.append(sol)
         dx = float(np.max(np.abs(pair[0].x - pair[1].x)))
@@ -134,7 +134,7 @@ def test_criterion_04_implicit_gradient_matches_resolve_differences():
     # the finite-difference quotients divide solver noise by 2e-5, so both the
     # base solve and every re-solve run at a much tighter residual tolerance
     settings = SmoothEqSettings(lam=0.1, residual_tol=1e-13)
-    sol = homotopy_solve(game, HomotopySchedule(1.0, 0.5, 0.1), settings)
+    sol = homotopy_solve(game, HomotopySchedule(1.0, 0.5, 0.1), settings)[-1]
     grads = implicit_gradients(game, sol, objective, mode="pseudoinverse")
 
     h = 1e-5
@@ -170,7 +170,6 @@ def test_criterion_05_continuation_certifies_vanishing_gap():
             game,
             HomotopySchedule(1.0, 0.5, 1e-3),
             SmoothEqSettings(lam=1e-3),
-            return_stages=True,
         )
         gaps = [game.nash_gap(stage.x) for stage in stages]
         assert gaps[-1] <= 1e-2, f"{name}: final gap {gaps[-1]:.2e}"

@@ -226,3 +226,26 @@ def test_hopeless_entropy_weight_exits_two(tmp_path):
     )
     assert proc.returncode == 2
     assert "numerical failure" in proc.stderr
+
+
+def test_solve_falls_back_when_the_cold_start_overflows(tmp_path):
+    # b = -3 puts the interior start's exponent at ~299 for lambda 0.01, past
+    # the overflow limit; continuation from lambda 1 still reaches the solution
+    game_file = tmp_path / "game.json"
+    game_file.write_text(
+        json.dumps(
+            {
+                "graph": {"n": 2, "links": [[1, 2], [2, 1]]},
+                "players": [{"origin": 1, "destination": 2}],
+                "b": [-3.0, 3.5],
+                "C": [[0.0, 0.0], [0.0, 0.0]],
+                "rho": 0.5,
+            }
+        ),
+        encoding="utf-8",
+    )
+    proc = run_cli("solve", "--game", str(game_file), "--lambda", "0.01", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "equilibrium.json").read_text())
+    assert doc["lambda"] == 0.01
+    assert doc["residual"] <= 1e-10

@@ -87,16 +87,21 @@ def test_project_D_agrees_with_high_budget_rerun():
     assert np.linalg.norm(quick - slow) <= 1e-6
 
 
-def test_project_D_warns_when_sweeps_hit_the_cap():
+def test_project_D_warns_when_sweeps_hit_the_cap(monkeypatch):
     # a single sweep moves the iterate but cannot confirm a fixed point
     rng = np.random.default_rng(18)
     raw = rng.uniform(-1.0, 1.0, size=(6, 6))
+    sweeps = []
+    real_ball = design_mod._project_ball
+
+    def spy_ball(c, rho):
+        sweeps.append(1)
+        return real_ball(c, rho)
+
+    monkeypatch.setattr(design_mod, "_project_ball", spy_ball)
     with pytest.warns(RuntimeWarning):
-        out, sweeps, converged = project_D(
-            raw, 0.4, 3, tol=1e-15, max_sweeps=1, return_info=True
-        )
-    assert sweeps == 1
-    assert not converged
+        out = project_D(raw, 0.4, 3, tol=1e-15, max_sweeps=1)
+    assert len(sweeps) == 1
     assert out.shape == (6, 6)
 
 
@@ -138,7 +143,7 @@ def test_design_with_target_already_at_equilibrium_exits_fast():
     game, _ = two_player_setup()
     eq = homotopy_solve(
         game, HomotopySchedule(1.0, 0.5, 0.01), SmoothEqSettings(lam=0.01)
-    )
+    )[-1]
     _, _, trace = design_loop(game, tracking_objective(eq.x), DesignConfig(lam=0.01))
     assert len(trace.records) <= 2
 

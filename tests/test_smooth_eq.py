@@ -1,6 +1,7 @@
 """Smoothed equilibrium system: residual, Jacobian, solver, continuation."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from routedesign.smooth_eq import (
     homotopy_solve,
     jacobian_F,
     residual_F,
+    solve_equilibrium,
     solve_nls,
 )
 
@@ -180,12 +182,52 @@ def test_strict_continuation_names_the_stalled_stage():
 def test_continuation_returns_stage_list():
     game = two_node_game(0.3, 0.7)
     sched = HomotopySchedule(1.0, 0.5, 0.01)
-    stages = homotopy_solve(game, sched, SmoothEqSettings(lam=0.01), return_stages=True)
+    stages = homotopy_solve(game, sched, SmoothEqSettings(lam=0.01))
     assert [s.lam for s in stages] == sched.stages()
     assert all(isinstance(s, EquilibriumSolution) and s.converged for s in stages)
-    final = homotopy_solve(game, sched, SmoothEqSettings(lam=0.01))
-    assert final.lam == 0.01
-    assert np.allclose(final.x, stages[-1].x)
+    assert stages[-1].lam == 0.01
+
+
+def test_overflowing_warm_start_falls_back_to_continuation():
+    b1, b2 = 0.3, 0.7
+    game = two_node_game(b1, b2)
+    warm = (np.array([1.1, 0.1]), np.array([500.0]))  # exponent ~ +499 at lam=1
+    with pytest.raises(ExponentOverflowError):
+        solve_nls(game, SmoothEqSettings(lam=1.0), warm_start=warm)
+    sol = solve_equilibrium(game, SmoothEqSettings(lam=1.0), warm)
+    assert sol.converged
+    assert sol.lam == 1.0
+    x_ref, v_ref = two_node_oracle(b1, b2, 1.0)
+    assert np.allclose(sol.x, x_ref, atol=1e-8)
+    assert np.allclose(sol.v, v_ref, atol=1e-8)
+
+
+def test_stalled_warm_start_falls_back_to_continuation():
+    b1, b2 = 0.3, 0.7
+    game = two_node_game(b1, b2)
+    warm = (np.array([1.1, 0.1]), np.zeros(1))
+    settings = SmoothEqSettings(lam=0.05)
+    assert not solve_nls(game, replace(settings, max_iters=1), warm_start=warm).converged
+    sol = solve_equilibrium(game, settings, warm, warm_iters=1)
+    assert sol.converged
+    x_ref, v_ref = two_node_oracle(b1, b2, 0.05)
+    assert np.allclose(sol.x, x_ref, atol=1e-8)
+    assert np.allclose(sol.v, v_ref, atol=1e-8)
+
+
+def test_tolerant_continuation_passes_stalled_stages_on():
+    game = two_node_game(0.3, 0.7)
+    settings = SmoothEqSettings(lam=0.5, residual_tol=1e-15, max_iters=1)
+    with pytest.raises(NotConvergedError, match="lam=1"):
+        solve_equilibrium(game, settings)
+    stages = homotopy_solve(game, HomotopySchedule(1.0, 0.5, 0.5), settings, strict=False)
+    assert [s.lam for s in stages] == [1.0, 0.5]
+    assert not any(s.converged for s in stages)
+    assert all(s.iterations == 1 for s in stages)
+    sol = solve_equilibrium(game, settings, strict=False)
+    assert not sol.converged
+    assert sol.lam == 0.5
+    assert np.array_equal(sol.x, stages[-1].x)
 
 
 def _entropy_best_response(game, x, i, lam):
