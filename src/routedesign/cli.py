@@ -8,7 +8,7 @@ Commands:
 
 solve and gap share one handler and write the same equilibrium.json; they
 differ in the summary line and in gap's fixed budget of 200 iterations.
-Without --homotopy both try a direct solve from the interior starting flow
+Without --homotopy both try a direct solve from the solver's cold start
 and fall back to continuation from max(1, lambda) when it overflows or
 stalls; with --homotopy they run continuation alone.
 
@@ -27,8 +27,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .design import (
     DesignConfig,
     DesignTrace,
@@ -41,7 +39,7 @@ from .game import AtomicRoutingGame, game_to_dict, load_game_file
 from .graph import path_links
 from .scenarios import SCENARIOS, build_scenario
 from .sensitivity import path_to_target, tracking_objective
-from .smooth_eq import EquilibriumSolution, SmoothEqSettings, solve_equilibrium
+from .smooth_eq import EquilibriumSolution, SmoothEqSettings, cold_start, solve_equilibrium
 
 
 class _UsageError(Exception):
@@ -138,10 +136,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     default_lam = 1e-3 if args.homotopy else 0.01
     lam = args.lam if args.lam is not None else default_lam
     settings = SmoothEqSettings(lam=lam, max_iters=args.max_iters)
-    warm = None
-    if not args.homotopy:
-        # solve_nls's own cold start, so a direct solve is tried before continuation
-        warm = (game.interior_point(settings.interior_eps), np.zeros(game.dim_v))
+    # the cold start as a warm start makes solve_equilibrium try a direct solve first
+    warm = None if args.homotopy else cold_start(game, lam)
     sol = solve_equilibrium(game, settings, warm)
     gap = game.nash_gap(sol.x)
     _write_json(out / "equilibrium.json", _equilibrium_payload(sol, gap))

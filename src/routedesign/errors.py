@@ -33,9 +33,5 @@ class NotConvergedError(NumericalError):
     """An iterative solve hit its iteration budget before reaching tolerance."""
 
 
-class SingularJacobianError(NumericalError):
-    """An exact linear solve was requested on a near-singular system."""
-
-
 class NotSymmetricError(RouteDesignError):
     """A symmetric eigendecomposition was requested on an asymmetric matrix."""

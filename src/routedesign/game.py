@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
-from .errors import InfeasibleFlowError
-from .graph import DirectedGraph, interior_flow, od_vectors, reduced_incidence, shortest_path_cost
+from .errors import InfeasibleFlowError, UnreachableError
+from .graph import DirectedGraph, od_vectors, reduced_incidence, shortest_path_cost, stranded_links
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,9 @@ class AtomicRoutingGame:
     Precomputes the per-player reduced incidence matrices, their block
     diagonal, and the stacked demand vector, which every residual and solver
     in the package reuses.
+
+    Raises:
+        UnreachableError: some player has no strictly positive feasible flow.
     """
 
     def __init__(
@@ -67,11 +70,17 @@ class AtomicRoutingGame:
     ) -> None:
         if not players:
             raise ValueError("a game needs at least one player")
-        for player in players:
+        for i, player in enumerate(players):
             if not (0 <= player.origin < graph.n and 0 <= player.destination < graph.n):
                 raise ValueError("player origin or destination out of range")
             if player.origin == player.destination:
                 raise ValueError("origin equals destination")
+            try:
+                stranded = stranded_links(graph, player.origin, player.destination)
+            except UnreachableError as exc:
+                raise UnreachableError(f"player {i}: {exc}") from None
+            if stranded:
+                raise UnreachableError(f"player {i}: no feasible flow can use links {stranded}")
         if rho < 0.0:
             raise ValueError("rho must be nonnegative")
         pm = len(players) * graph.m
@@ -236,12 +245,6 @@ class AtomicRoutingGame:
             # each regret is nonnegative in exact arithmetic; clamp roundoff
             gap += max(0.0, float(weights @ self.player_flow(x, i)) - cost)
         return gap
-
-    def interior_point(self, eps: float = 0.1) -> np.ndarray:
-        """Stacked strictly positive feasible flow (one interior flow per player)."""
-        return np.concatenate(
-            [interior_flow(self.graph, p.origin, p.destination, eps) for p in self.players]
-        )
 
     def equals(self, other: "AtomicRoutingGame") -> bool:
         return (

@@ -205,30 +205,45 @@ def shortest_path_cost(
     return dist[destination], flow
 
 
-def interior_flow(
-    g: DirectedGraph,
-    origin: int,
-    destination: int,
-    eps: float = 0.1,
-) -> np.ndarray:
-    """A strictly positive feasible flow: unit path plus eps on every 2-cycle.
+def _reachable(adjacency: list[list[int]], start: int) -> set[int]:
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in adjacency[frontier.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
-    Requires every link to have an opposite partner (true for grid graphs);
-    circulating eps around each opposite pair leaves conservation untouched
-    while making the flow elementwise positive.
+
+def stranded_links(g: DirectedGraph, origin: int, destination: int) -> list[tuple[int, int]]:
+    """Links that no feasible origin -> destination unit flow uses.
+
+    A link (u, w) carries flow in some feasible flow exactly when it lies on
+    an origin -> destination walk (u reachable from the origin, the
+    destination reachable from w) or on a directed cycle (u reachable from
+    w).  So a strictly positive feasible flow exists iff this list is empty.
 
     Raises:
-        ValueError: eps not positive, or some link lacks an opposite partner.
-        UnreachableError: the graph has no origin -> destination path.
+        UnreachableError: no directed origin -> destination path exists.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    index = g.link_index
+    if not (0 <= origin < g.n and 0 <= destination < g.n):
+        raise ValueError("origin or destination out of range")
+    successors: list[list[int]] = [[] for _ in range(g.n)]
+    predecessors: list[list[int]] = [[] for _ in range(g.n)]
     for tail, head in g.links:
-        if (head, tail) not in index:
-            raise ValueError("every link needs an opposite partner for an interior flow")
-    _, path = shortest_path_cost(g, np.ones(g.m), origin, destination)
-    return path + eps
+        successors[tail].append(head)
+        predecessors[head].append(tail)
+    from_origin = _reachable(successors, origin)
+    if destination not in from_origin:
+        raise UnreachableError(f"no path from node {origin} to node {destination}")
+    to_destination = _reachable(predecessors, destination)
+    return [
+        (tail, head)
+        for tail, head in g.links
+        if not (tail in from_origin and head in to_destination)
+        and tail not in _reachable(successors, head)
+    ]
 
 
 def graph_rank_check(g: DirectedGraph) -> bool:

@@ -19,14 +19,12 @@ def default_rcond(shape: tuple[int, int]) -> float:
     return max(shape) * np.finfo(float).eps
 
 
-def pseudoinverse(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with an SVD cutoff relative to sigma_max."""
+def pseudoinverse(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with an SVD cutoff at default_rcond * sigma_max."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("pseudoinverse expects a matrix")
-    if rcond is None:
-        rcond = default_rcond(a.shape)
-    return np.linalg.pinv(a, rcond=rcond)
+    return np.linalg.pinv(a, rcond=default_rcond(a.shape))
 
 
 def lstsq(a: np.ndarray, rhs: np.ndarray, damping: float = 0.0) -> np.ndarray:
@@ -66,16 +64,14 @@ def eig_sym(s: np.ndarray, eig_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarra
     return w, q
 
 
-def numerical_rank(a: np.ndarray, rcond: float | None = None) -> int:
-    """Number of singular values above rcond * sigma_max."""
+def numerical_rank(a: np.ndarray) -> int:
+    """Number of singular values above default_rcond * sigma_max."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("numerical_rank expects a matrix")
     if a.size == 0:
         return 0
-    if rcond is None:
-        rcond = default_rcond(a.shape)
     sigma = np.linalg.svd(a, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > rcond * sigma[0]))
+    return int(np.count_nonzero(sigma > default_rcond(a.shape) * sigma[0]))

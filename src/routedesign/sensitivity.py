@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .errors import BrokenPathError, SingularJacobianError
+from .errors import BrokenPathError
 from .game import AtomicRoutingGame
 from .smooth_eq import EXP_CLAMP, EquilibriumSolution, _exponent, jacobian_F
 
@@ -83,37 +83,20 @@ def implicit_gradients(
     game: AtomicRoutingGame,
     sol: EquilibriumSolution,
     objective: DesignObjective,
-    mode: str = "pseudoinverse",
-    rcond: float | None = None,
-    condition_cap: float = 1e12,
 ) -> GradientPair:
     """Objective gradients in (b, C) through the solved smoothed system.
 
-    Solves J^T z = [grad_psi(x); 0] and returns grad_b = -(D z_x) / lam with
-    D the exponential-map diagonal; grad_C follows as the rank-1 outer
-    product with the flow.  mode="pseudoinverse" (default) uses an SVD
-    pseudoinverse and tolerates near-singular J; mode="exact" uses a direct
-    solve and refuses badly conditioned systems.
-
-    Raises:
-        SingularJacobianError: exact mode with condition estimate above cap.
+    Solves J^T z = [grad_psi(x); 0] with an SVD pseudoinverse, which
+    tolerates near-singular J, and returns grad_b = -(D z_x) / lam with D the
+    exponential-map diagonal; grad_C follows as the rank-1 outer product with
+    the flow.
     """
-    if mode not in ("pseudoinverse", "exact"):
-        raise ValueError("mode must be 'pseudoinverse' or 'exact'")
     jac = jacobian_F(game, sol.x, sol.v, sol.lam)
     grad_x = np.asarray(objective.gradient(sol.x), dtype=float)
     if grad_x.shape != (game.pm,):
         raise ValueError("objective gradient must have length p*m")
     rhs = np.concatenate([grad_x, np.zeros(game.dim_v)])
-    if mode == "exact":
-        cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > condition_cap:
-            raise SingularJacobianError(
-                f"condition estimate {cond:.3e} exceeds cap {condition_cap:.1e}"
-            )
-        z = np.linalg.solve(jac.T, rhs)
-    else:
-        z = numerics.pseudoinverse(jac, rcond=rcond).T @ rhs
+    z = numerics.pseudoinverse(jac).T @ rhs
     d = equilibrium_diag(game, sol)
     grad_b = -(d * z[: game.pm]) / sol.lam
     return GradientPair(grad_b=grad_b, flow=np.array(sol.x))

@@ -5,9 +5,10 @@ piecewise-linear equilibrium conditions with a smooth square system
 
     F(x, v) = [x - exp((E^T v - b - C x) / lam - 1);  s - E x] = 0,
 
-which has a unique solution for lam > 0 on connected graphs with monotone
-interaction costs.  The solver below drives ||F|| to tolerance with a
-Levenberg-Marquardt iteration and a lam-continuation wrapper for small lam.
+which has a unique solution for lam > 0 with monotone interaction costs when
+every player has a strictly positive feasible flow.  The solver below drives
+||F|| to tolerance with a Levenberg-Marquardt iteration started from the
+exponential map at (x, v) = 0, and a lam-continuation wrapper for small lam.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .errors import ExponentOverflowError, NotConvergedError
+from .errors import ExponentOverflowError, NegativeCycleError, NotConvergedError
 from .game import AtomicRoutingGame
 
 # Exponent handling: entries are clamped at EXP_CLAMP to keep trial residuals
@@ -30,6 +31,7 @@ EXP_LIMIT = 200.0
 # even when the exact smoothed flow underflows to zero.
 _POSITIVE_FLOOR = 1e-300
 
+_DAMPING_INIT = 1e-3
 _DAMPING_MIN = 1e-15
 _DAMPING_MAX = 1e15
 
@@ -41,8 +43,6 @@ class SmoothEqSettings:
     lam: float
     residual_tol: float = 1e-10
     max_iters: int = 200
-    lm_damping_init: float = 1e-3
-    interior_eps: float = 0.1
 
     def __post_init__(self) -> None:
         if self.lam <= 0.0:
@@ -51,10 +51,6 @@ class SmoothEqSettings:
             raise ValueError("residual_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.lm_damping_init <= 0.0:
-            raise ValueError("lm_damping_init must be positive")
-        if self.interior_eps <= 0.0:
-            raise ValueError("interior_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,6 +148,12 @@ def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
     return jac
 
 
+def cold_start(game: AtomicRoutingGame, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Default start: v = 0 and x the clamped exponential map at (x, v) = 0."""
+    v = np.zeros(game.dim_v)
+    return np.exp(np.minimum(_exponent(game, np.zeros(game.pm), v, lam), EXP_CLAMP)), v
+
+
 def solve_nls(
     game: AtomicRoutingGame,
     settings: SmoothEqSettings,
@@ -160,8 +162,8 @@ def solve_nls(
 ) -> EquilibriumSolution:
     """Solve the smoothed system by damped least squares.
 
-    Starts from a strictly positive interior flow (or the given warm start)
-    and iterates Levenberg-Marquardt steps: damping is divided by 10 on an
+    Starts from the given warm start, else from cold_start(game, lam), and
+    iterates Levenberg-Marquardt steps: damping is divided by 10 on an
     accepted step and multiplied by 10 on a rejected one.  Trial points whose
     exponent overflows are rejected like any other failed step.  Returns the
     incumbent with converged=False when the iteration budget runs out.
@@ -170,17 +172,14 @@ def solve_nls(
         ExponentOverflowError: the starting point itself overflows.
     """
     if warm_start is None:
-        x = game.interior_point(settings.interior_eps)
-        v = np.zeros(game.dim_v)
-    else:
-        x = np.array(warm_start[0], dtype=float)
-        v = np.array(warm_start[1], dtype=float)
-    x = np.maximum(x, _POSITIVE_FLOOR)
+        warm_start = cold_start(game, settings.lam)
+    x = np.maximum(np.array(warm_start[0], dtype=float), _POSITIVE_FLOOR)
+    v = np.array(warm_start[1], dtype=float)
 
     pm = game.pm
     resid = residual_F(game, x, v, settings.lam)
     norm = float(np.linalg.norm(resid))
-    damping = settings.lm_damping_init
+    damping = _DAMPING_INIT
     iterations = 0
     if trace is not None:
         trace.append(norm)
@@ -234,8 +233,10 @@ def homotopy_solve(
     endpoint by other means, such as its optimality gap.
 
     Raises:
-        NotConvergedError: strict and some stage failed; the message names
-            its weight.
+        NegativeCycleError: strict, some stage failed, and some player's
+            marginal costs there admit a negative-cost cycle.
+        NotConvergedError: strict and some stage failed otherwise; the
+            message names its weight.
     """
     if schedule is None:
         schedule = HomotopySchedule()
@@ -247,9 +248,18 @@ def homotopy_solve(
         stage_settings = replace(settings, lam=lam)
         sol = solve_nls(game, stage_settings, warm_start=carry)
         if strict and not sol.converged:
-            raise NotConvergedError(
+            stall = NotConvergedError(
                 f"continuation stage at lam={lam:g} stalled with residual {sol.residual_norm:.3e}"
             )
+            for i in range(game.p):
+                try:
+                    game.best_response_path(sol.x, i)
+                except NegativeCycleError:
+                    raise NegativeCycleError(
+                        f"continuation stage at lam={lam:g} stalled: player {i}'s "
+                        "marginal costs admit a negative-cost cycle"
+                    ) from stall
+            raise stall
         stages.append(sol)
         carry = (sol.x, sol.v)
     return stages

@@ -14,6 +14,7 @@ import routedesign.design as design_mod
 from helpers import certified_vertex, fd_jacobian, random_game, tolerant_chain
 from routedesign.design import DesignConfig, design_loop, project_B, project_D, verify_design
 from routedesign.game import membership_D
+from routedesign.graph import shortest_path_cost
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import implicit_gradients, path_to_target, tracking_objective
 from routedesign.smooth_eq import (
@@ -96,12 +97,19 @@ def test_criterion_02_jacobian_matches_finite_differences():
 
 def test_criterion_03_solution_unique_across_starting_points():
     game = build_scenario("two_player_3x3").game
+    # strictly positive feasible starts: each player's unit path plus eps on every link
+    paths = np.concatenate(
+        [shortest_path_cost(game.graph, np.ones(game.m), p.origin, p.destination)[1]
+         for p in game.players]
+    )
     worst_dx = worst_res = 0.0
     for lam in (1.0, 0.1, 0.01):
         pair = []
         for eps in (0.1, 0.9):
-            settings = SmoothEqSettings(lam=lam, interior_eps=eps)
-            sol = homotopy_solve(game, HomotopySchedule(1.0, 0.5, lam), settings)[-1]
+            start = (paths + eps, np.zeros(game.dim_v))
+            sol = homotopy_solve(
+                game, HomotopySchedule(1.0, 0.5, lam), SmoothEqSettings(lam=lam), start
+            )[-1]
             assert sol.converged
             pair.append(sol)
         dx = float(np.max(np.abs(pair[0].x - pair[1].x)))
@@ -135,7 +143,7 @@ def test_criterion_04_implicit_gradient_matches_resolve_differences():
     # base solve and every re-solve run at a much tighter residual tolerance
     settings = SmoothEqSettings(lam=0.1, residual_tol=1e-13)
     sol = homotopy_solve(game, HomotopySchedule(1.0, 0.5, 0.1), settings)[-1]
-    grads = implicit_gradients(game, sol, objective, mode="pseudoinverse")
+    grads = implicit_gradients(game, sol, objective)
 
     h = 1e-5
     fd = np.zeros(pm)

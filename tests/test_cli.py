@@ -205,6 +205,11 @@ def test_usage_errors_exit_one(tmp_path):
         run_cli("design", "--scenario", "two_player_3x3", "--alpha", "-1").returncode
         == 1
     )
+    # a dead-end link, 2 -> 3 in the file and (1, 2) 0-based, that no flow can use
+    dead_end = _one_player_game(tmp_path / "dead_end.json", 3, [[1, 2], [2, 3]], [0.1, 0.1])
+    proc = run_cli("solve", "--game", str(dead_end))
+    assert proc.returncode == 1
+    assert "(1, 2)" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_design_without_desired_paths_exits_one(tmp_path):
@@ -228,24 +233,34 @@ def test_hopeless_entropy_weight_exits_two(tmp_path):
     assert "numerical failure" in proc.stderr
 
 
+def _one_player_game(path, n, links, b):
+    """Write a game file: one player from node 1 to node 2, C = 0."""
+    doc = {
+        "graph": {"n": n, "links": links},
+        "players": [{"origin": 1, "destination": 2}],
+        "b": b,
+        "C": [[0.0] * len(links) for _ in links],
+        "rho": 0.5,
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 def test_solve_falls_back_when_the_cold_start_overflows(tmp_path):
-    # b = -3 puts the interior start's exponent at ~299 for lambda 0.01, past
+    # b = -3 puts the cold start's exponent at ~299 for lambda 0.01, past
     # the overflow limit; continuation from lambda 1 still reaches the solution
-    game_file = tmp_path / "game.json"
-    game_file.write_text(
-        json.dumps(
-            {
-                "graph": {"n": 2, "links": [[1, 2], [2, 1]]},
-                "players": [{"origin": 1, "destination": 2}],
-                "b": [-3.0, 3.5],
-                "C": [[0.0, 0.0], [0.0, 0.0]],
-                "rho": 0.5,
-            }
-        ),
-        encoding="utf-8",
-    )
+    game_file = _one_player_game(tmp_path / "game.json", 2, [[1, 2], [2, 1]], [-3.0, 3.5])
     proc = run_cli("solve", "--game", str(game_file), "--lambda", "0.01", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "equilibrium.json").read_text())
     assert doc["lambda"] == 0.01
     assert doc["residual"] <= 1e-10
+
+
+def test_solve_names_a_negative_cost_cycle(tmp_path):
+    # the 2-cycle costs -2.5, so the smoothed flow around it grows without
+    # bound as lambda shrinks and continuation stalls
+    game_file = _one_player_game(tmp_path / "game.json", 2, [[1, 2], [2, 1]], [-3.0, 0.5])
+    proc = run_cli("solve", "--game", str(game_file), "--lambda", "0.01", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "negative-cost cycle" in proc.stderr

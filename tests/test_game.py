@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_game
-from routedesign.errors import InfeasibleFlowError, NegativeCycleError
+from routedesign.errors import InfeasibleFlowError, NegativeCycleError, UnreachableError
 from routedesign.game import (
     AtomicRoutingGame,
     CostParams,
@@ -16,7 +16,7 @@ from routedesign.game import (
     load_game_file,
     membership_D,
 )
-from routedesign.graph import DirectedGraph, grid_graph
+from routedesign.graph import DirectedGraph, grid_graph, shortest_path_cost
 from routedesign.sensitivity import path_to_target
 
 
@@ -56,6 +56,14 @@ def test_game_constructor_validation():
         AtomicRoutingGame(g, [Player(0, 1)], costs, rho=-1.0)
     with pytest.raises(ValueError):
         AtomicRoutingGame(g, [Player(0, 1), Player(1, 0)], costs)  # b too short
+    one_way = DirectedGraph(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
+    costs4 = CostParams(np.zeros(4), np.zeros((4, 4)))
+    AtomicRoutingGame(one_way, [Player(0, 3)], costs4)  # every link is on a path
+    with pytest.raises(UnreachableError, match="player 0: no path from node 3 to node 0"):
+        AtomicRoutingGame(one_way, [Player(3, 0)], costs4)
+    costs8 = CostParams(np.zeros(8), np.zeros((8, 8)))
+    with pytest.raises(UnreachableError, match=r"player 1: .*\[\(0, 2\), \(1, 3\), \(2, 3\)\]"):
+        AtomicRoutingGame(one_way, [Player(0, 3), Player(0, 1)], costs8)  # only (0, 1) leads to node 1
 
 
 def test_dimensions_and_slices():
@@ -95,13 +103,6 @@ def test_player_objective_matches_blockwise_sum():
         assert game.player_objective(x, i) == pytest.approx(float(cost @ x_i), rel=1e-12)
 
 
-def test_interior_point_is_feasible_and_positive():
-    game = random_game(np.random.default_rng(5), (3, 3), 2)
-    x = game.interior_point(eps=0.2)
-    assert np.all(x > 0.0)
-    assert game.conservation_violation(x) <= 1e-12
-
-
 def test_residuals_vanish_at_hand_built_equilibrium():
     # all demand takes the cheap forward link; v prices it exactly
     game = line_game([0.3, 0.7])
@@ -139,8 +140,12 @@ def test_nash_gap_nonnegative_on_random_interior_points():
     rng = np.random.default_rng(6)
     for k in range(10):
         game = random_game(rng, (2, 2), 1 + k % 2)
+        paths = np.concatenate(
+            [shortest_path_cost(game.graph, np.ones(game.m), p.origin, p.destination)[1]
+             for p in game.players]
+        )
         for eps in (0.02, 0.5):
-            assert game.nash_gap(game.interior_point(eps)) >= 0.0
+            assert game.nash_gap(paths + eps) >= 0.0
 
 
 def test_nash_gap_rejects_infeasible_flow():

@@ -11,11 +11,11 @@ from routedesign.graph import (
     graph_rank_check,
     grid_graph,
     incidence_matrix,
-    interior_flow,
     od_vectors,
     path_links,
     reduced_incidence,
     shortest_path_cost,
+    stranded_links,
 )
 
 
@@ -157,27 +157,26 @@ def test_shortest_path_rejects_bad_inputs():
         shortest_path_cost(g, np.ones(2), 1, 1)
 
 
-def test_interior_flow_two_node_example():
-    g = DirectedGraph(2, ((0, 1), (1, 0)))
-    flow = interior_flow(g, 0, 1, eps=0.1)
-    assert np.allclose(flow, [1.1, 0.1])
-
-
-def test_interior_flow_is_feasible_and_positive():
-    g = grid_graph(3, 3)
-    flow = interior_flow(g, 3, 5, eps=0.05)
-    assert np.all(flow > 0.0)
-    e = incidence_matrix(g)
-    r, _ = od_vectors(g, 3, 5)
-    assert np.allclose(e @ flow, r)
-
-
-def test_interior_flow_needs_opposite_links():
-    g = DirectedGraph(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
+def test_stranded_links_cases():
+    # every link of a bidirected graph lies on a 2-cycle
+    assert stranded_links(grid_graph(3, 3), 3, 5) == []
+    # one-way diamond with a chord: every link lies on some 0 -> 3 path
+    diamond = DirectedGraph(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
+    assert stranded_links(diamond, 0, 3) == []
+    # node 0 is unreachable from origin 1, so its links carry no flow unless
+    # a cycle closes them; adding (3, 0) closes every link into a cycle
+    assert stranded_links(diamond, 1, 3) == [(0, 1), (0, 2)]
+    looped = DirectedGraph(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 0)))
+    assert stranded_links(looped, 1, 3) == []
+    # a one-way cycle through the destination can circulate flow
+    side = DirectedGraph(4, ((0, 1), (1, 2), (2, 3), (3, 1)))
+    assert stranded_links(side, 0, 1) == []
+    dead_end = DirectedGraph(3, ((0, 1), (1, 2)))
+    assert stranded_links(dead_end, 0, 1) == [(1, 2)]
+    with pytest.raises(UnreachableError):
+        stranded_links(dead_end, 2, 0)
     with pytest.raises(ValueError):
-        interior_flow(g, 0, 3)
-    with pytest.raises(ValueError):
-        interior_flow(grid_graph(1, 2), 0, 1, eps=0.0)
+        stranded_links(dead_end, 0, 3)
 
 
 def test_path_links_roundtrip_and_errors():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_game
-from routedesign.errors import BrokenPathError, SingularJacobianError
+from routedesign.errors import BrokenPathError
 from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
@@ -15,7 +15,7 @@ from routedesign.sensitivity import (
     path_to_target,
     tracking_objective,
 )
-from routedesign.smooth_eq import SmoothEqSettings, solve_nls
+from routedesign.smooth_eq import SmoothEqSettings, jacobian_F, solve_nls
 
 
 def solved_two_node(lam=0.5, residual_tol=1e-10):
@@ -87,22 +87,16 @@ def test_grad_C_is_the_exact_outer_product():
 def test_exact_and_pseudoinverse_modes_agree():
     game, sol = solved_two_node()
     obj = tracking_objective(np.array([0.5, 0.5]))
-    via_pinv = implicit_gradients(game, sol, obj, mode="pseudoinverse")
-    via_exact = implicit_gradients(game, sol, obj, mode="exact")
-    assert np.allclose(via_pinv.grad_b, via_exact.grad_b, atol=1e-9)
+    via_pinv = implicit_gradients(game, sol, obj)
+    jac = jacobian_F(game, sol.x, sol.v, sol.lam)
+    rhs = np.concatenate([obj.gradient(sol.x), np.zeros(game.dim_v)])
+    z = np.linalg.solve(jac.T, rhs)
+    via_exact = -(equilibrium_diag(game, sol) * z[: game.pm]) / sol.lam
+    assert np.allclose(via_pinv.grad_b, via_exact, atol=1e-9)
 
 
-def test_exact_mode_refuses_ill_conditioned_systems():
+def test_objective_gradient_shape_is_validated():
     game, sol = solved_two_node()
-    obj = tracking_objective(np.array([0.5, 0.5]))
-    with pytest.raises(SingularJacobianError):
-        implicit_gradients(game, sol, obj, mode="exact", condition_cap=1.0)
-
-
-def test_mode_and_shape_validation():
-    game, sol = solved_two_node()
-    with pytest.raises(ValueError):
-        implicit_gradients(game, sol, tracking_objective(np.zeros(2)), mode="fast")
     bad = DesignObjective(
         target=np.zeros(2),
         evaluate=lambda x: 0.0,

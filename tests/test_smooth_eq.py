@@ -48,8 +48,6 @@ def test_settings_validation():
         dict(lam=0.0),
         dict(lam=1.0, residual_tol=0.0),
         dict(lam=1.0, max_iters=0),
-        dict(lam=1.0, lm_damping_init=0.0),
-        dict(lam=1.0, interior_eps=0.0),
     ):
         with pytest.raises(ValueError):
             SmoothEqSettings(**bad)
@@ -121,10 +119,17 @@ def test_two_route_equal_costs_split_evenly():
     assert np.allclose(sol.x, 0.5, atol=1e-9)
 
 
-def test_default_start_needs_paired_links():
-    game = two_route_game(np.full(4, 0.2))
-    with pytest.raises(ValueError):
-        solve_nls(game, SmoothEqSettings(lam=0.5))
+def test_default_start_solves_one_way_games():
+    b = np.array([0.2, 0.1, 0.2, 0.7])  # route A costs 0.4, route B 0.8
+    game = two_route_game(b)
+    for lam in (1.0, 0.5, 0.2):
+        sol = solve_nls(game, SmoothEqSettings(lam=lam))
+        assert sol.converged
+        share = logit_split(b[0] + b[2], b[1] + b[3], lam)
+        assert np.allclose(sol.x, [share, 1.0 - share, share, 1.0 - share], atol=1e-9)
+    sol = solve_equilibrium(game, SmoothEqSettings(lam=0.01))
+    assert sol.converged
+    assert game.nash_gap(sol.x) < 1e-5
 
 
 def test_jacobian_matches_finite_differences():
@@ -158,7 +163,7 @@ def test_solver_trace_is_monotone():
 
 
 def test_overflowing_start_raises():
-    game = two_node_game(-300.0, 0.5)  # exponent ~ +299 at the interior start
+    game = two_node_game(-300.0, 0.5)  # exponent ~ +299 at the cold start
     with pytest.raises(ExponentOverflowError):
         solve_nls(game, SmoothEqSettings(lam=1.0))
     with pytest.raises(ExponentOverflowError):
