@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
-from .errors import InfeasibleFlowError, UnreachableError
+from .errors import BrokenPathError, InfeasibleFlowError, UnreachableError
 from .graph import DirectedGraph, od_vectors, reduced_incidence, shortest_path_cost, stranded_links
 
 
@@ -50,6 +50,26 @@ class CostParams:
         object.__setattr__(self, "C", c)
 
 
+def _require_positive_flow(
+    graph: DirectedGraph, players: list[Player] | tuple[Player, ...], base: int = 0
+) -> None:
+    """Raise UnreachableError unless every player has a strictly positive feasible flow.
+
+    The message names nodes and links with base added to their indices.
+    """
+    for i, player in enumerate(players):
+        try:
+            stranded = stranded_links(graph, player.origin, player.destination)
+        except UnreachableError:
+            raise UnreachableError(
+                f"player {i}: no path from node {player.origin + base} "
+                f"to node {player.destination + base}"
+            ) from None
+        if stranded:
+            links = [(tail + base, head + base) for tail, head in stranded]
+            raise UnreachableError(f"player {i}: no feasible flow can use links {links}") from None
+
+
 class AtomicRoutingGame:
     """A p-player atomic routing game on a shared directed graph.
 
@@ -70,17 +90,12 @@ class AtomicRoutingGame:
     ) -> None:
         if not players:
             raise ValueError("a game needs at least one player")
-        for i, player in enumerate(players):
+        for player in players:
             if not (0 <= player.origin < graph.n and 0 <= player.destination < graph.n):
                 raise ValueError("player origin or destination out of range")
             if player.origin == player.destination:
                 raise ValueError("origin equals destination")
-            try:
-                stranded = stranded_links(graph, player.origin, player.destination)
-            except UnreachableError as exc:
-                raise UnreachableError(f"player {i}: {exc}") from None
-            if stranded:
-                raise UnreachableError(f"player {i}: no feasible flow can use links {stranded}")
+        _require_positive_flow(graph, players)
         if rho < 0.0:
             raise ValueError("rho must be nonnegative")
         pm = len(players) * graph.m
@@ -310,6 +325,8 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
 
     Raises:
         ValueError: missing keys, malformed shapes, or invalid indices.
+        UnreachableError: some player has no strictly positive feasible flow;
+            the message names nodes and links 1-based, as the document does.
     """
     if not isinstance(data, dict):
         raise ValueError("game document must be a JSON object")
@@ -328,17 +345,39 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
     players = [
         Player(int(p["origin"]) - 1, int(p["destination"]) - 1) for p in raw_players
     ]
-    return AtomicRoutingGame(graph, players, CostParams(b, c), rho)
+    try:
+        return AtomicRoutingGame(graph, players, CostParams(b, c), rho)
+    except UnreachableError:
+        # the constructor's message is 0-based; name the document's indices
+        _require_positive_flow(graph, players, base=1)
+        raise
 
 
 def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]] | None]:
-    """Load a game JSON file; also return optional desired node paths (0-based)."""
+    """Load a game JSON file; also return optional desired node paths (0-based).
+
+    Raises:
+        ValueError: see game_from_dict; also a desired_paths entry count
+            other than one per player.
+        UnreachableError: see game_from_dict.
+        BrokenPathError: a desired path has fewer than two nodes or steps
+            along a missing link; the message names nodes 1-based.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     game = game_from_dict(data)
     desired = data.get("desired_paths") if isinstance(data, dict) else None
-    if desired is not None:
-        desired = [[int(node) - 1 for node in path] for path in desired]
-        if len(desired) != game.p:
-            raise ValueError("desired_paths must list one node path per player")
-    return game, desired
+    if desired is None:
+        return game, None
+    if len(desired) != game.p:
+        raise ValueError("desired_paths must list one node path per player")
+    paths = [[int(node) for node in nodes] for nodes in desired]
+    for i, nodes in enumerate(paths):
+        if len(nodes) < 2:
+            raise BrokenPathError(f"player {i}: a desired path needs at least two nodes")
+        for tail, head in zip(nodes, nodes[1:]):
+            if (tail - 1, head - 1) not in game.graph.link_index:
+                raise BrokenPathError(
+                    f"player {i}: desired path {nodes} has no link from node {tail} to node {head}"
+                )
+    return game, [[node - 1 for node in nodes] for nodes in paths]

@@ -48,6 +48,52 @@ def lstsq(a: np.ndarray, rhs: np.ndarray, damping: float = 0.0) -> np.ndarray:
     return sol
 
 
+class DampedLeastSquares:
+    """Minimizers of ||a z - rhs||^2 + damping ||z||^2 for one (a, rhs), any damping.
+
+    Forms a^T a and a^T rhs once; each solve then Cholesky-factors
+    a^T a + damping * I, so a new damping costs one factorization.  When the
+    factorization fails (the damped matrix is not numerically positive
+    definite, as with badly scaled or rank-deficient a), that solve falls
+    back to lstsq(a, rhs, damping) on the stacked system.  a^T a is dropped
+    for the fallback, whose stacked copies need the memory, and formed again
+    if another damping is tried.
+    """
+
+    def __init__(self, a: np.ndarray, rhs: np.ndarray) -> None:
+        a = np.asarray(a, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if a.ndim != 2 or rhs.ndim != 1 or rhs.shape[0] != a.shape[0]:
+            raise ValueError("incompatible shapes for DampedLeastSquares")
+        self.a = a
+        self.rhs = rhs
+        self._gram: np.ndarray | None = a.T @ a
+        self._grad = a.T @ rhs
+
+    def solve(self, damping: float) -> np.ndarray:
+        """The damped minimizer; same contract as lstsq(a, rhs, damping)."""
+        if damping < 0.0:
+            raise ValueError("damping must be nonnegative")
+        factor = self._cholesky(damping)
+        if factor is None:
+            self._gram = None
+            return lstsq(self.a, self.rhs, damping=damping)
+        return scipy.linalg.cho_solve(factor, self._grad, check_finite=False)
+
+    def _cholesky(self, damping: float) -> tuple[np.ndarray, bool] | None:
+        # None when a^T a + damping I is not numerically positive definite.
+        # The damped copy is freed on return, before any fallback allocates.
+        if self._gram is None:
+            self._gram = self.a.T @ self.a
+        k = self._gram.shape[0]
+        damped = self._gram.copy()
+        damped.reshape(-1)[:: k + 1] += damping
+        try:
+            return scipy.linalg.cho_factor(damped, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+
+
 def eig_sym(s: np.ndarray, eig_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 

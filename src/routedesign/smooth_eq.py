@@ -9,6 +9,9 @@ which has a unique solution for lam > 0 with monotone interaction costs when
 every player has a strictly positive feasible flow.  The solver below drives
 ||F|| to tolerance with a Levenberg-Marquardt iteration started from the
 exponential map at (x, v) = 0, and a lam-continuation wrapper for small lam.
+Each step solves the damped normal equations (J^T J + mu I) z = -J^T F by
+Cholesky, forming J and its products once per accepted iterate; a step whose
+Cholesky factorization fails is solved by QR on the stacked [J; sqrt(mu) I].
 """
 
 from __future__ import annotations
@@ -140,11 +143,15 @@ def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
     g = _exponent(game, x, v, lam)
     _check_exponent(g, lam)
     d = np.where(g <= EXP_CLAMP, np.exp(np.minimum(g, EXP_CLAMP)), 0.0)
-    pm, dim_v = game.pm, game.dim_v
-    jac = np.zeros((pm + dim_v, pm + dim_v))
-    jac[:pm, :pm] = np.eye(pm) + (d[:, None] * game.costs.C) / lam
-    jac[:pm, pm:] = -(d[:, None] * game.e_blk.T) / lam
-    jac[pm:, :pm] = -game.e_blk
+    pm, k = game.pm, game.pm + game.dim_v
+    jac = np.zeros((k, k))
+    top_left, top_right = jac[:pm, :pm], jac[:pm, pm:]
+    np.multiply(d[:, None], game.costs.C, out=top_left)
+    top_left /= lam
+    np.multiply(d[:, None], game.e_blk.T, out=top_right)
+    top_right /= -lam
+    np.negative(game.e_blk, out=jac[pm:, :pm])
+    jac.reshape(-1)[: pm * (k + 1) : k + 1] += 1.0
     return jac
 
 
@@ -168,6 +175,13 @@ def solve_nls(
     exponent overflows are rejected like any other failed step.  Returns the
     incumbent with converged=False when the iteration budget runs out.
 
+    Each step minimizes ||J z + F||^2 + damping ||z||^2 through
+    numerics.DampedLeastSquares: Cholesky on J^T J + damping I, or, when that
+    factorization fails, numerics.lstsq on the stacked system.  J and J^T F
+    are formed once per accepted iterate and reused after a rejected step,
+    which only refactors J^T J + damping I at the raised damping (J^T J is
+    kept too, unless the step fell back to the stacked solve).
+
     Raises:
         ExponentOverflowError: the starting point itself overflows.
     """
@@ -184,10 +198,14 @@ def solve_nls(
     if trace is not None:
         trace.append(norm)
 
+    # the linearization at the incumbent; a rejected step keeps it and only
+    # changes the damping
+    system: numerics.DampedLeastSquares | None = None
     while norm > settings.residual_tol and iterations < settings.max_iters:
         iterations += 1
-        jac = jacobian_F(game, x, v, settings.lam)
-        step = numerics.lstsq(jac, -resid, damping=damping)
+        if system is None:
+            system = numerics.DampedLeastSquares(jacobian_F(game, x, v, settings.lam), -resid)
+        step = system.solve(damping)
         cand_x = np.maximum(x + step[:pm], _POSITIVE_FLOOR)
         cand_v = v + step[pm:]
         try:
@@ -197,6 +215,7 @@ def solve_nls(
             cand_norm = math.inf
         if cand_norm < norm:
             x, v, resid, norm = cand_x, cand_v, cand_resid, cand_norm
+            system = None
             damping = max(damping / 10.0, _DAMPING_MIN)
         else:
             damping *= 10.0

@@ -205,11 +205,25 @@ def test_usage_errors_exit_one(tmp_path):
         run_cli("design", "--scenario", "two_player_3x3", "--alpha", "-1").returncode
         == 1
     )
-    # a dead-end link, 2 -> 3 in the file and (1, 2) 0-based, that no flow can use
+    # a dead-end link, 2 -> 3 in the file and (1, 2) 0-based, that no flow can
+    # use: the message names it as the file does
     dead_end = _one_player_game(tmp_path / "dead_end.json", 3, [[1, 2], [2, 3]], [0.1, 0.1])
     proc = run_cli("solve", "--game", str(dead_end))
     assert proc.returncode == 1
-    assert "(1, 2)" in proc.stderr and "Traceback" not in proc.stderr
+    assert "[(2, 3)]" in proc.stderr and "Traceback" not in proc.stderr
+    # an unreachable destination, named 1-based
+    unreachable = _one_player_game(tmp_path / "unreachable.json", 2, [[2, 1]], [0.1])
+    proc = run_cli("solve", "--game", str(unreachable))
+    assert proc.returncode == 1
+    assert "no path from node 1 to node 2" in proc.stderr and "Traceback" not in proc.stderr
+    # a desired path along a missing link, 3 -> 2 in the file, named as the file does
+    broken = _one_player_game(tmp_path / "broken.json", 3, [[1, 2], [1, 3], [2, 1], [3, 1]], [0.1] * 4)
+    doc = json.loads(broken.read_text(encoding="utf-8"))
+    doc["desired_paths"] = [[1, 3, 2]]
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_cli("design", "--game", str(broken), "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "no link from node 3 to node 2" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_design_without_desired_paths_exits_one(tmp_path):

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from routedesign.errors import NotSymmetricError
 from routedesign.graph import grid_graph, incidence_matrix
-from routedesign.numerics import default_rcond, eig_sym, lstsq, numerical_rank, pseudoinverse
+from routedesign.numerics import (
+    DampedLeastSquares,
+    default_rcond,
+    eig_sym,
+    lstsq,
+    numerical_rank,
+    pseudoinverse,
+)
 
 
 def test_default_rcond_scales_with_the_long_side():
@@ -69,6 +77,45 @@ def test_lstsq_input_validation():
         lstsq(np.eye(3), np.ones(3), damping=-1.0)
     with pytest.raises(ValueError):
         lstsq(np.ones(3), np.ones(3))
+
+
+DAMPINGS = [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3]
+
+
+@pytest.mark.parametrize("n", [5, 40, 120])
+def test_damped_least_squares_matches_the_stacked_solve(n):
+    rng = np.random.default_rng(26 + n)
+    a = rng.normal(size=(n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
+    assert np.linalg.cond(a) < 1e2
+    rhs = rng.normal(size=n)
+    system = DampedLeastSquares(a, rhs)
+    for mu in DAMPINGS:
+        ref = lstsq(a, rhs, damping=mu)
+        assert np.linalg.norm(system.solve(mu) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_damped_least_squares_falls_back_when_cholesky_fails():
+    # One row ~1e25, as a smoothed-map row past a large exponent, swamps the
+    # other rows' contributions to a^T a; the zero column makes a rank
+    # deficient.  Cholesky then fails at every damping, and the step is the
+    # stacked solve's, bit for bit.
+    rng = np.random.default_rng(27)
+    a = rng.normal(size=(6, 6))
+    a[0] *= 1e25
+    a[:, 5] = 0.0
+    rhs = rng.normal(size=6)
+    system = DampedLeastSquares(a, rhs)
+    for mu in DAMPINGS:
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(a.T @ a + mu * np.eye(6))
+        assert np.array_equal(system.solve(mu), lstsq(a, rhs, damping=mu))
+
+
+def test_damped_least_squares_input_validation():
+    with pytest.raises(ValueError):
+        DampedLeastSquares(np.eye(3), np.ones(2))
+    with pytest.raises(ValueError):
+        DampedLeastSquares(np.eye(3), np.ones(3)).solve(-1.0)
 
 
 def test_eig_sym_orders_eigenvalues():
