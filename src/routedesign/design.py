@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,13 @@ from . import numerics
 from .errors import NegativeCycleError, NotConvergedError
 from .game import AtomicRoutingGame
 from .sensitivity import DesignObjective, implicit_gradients
-from .smooth_eq import EquilibriumSolution, SmoothEqSettings, solve_equilibrium
+from .smooth_eq import (
+    EquilibriumSolution,
+    HomotopySchedule,
+    SmoothEqSettings,
+    homotopy_solve,
+    solve_equilibrium,
+)
 
 TRACE_COLUMNS = ("iter", "psi_bar", "psi_lambda", "db_norm", "dC_norm", "residual", "gap")
 
@@ -29,7 +35,6 @@ TRACE_COLUMNS = ("iter", "psi_bar", "psi_lambda", "db_norm", "dC_norm", "residua
 REFERENCE_LAMBDA = 1e-3
 REFERENCE_GAP_TOL = 1e-2
 REFERENCE_RESIDUAL_TOL = 1e-8
-REFERENCE_WARM_ITERS = 30
 
 
 @dataclass(frozen=True)
@@ -183,16 +188,15 @@ def project_D(
 
 def _certified_reference(
     game: AtomicRoutingGame,
-    settings: SmoothEqSettings,
-    warm: tuple[np.ndarray, np.ndarray] | None,
+    start: EquilibriumSolution | None,
 ) -> tuple[EquilibriumSolution, float]:
     """Reference equilibrium at the certification weight plus its gap.
 
-    Tries a warm single solve first, falls back to continuation, and accepts
-    the result only when its optimality gap certifies it.  A warm start off
-    the solution's support never recovers, so the warm attempt gets a short
-    iteration budget instead of the full one.  Continuation stages may stall:
-    the endpoint is certified by its gap, not by per-stage convergence.
+    Runs continuation from max(start.lam, REFERENCE_LAMBDA) down to
+    REFERENCE_LAMBDA, warm-started from start, a solution of the same game;
+    without a start, from the cold start at weight 1.  Stages may stall: the
+    endpoint is accepted only when its optimality gap certifies it, not by
+    per-stage convergence.
 
     When the marginal costs admit a negative-cost cycle the first-order gap
     is unbounded (the flow polytope has circulation rays); the gap is then
@@ -202,10 +206,11 @@ def _certified_reference(
         NotConvergedError: neither certificate held.
         InfeasibleFlowError: the reference iterate is not even feasible.
     """
-    ref_settings = replace(settings, lam=REFERENCE_LAMBDA, residual_tol=REFERENCE_RESIDUAL_TOL)
-    sol = solve_equilibrium(
-        game, ref_settings, warm, warm_iters=REFERENCE_WARM_ITERS, strict=False
-    )
+    top = 1.0 if start is None else max(start.lam, REFERENCE_LAMBDA)
+    warm = None if start is None else (start.x, start.v)
+    schedule = HomotopySchedule(lambda_start=top, lambda_min=REFERENCE_LAMBDA)
+    settings = SmoothEqSettings(lam=REFERENCE_LAMBDA, residual_tol=REFERENCE_RESIDUAL_TOL)
+    sol = homotopy_solve(game, schedule, settings, warm, strict=False)[-1]
     try:
         gap = game.nash_gap(sol.x, feas_tol=1e-5)
     except NegativeCycleError:
@@ -236,7 +241,8 @@ def design_loop(
     their sets.  Stops when the combined parameter change drops below
     config.epsilon or the iteration cap is reached.  Every iteration logs the
     objective both at the inner solution and at a certified small-entropy
-    reference equilibrium, alongside that reference's optimality gap.
+    reference equilibrium, reached by continuation down from that inner
+    solution, alongside that reference's optimality gap.
 
     Raises:
         NotConvergedError: an inner solve failed; the message names the
@@ -248,17 +254,15 @@ def design_loop(
     settings = SmoothEqSettings(lam=config.lam)
     trace = DesignTrace()
     inner_warm: tuple[np.ndarray, np.ndarray] | None = None
-    ref_warm: tuple[np.ndarray, np.ndarray] | None = None
 
     for outer in range(1, config.max_outer_iters + 1):
         current = game.with_costs(b, c_mat, rho=config.rho)
         try:
             sol = solve_equilibrium(current, settings, inner_warm)
-            reference, gap = _certified_reference(current, settings, ref_warm)
+            reference, gap = _certified_reference(current, sol)
         except NotConvergedError as exc:
             raise NotConvergedError(f"design iteration {outer}: {exc}") from exc
         inner_warm = (sol.x, sol.v)
-        ref_warm = (reference.x, reference.v)
 
         grads = implicit_gradients(current, sol, objective)
         b_next = project_B(b - config.alpha * grads.grad_b, config.delta)
@@ -293,8 +297,7 @@ def verify_design(game: AtomicRoutingGame, objective: DesignObjective) -> Design
     cheapest path exists at all; that is reported as path_match False with
     an infinite gap rather than an error.
     """
-    settings = SmoothEqSettings(lam=1.0, residual_tol=REFERENCE_RESIDUAL_TOL)
-    result, gap = _certified_reference(game, settings, None)
+    result, gap = _certified_reference(game, None)
     psi = objective.evaluate(result.x)
     target = np.asarray(objective.target, dtype=float)
     if target.shape != (game.pm,):

@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import numerics
 from .errors import BrokenPathError, NegativeCycleError, UnreachableError
 
 
@@ -244,11 +243,6 @@ def stranded_links(g: DirectedGraph, origin: int, destination: int) -> list[tupl
         if not (tail in from_origin and head in to_destination)
         and tail not in _reachable(successors, head)
     ]
-
-
-def graph_rank_check(g: DirectedGraph) -> bool:
-    """True when the incidence matrix has rank n - 1 (one connected component)."""
-    return numerics.numerical_rank(incidence_matrix(g)) == g.n - 1
 
 
 def path_links(g: DirectedGraph, nodes: list[int] | tuple[int, ...]) -> list[int]:

@@ -109,15 +109,3 @@ def eig_sym(s: np.ndarray, eig_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarra
     w, q = np.linalg.eigh(s)
     return w, q
 
-
-def numerical_rank(a: np.ndarray) -> int:
-    """Number of singular values above default_rcond * sigma_max."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("numerical_rank expects a matrix")
-    if a.size == 0:
-        return 0
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > default_rcond(a.shape) * sigma[0]))

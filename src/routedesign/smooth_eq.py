@@ -236,31 +236,30 @@ def solve_nls(
 
 def homotopy_solve(
     game: AtomicRoutingGame,
-    schedule: HomotopySchedule | None = None,
-    settings: SmoothEqSettings | None = None,
+    schedule: HomotopySchedule,
+    settings: SmoothEqSettings,
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
     *,
     strict: bool = True,
 ) -> list[EquilibriumSolution]:
     """Continuation in the entropy weight, warm-starting every re-solve.
 
-    Solves at lambda_start, then repeatedly multiplies the weight by decay
-    (clamping the final stage to exactly lambda_min) and re-solves from the
-    previous stage's solution.  Returns every stage's solution, final stage
-    last.  With strict=False a stage that stalls is kept unconverged and its
-    best iterate warm starts the next stage; the caller then judges the
-    endpoint by other means, such as its optimality gap.
+    Solves at lambda_start (from warm_start, else the cold start), then
+    repeatedly multiplies the weight by decay (clamping the final stage to
+    exactly lambda_min) and re-solves from the previous stage's solution.
+    Every stage uses settings with its own weight in place of settings.lam.
+    Returns every stage's solution, final stage last.  With strict=False a
+    stage that stalls is kept unconverged and its best iterate warm starts
+    the next stage; the caller then judges the endpoint by other means, such
+    as its optimality gap.
 
     Raises:
         NegativeCycleError: strict, some stage failed, and some player's
             marginal costs there admit a negative-cost cycle.
         NotConvergedError: strict and some stage failed otherwise; the
             message names its weight.
+        ExponentOverflowError: a stage started out of range.
     """
-    if schedule is None:
-        schedule = HomotopySchedule()
-    if settings is None:
-        settings = SmoothEqSettings(lam=schedule.lambda_start)
     stages: list[EquilibriumSolution] = []
     carry = warm_start
     for lam in schedule.stages():
@@ -288,30 +287,27 @@ def solve_equilibrium(
     game: AtomicRoutingGame,
     settings: SmoothEqSettings,
     warm: tuple[np.ndarray, np.ndarray] | None = None,
-    *,
-    warm_iters: int | None = None,
-    strict: bool = True,
 ) -> EquilibriumSolution:
     """Smoothed equilibrium at settings.lam: a direct solve, else continuation.
 
-    Given a warm start, first solves directly from it with at most
-    warm_iters iterations (default: settings.max_iters).  When there is no
+    Given a warm start, first solves directly from it.  When there is no
     warm start, it overflows, or the direct solve does not converge, runs
-    continuation from max(1, lam) down to lam with the full budget per stage
-    and returns its final stage; strict is passed on to homotopy_solve.
+    strict continuation from max(1, lam) down to lam and returns its final
+    stage.
 
     Raises:
-        NotConvergedError: strict and a continuation stage stalled.
+        NegativeCycleError: a continuation stage stalled where some player's
+            marginal costs admit a negative-cost cycle.
+        NotConvergedError: a continuation stage stalled otherwise.
         ExponentOverflowError: a continuation stage started out of range.
     """
     if warm is not None:
-        direct = settings if warm_iters is None else replace(settings, max_iters=warm_iters)
         try:
-            sol = solve_nls(game, direct, warm_start=warm)
+            sol = solve_nls(game, settings, warm_start=warm)
         except ExponentOverflowError:
             # the warm start lies too far from this game's solution
             sol = None
         if sol is not None and sol.converged:
             return sol
     schedule = HomotopySchedule(lambda_start=max(1.0, settings.lam), lambda_min=settings.lam)
-    return homotopy_solve(game, schedule, settings, strict=strict)[-1]
+    return homotopy_solve(game, schedule, settings)[-1]

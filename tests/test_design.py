@@ -196,6 +196,40 @@ def test_iteration_cap_is_honored():
     assert len(trace.records) == 3
 
 
+def test_certification_continues_down_from_the_inner_solution(monkeypatch):
+    game, objective = two_player_setup()
+    inner, chains = [], []
+    real_solve, real_chain = design_mod.solve_equilibrium, design_mod.homotopy_solve
+
+    def spy_solve(*args):
+        sol = real_solve(*args)
+        inner.append(sol)
+        return sol
+
+    def spy_chain(game, schedule, settings, warm_start=None, **kwargs):
+        chains.append((schedule.stages(), warm_start))
+        return real_chain(game, schedule, settings, warm_start, **kwargs)
+
+    monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
+    monkeypatch.setattr(design_mod, "homotopy_solve", spy_chain)
+    design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=3, epsilon=0.0))
+    assert len(inner) == 3 and len(chains) == 3
+    for sol, (stages, warm) in zip(inner, chains):
+        assert stages == [0.01, 0.005, 0.0025, 0.00125, 0.001]
+        assert np.array_equal(warm[0], sol.x) and np.array_equal(warm[1], sol.v)
+
+    # an inner weight below the certification weight certifies in one stage
+    chains.clear()
+    design_loop(game, objective, DesignConfig(alpha=0.01, lam=5e-4, max_outer_iters=1))
+    assert [stages for stages, _ in chains] == [[1e-3]]
+
+    # with no inner solution to start from, verification starts cold at 1
+    chains.clear()
+    verify_design(game, objective)
+    assert len(chains) == 1
+    assert chains[0][0][0] == 1.0 and chains[0][1] is None
+
+
 def test_verify_design_rejects_the_undesigned_game():
     game, objective = two_player_setup()
     verdict = verify_design(game, objective)

@@ -8,7 +8,6 @@ from scipy.sparse.csgraph import bellman_ford, dijkstra
 from routedesign.errors import BrokenPathError, NegativeCycleError, UnreachableError
 from routedesign.graph import (
     DirectedGraph,
-    graph_rank_check,
     grid_graph,
     incidence_matrix,
     od_vectors,
@@ -80,13 +79,6 @@ def test_reduced_incidence_drops_destination_row():
         assert np.array_equal(red, np.delete(full, dest, axis=0))
     with pytest.raises(ValueError):
         reduced_incidence(g, g.n)
-
-
-def test_rank_check_connected_vs_disconnected():
-    assert graph_rank_check(grid_graph(3, 3))
-    assert graph_rank_check(grid_graph(1, 2))
-    # node 2 and 3 unreachable: rank 1 < n - 1
-    assert not graph_rank_check(DirectedGraph(4, ((0, 1), (1, 0))))
 
 
 def test_od_vectors_shapes_and_signs():

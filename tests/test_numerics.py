@@ -5,13 +5,11 @@ import pytest
 import scipy.linalg
 
 from routedesign.errors import NotSymmetricError
-from routedesign.graph import grid_graph, incidence_matrix
 from routedesign.numerics import (
     DampedLeastSquares,
     default_rcond,
     eig_sym,
     lstsq,
-    numerical_rank,
     pseudoinverse,
 )
 
@@ -144,13 +142,3 @@ def test_eig_sym_rejects_asymmetry():
         eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         eig_sym(np.zeros((2, 3)))
-
-
-def test_numerical_rank_cases():
-    assert numerical_rank(np.eye(3)) == 3
-    assert numerical_rank(np.zeros((4, 4))) == 0
-    assert numerical_rank(np.outer(np.ones(5), np.arange(1, 4))) == 1
-    g = grid_graph(3, 3)
-    assert numerical_rank(incidence_matrix(g)) == g.n - 1
-    with pytest.raises(ValueError):
-        numerical_rank(np.ones(3))
