@@ -59,6 +59,29 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=".", help="output directory (default: current)")
 
 
+def _add_design_args(sub: argparse.ArgumentParser) -> None:
+    _add_source_args(sub)
+    sub.add_argument("--alpha", type=float, default=0.005, help="gradient step size")
+    sub.add_argument("--lambda", dest="lam", type=float, default=0.01, help="entropy weight of the inner solves")
+    sub.add_argument("--rho", type=float, default=None, help="Frobenius budget for C (default: the game's)")
+    sub.add_argument("--delta", type=float, default=0.1, help="upper bound of the offset box")
+    sub.add_argument("--eps", type=float, default=0.01, help="stopping threshold on parameter change")
+    sub.add_argument("--max-iters", type=int, default=100, help="outer iteration cap")
+
+
+def _design_config(args: argparse.Namespace, game: AtomicRoutingGame, **override: float) -> DesignConfig:
+    """The DesignConfig the design flags ask for; `override` replaces lam or rho."""
+    fields = {
+        "alpha": args.alpha,
+        "lam": args.lam,
+        "delta": args.delta,
+        "epsilon": args.eps,
+        "rho": args.rho if args.rho is not None else game.rho,
+        "max_outer_iters": args.max_iters,
+    }
+    return DesignConfig(**(fields | override))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="routedesign", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,22 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iters", type=int, default=200, help="solver iteration budget")
 
     design = sub.add_parser("design", help="design cost parameters toward the desired paths")
-    _add_source_args(design)
-    design.add_argument("--alpha", type=float, default=0.005, help="gradient step size")
-    design.add_argument("--lambda", dest="lam", type=float, default=0.01, help="entropy weight of the inner solves")
-    design.add_argument("--rho", type=float, default=None, help="Frobenius budget for C (default: the game's)")
-    design.add_argument("--delta", type=float, default=0.1, help="upper bound of the offset box")
-    design.add_argument("--eps", type=float, default=0.01, help="stopping threshold on parameter change")
-    design.add_argument("--max-iters", type=int, default=100, help="outer iteration cap")
+    _add_design_args(design)
 
     sweep = sub.add_parser("sweep", help="repeat the design over a parameter list")
-    _add_source_args(sweep)
-    sweep.add_argument("--alpha", type=float, default=0.005)
-    sweep.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    sweep.add_argument("--rho", type=float, default=None)
-    sweep.add_argument("--delta", type=float, default=0.1)
-    sweep.add_argument("--eps", type=float, default=0.01)
-    sweep.add_argument("--max-iters", type=int, default=100)
+    _add_design_args(sweep)
     axis = sweep.add_mutually_exclusive_group(required=True)
     axis.add_argument("--sweep-lambda", help="comma-separated entropy weights")
     axis.add_argument("--sweep-rho", help="comma-separated Frobenius budgets")
@@ -184,16 +195,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     game, desired = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rho = args.rho if args.rho is not None else game.rho
-    config = DesignConfig(
-        alpha=args.alpha,
-        lam=args.lam,
-        delta=args.delta,
-        epsilon=args.eps,
-        rho=rho,
-        max_outer_iters=args.max_iters,
-    )
-    trace, designed, verdict, wall = _run_design(game, desired, config)
+    trace, designed, verdict, wall = _run_design(game, desired, _design_config(args, game))
     trace.write_csv(out / "trace.csv")
     payload = game_to_dict(designed)
     payload["desired_paths"] = _desired_paths_payload(game, desired)
@@ -223,23 +225,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.sweep_lambda is not None:
-        param = "lambda"
+        param, field = "lambda", "lam"
         values = _parse_sweep_values(args.sweep_lambda, "--sweep-lambda")
     else:
-        param = "rho"
+        param, field = "rho", "rho"
         values = _parse_sweep_values(args.sweep_rho, "--sweep-rho")
-    rho_default = args.rho if args.rho is not None else game.rho
     rows: list[tuple[float, float]] = []
     failures = 0
     for value in values:
-        config = DesignConfig(
-            alpha=args.alpha,
-            lam=value if param == "lambda" else args.lam,
-            delta=args.delta,
-            epsilon=args.eps,
-            rho=value if param == "rho" else rho_default,
-            max_outer_iters=args.max_iters,
-        )
+        config = _design_config(args, game, **{field: value})
         try:
             trace, _, verdict, _ = _run_design(game, desired, config)
         except NumericalError as exc:

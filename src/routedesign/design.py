@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numerics
 from .errors import NegativeCycleError, NotConvergedError
 from .game import AtomicRoutingGame
 from .sensitivity import DesignObjective, implicit_gradients
@@ -124,7 +123,7 @@ def _project_monotone(c: np.ndarray) -> np.ndarray:
     # Constraint touches only the symmetric part; the skew part rides along.
     sym = 0.5 * (c + c.T)
     skew = c - sym
-    eigvals, q = numerics.eig_sym(sym)
+    eigvals, q = np.linalg.eigh(sym)
     clipped = (q * np.maximum(eigvals, 0.0)) @ q.T
     return 0.5 * (clipped + clipped.T) + skew
 

@@ -31,7 +31,3 @@ class ExponentOverflowError(NumericalError):
 
 class NotConvergedError(NumericalError):
     """An iterative solve hit its iteration budget before reaching tolerance."""
-
-
-class NotSymmetricError(RouteDesignError):
-    """A symmetric eigendecomposition was requested on an asymmetric matrix."""

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numerics
 from .errors import BrokenPathError, InfeasibleFlowError, UnreachableError
 from .graph import DirectedGraph, od_vectors, reduced_incidence, shortest_path_cost, stranded_links
 
@@ -291,7 +290,7 @@ def membership_D(C: np.ndarray, block_size: int, rho: float, tol: float = 1e-8) 
         sl = slice(i * block_size, (i + 1) * block_size)
         if np.linalg.norm(c[sl, sl] - c[sl, sl].T) > tol:
             return False
-    eigvals, _ = numerics.eig_sym(c + c.T)
+    eigvals, _ = np.linalg.eigh(c + c.T)
     return bool(eigvals[0] >= -tol)
 
 

@@ -1,7 +1,10 @@
-"""Dense linear-algebra helpers with explicit tolerance conventions.
+"""Dense least squares shared by the equilibrium solver and the implicit gradient.
 
-Thin wrappers around LAPACK via numpy/scipy; everything here is deterministic
-for fixed inputs, which the CLI relies on for byte-identical reruns.
+`lstsq` is a rank-revealing QR (LAPACK gelsy); it solves the Levenberg-
+Marquardt steps Cholesky cannot and the implicit gradient's transpose system,
+which is exactly singular on some games.  `DampedLeastSquares` serves the LM
+steps of one Jacobian.  Everything here is deterministic for fixed inputs,
+which the CLI relies on for byte-identical reruns.
 """
 
 from __future__ import annotations
@@ -10,21 +13,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-
-from .errors import NotSymmetricError
-
-
-def default_rcond(shape: tuple[int, int]) -> float:
-    """Singular-value cutoff ratio: max(rows, cols) times machine epsilon."""
-    return max(shape) * np.finfo(float).eps
-
-
-def pseudoinverse(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with an SVD cutoff at default_rcond * sigma_max."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("pseudoinverse expects a matrix")
-    return np.linalg.pinv(a, rcond=default_rcond(a.shape))
 
 
 def lstsq(a: np.ndarray, rhs: np.ndarray, damping: float = 0.0) -> np.ndarray:
@@ -52,12 +40,11 @@ class DampedLeastSquares:
     """Minimizers of ||a z - rhs||^2 + damping ||z||^2 for one (a, rhs), any damping.
 
     Forms a^T a and a^T rhs once; each solve then Cholesky-factors
-    a^T a + damping * I, so a new damping costs one factorization.  When the
-    factorization fails (the damped matrix is not numerically positive
-    definite, as with badly scaled or rank-deficient a), that solve falls
-    back to lstsq(a, rhs, damping) on the stacked system.  a^T a is dropped
-    for the fallback, whose stacked copies need the memory, and formed again
-    if another damping is tried.
+    a^T a + damping * I, so a new damping costs one factorization.  The first
+    time the factorization fails (the damped matrix is not numerically
+    positive definite, as with badly scaled or rank-deficient a), a^T a is
+    dropped, and that solve and every later one go to lstsq(a, rhs, damping)
+    on the stacked system.
     """
 
     def __init__(self, a: np.ndarray, rhs: np.ndarray) -> None:
@@ -74,8 +61,9 @@ class DampedLeastSquares:
         """The damped minimizer; same contract as lstsq(a, rhs, damping)."""
         if damping < 0.0:
             raise ValueError("damping must be nonnegative")
-        factor = self._cholesky(damping)
+        factor = self._cholesky(damping) if self._gram is not None else None
         if factor is None:
+            # freed before the stacked copies are allocated
             self._gram = None
             return lstsq(self.a, self.rhs, damping=damping)
         return scipy.linalg.cho_solve(factor, self._grad, check_finite=False)
@@ -83,8 +71,6 @@ class DampedLeastSquares:
     def _cholesky(self, damping: float) -> tuple[np.ndarray, bool] | None:
         # None when a^T a + damping I is not numerically positive definite.
         # The damped copy is freed on return, before any fallback allocates.
-        if self._gram is None:
-            self._gram = self.a.T @ self.a
         k = self._gram.shape[0]
         damped = self._gram.copy()
         damped.reshape(-1)[:: k + 1] += damping
@@ -92,20 +78,3 @@ class DampedLeastSquares:
             return scipy.linalg.cho_factor(damped, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
-
-
-def eig_sym(s: np.ndarray, eig_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    Raises:
-        NotSymmetricError: relative asymmetry exceeds eig_tol.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("eig_sym expects a square matrix")
-    scale = np.linalg.norm(s)
-    if np.linalg.norm(s - s.T) > eig_tol * max(scale, 1.0):
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
-    w, q = np.linalg.eigh(s)
-    return w, q
-

@@ -2,8 +2,12 @@
 
 At a solution of the smoothed system, the equilibrium flow is an implicit
 function of (b, C).  Differentiating through the system gives objective
-gradients without unrolling the solver: one transpose solve against the
-system Jacobian, scaled by the exponential-map diagonal.
+gradients without unrolling the solver: one least-squares solve against the
+transpose of the Jacobian the equilibrium solver linearizes, scaled by the
+exponential-map diagonal.  The solve is numerics.lstsq, the rank-revealing QR
+the solver's LM step falls back to, because J is exactly singular on some
+games the load-time check accepts (a two-cycle cut off from the players'
+nodes, whose two multipliers can shift together), where LU returns NaN.
 """
 
 from __future__ import annotations
@@ -86,17 +90,17 @@ def implicit_gradients(
 ) -> GradientPair:
     """Objective gradients in (b, C) through the solved smoothed system.
 
-    Solves J^T z = [grad_psi(x); 0] with an SVD pseudoinverse, which
-    tolerates near-singular J, and returns grad_b = -(D z_x) / lam with D the
-    exponential-map diagonal; grad_C follows as the rank-1 outer product with
-    the flow.
+    Solves J^T z = [grad_psi(x); 0] in the minimum-norm least-squares sense
+    with numerics.lstsq, which tolerates singular J, and returns
+    grad_b = -(D z_x) / lam with D the exponential-map diagonal; grad_C
+    follows as the rank-1 outer product with the flow.
     """
     jac = jacobian_F(game, sol.x, sol.v, sol.lam)
     grad_x = np.asarray(objective.gradient(sol.x), dtype=float)
     if grad_x.shape != (game.pm,):
         raise ValueError("objective gradient must have length p*m")
     rhs = np.concatenate([grad_x, np.zeros(game.dim_v)])
-    z = numerics.pseudoinverse(jac).T @ rhs
+    z = numerics.lstsq(jac.T, rhs)
     d = equilibrium_diag(game, sol)
     grad_b = -(d * z[: game.pm]) / sol.lam
     return GradientPair(grad_b=grad_b, flow=np.array(sol.x))

@@ -179,8 +179,9 @@ def solve_nls(
     numerics.DampedLeastSquares: Cholesky on J^T J + damping I, or, when that
     factorization fails, numerics.lstsq on the stacked system.  J and J^T F
     are formed once per accepted iterate and reused after a rejected step,
-    which only refactors J^T J + damping I at the raised damping (J^T J is
-    kept too, unless the step fell back to the stacked solve).
+    which only refactors J^T J + damping I at the raised damping; once the
+    factorization has failed for an iterate, its later steps all take the
+    stacked solve.
 
     Raises:
         ExponentOverflowError: the starting point itself overflows.

@@ -4,45 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from routedesign.errors import NotSymmetricError
-from routedesign.numerics import (
-    DampedLeastSquares,
-    default_rcond,
-    eig_sym,
-    lstsq,
-    pseudoinverse,
-)
-
-
-def test_default_rcond_scales_with_the_long_side():
-    eps = np.finfo(float).eps
-    assert default_rcond((8, 5)) == 8 * eps
-    assert default_rcond((5, 200)) == 200 * eps
-
-
-def test_pseudoinverse_trivial_cases():
-    assert np.allclose(pseudoinverse(np.eye(4)), np.eye(4), atol=1e-12)
-    assert np.array_equal(pseudoinverse(np.zeros((3, 2))), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        pseudoinverse(np.zeros(3))
-
-
-@pytest.mark.parametrize("shape", [(8, 5), (5, 8), (40, 40), (200, 200)])
-def test_pseudoinverse_satisfies_moore_penrose_identities(shape):
-    rng = np.random.default_rng(1000 * shape[0] + shape[1])
-    a = rng.normal(size=shape)
-    a_pinv = pseudoinverse(a)
-    scale = np.linalg.norm(a)
-    assert np.linalg.norm(a @ a_pinv @ a - a) <= 1e-8 * scale
-    assert np.linalg.norm(a_pinv @ a @ a_pinv - a_pinv) <= 1e-8 * np.linalg.norm(a_pinv)
-    assert np.linalg.norm((a @ a_pinv).T - a @ a_pinv) <= 1e-8
-    assert np.linalg.norm((a_pinv @ a).T - a_pinv @ a) <= 1e-8
-
-
-def test_pseudoinverse_reconstruction_on_tall_matrix():
-    rng = np.random.default_rng(22)
-    a = rng.normal(size=(8, 5))
-    assert np.linalg.norm(a @ pseudoinverse(a) @ a - a) <= 1e-10 * np.linalg.norm(a)
+from routedesign.numerics import DampedLeastSquares, lstsq
 
 
 def test_lstsq_identity_cases():
@@ -55,7 +17,13 @@ def test_lstsq_agrees_with_pseudoinverse():
     rng = np.random.default_rng(23)
     a = rng.normal(size=(10, 4))
     rhs = rng.normal(size=10)
-    assert np.linalg.norm(lstsq(a, rhs) - pseudoinverse(a) @ rhs) <= 1e-9
+    assert np.linalg.norm(lstsq(a, rhs) - np.linalg.pinv(a) @ rhs) <= 1e-9
+    # square and rank deficient, as a singular system Jacobian: the
+    # minimum-norm solution, for a and for the transpose the gradient solves
+    a = rng.normal(size=(40, 37)) @ rng.normal(size=(37, 40))
+    rhs = rng.normal(size=40)
+    for m in (a, a.T):
+        assert np.linalg.norm(lstsq(m, rhs) - np.linalg.pinv(m) @ rhs) <= 1e-9
 
 
 def test_lstsq_damping_solves_the_regularized_normal_equations():
@@ -114,31 +82,3 @@ def test_damped_least_squares_input_validation():
         DampedLeastSquares(np.eye(3), np.ones(2))
     with pytest.raises(ValueError):
         DampedLeastSquares(np.eye(3), np.ones(3)).solve(-1.0)
-
-
-def test_eig_sym_orders_eigenvalues():
-    w, q = eig_sym(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [1.0, 2.0, 3.0], atol=1e-12)
-    assert np.allclose(q.T @ q, np.eye(3), atol=1e-10)
-
-
-def test_eig_sym_hand_built_two_by_two():
-    # characteristic polynomial of [[2,1],[1,2]]: (2-t)^2 = 1
-    w, _ = eig_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(w, [1.0, 3.0], atol=1e-10)
-
-
-def test_eig_sym_reconstructs_random_symmetric_matrix():
-    rng = np.random.default_rng(25)
-    s = rng.normal(size=(10, 10))
-    s = 0.5 * (s + s.T)
-    w, q = eig_sym(s)
-    assert np.linalg.norm((q * w) @ q.T - s) <= 1e-9 * max(np.linalg.norm(s), 1.0)
-    assert np.allclose(q.T @ q, np.eye(10), atol=1e-10)
-
-
-def test_eig_sym_rejects_asymmetry():
-    with pytest.raises(NotSymmetricError):
-        eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        eig_sym(np.zeros((2, 3)))

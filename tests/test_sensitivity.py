@@ -53,26 +53,41 @@ def test_gradient_vanishes_when_target_is_met():
     assert np.array_equal(grads.grad_C, np.zeros((2, 2)))
 
 
+def solved_detached_two_cycle(lam=0.2, residual_tol=1e-13):
+    # Links 3->4 and 4->3 form a two-cycle no player path reaches: shifting
+    # both of its node multipliers together leaves F unchanged, so J is
+    # exactly singular (rank 9 of 10), and an LU transpose solve gives NaN.
+    g = DirectedGraph(5, ((0, 1), (0, 2), (1, 0), (2, 1), (3, 4), (4, 3)))
+    b = np.array([0.3, 0.1, 0.2, 0.1, 0.2, 0.2])
+    game = AtomicRoutingGame(g, [Player(0, 1)], CostParams(b, np.zeros((6, 6))))
+    sol = solve_nls(game, SmoothEqSettings(lam=lam, residual_tol=residual_tol))
+    assert sol.converged
+    return game, sol
+
+
 def test_gradient_matches_resolve_finite_differences():
     # tight inner tolerance: the FD quotient divides solver noise by 2e-6
-    game, sol = solved_two_node(residual_tol=1e-13)
-    target = np.array([0.8, 0.2])
-    obj = tracking_objective(target)
-    grads = implicit_gradients(game, sol, obj)
+    cases = [
+        (solved_two_node(residual_tol=1e-13), [0.8, 0.2]),
+        (solved_detached_two_cycle(), [0.0, 1.0, 0.0, 1.0, 0.0, 0.0]),
+    ]
     h = 1e-6
-    settings = SmoothEqSettings(lam=0.5, residual_tol=1e-13)
-    for k in range(game.pm):
-        vals = []
-        for sign in (1.0, -1.0):
-            b = game.costs.b.copy()
-            b[k] += sign * h
-            shifted = solve_nls(
-                game.with_costs(b, game.costs.C), settings, warm_start=(sol.x, sol.v)
-            )
-            assert shifted.converged
-            vals.append(obj.evaluate(shifted.x))
-        fd = (vals[0] - vals[1]) / (2 * h)
-        assert grads.grad_b[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+    for (game, sol), target in cases:
+        obj = tracking_objective(np.array(target))
+        grads = implicit_gradients(game, sol, obj)
+        settings = SmoothEqSettings(lam=sol.lam, residual_tol=1e-13)
+        for k in range(game.pm):
+            vals = []
+            for sign in (1.0, -1.0):
+                b = game.costs.b.copy()
+                b[k] += sign * h
+                shifted = solve_nls(
+                    game.with_costs(b, game.costs.C), settings, warm_start=(sol.x, sol.v)
+                )
+                assert shifted.converged
+                vals.append(obj.evaluate(shifted.x))
+            fd = (vals[0] - vals[1]) / (2 * h)
+            assert grads.grad_b[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def test_grad_C_is_the_exact_outer_product():
@@ -84,15 +99,15 @@ def test_grad_C_is_the_exact_outer_product():
     assert np.array_equal(grads.grad_C, np.outer(grads.grad_b, sol.x))
 
 
-def test_exact_and_pseudoinverse_modes_agree():
+def test_gradient_matches_the_direct_transpose_solve():
     game, sol = solved_two_node()
     obj = tracking_objective(np.array([0.5, 0.5]))
-    via_pinv = implicit_gradients(game, sol, obj)
+    via_lstsq = implicit_gradients(game, sol, obj)
     jac = jacobian_F(game, sol.x, sol.v, sol.lam)
     rhs = np.concatenate([obj.gradient(sol.x), np.zeros(game.dim_v)])
     z = np.linalg.solve(jac.T, rhs)
     via_exact = -(equilibrium_diag(game, sol) * z[: game.pm]) / sol.lam
-    assert np.allclose(via_pinv.grad_b, via_exact, atol=1e-9)
+    assert np.allclose(via_lstsq.grad_b, via_exact, atol=1e-9)
 
 
 def test_objective_gradient_shape_is_validated():
