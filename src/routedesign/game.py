@@ -332,18 +332,16 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
     try:
         graph_block = data["graph"]
         n = int(graph_block["n"])
-        raw_links = graph_block["links"]
-        raw_players = data["players"]
+        links = tuple(sorted((int(t) - 1, int(h) - 1) for t, h in graph_block["links"]))
+        players = [
+            Player(int(p["origin"]) - 1, int(p["destination"]) - 1) for p in data["players"]
+        ]
         b = np.asarray(data["b"], dtype=float)
         c = np.asarray(data["C"], dtype=float)
         rho = float(data["rho"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed game document: {exc}") from exc
-    links = tuple(sorted((int(t) - 1, int(h) - 1) for t, h in raw_links))
     graph = DirectedGraph(n, links)
-    players = [
-        Player(int(p["origin"]) - 1, int(p["destination"]) - 1) for p in raw_players
-    ]
     try:
         return AtomicRoutingGame(graph, players, CostParams(b, c), rho)
     except UnreachableError:
@@ -356,8 +354,8 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
     """Load a game JSON file; also return optional desired node paths (0-based).
 
     Raises:
-        ValueError: see game_from_dict; also a desired_paths entry count
-            other than one per player.
+        ValueError: see game_from_dict; also malformed desired_paths or an
+            entry count other than one per player.
         UnreachableError: see game_from_dict.
         BrokenPathError: a desired path has fewer than two nodes or steps
             along a missing link; the message names nodes 1-based.
@@ -368,9 +366,12 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
     desired = data.get("desired_paths") if isinstance(data, dict) else None
     if desired is None:
         return game, None
-    if len(desired) != game.p:
+    try:
+        paths = [[int(node) for node in nodes] for nodes in desired]
+    except TypeError as exc:
+        raise ValueError(f"malformed desired_paths: {exc}") from exc
+    if len(paths) != game.p:
         raise ValueError("desired_paths must list one node path per player")
-    paths = [[int(node) for node in nodes] for nodes in desired]
     for i, nodes in enumerate(paths):
         if len(nodes) < 2:
             raise BrokenPathError(f"player {i}: a desired path needs at least two nodes")

@@ -5,9 +5,10 @@ function of (b, C).  Differentiating through the system gives objective
 gradients without unrolling the solver: one least-squares solve against the
 transpose of the Jacobian the equilibrium solver linearizes, scaled by the
 exponential-map diagonal.  The solve is numerics.lstsq, the rank-revealing QR
-the solver's LM step falls back to, because J is exactly singular on some
-games the load-time check accepts (a two-cycle cut off from the players'
-nodes, whose two multipliers can shift together), where LU returns NaN.
+that also gives the solver's fallback direction, because J is exactly
+singular on some games the load-time check accepts (a two-cycle cut off from
+the players' nodes, whose two multipliers can shift together), where LU
+returns NaN.
 """
 
 from __future__ import annotations

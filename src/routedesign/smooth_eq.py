@@ -1,4 +1,4 @@
-"""Entropy-smoothed equilibrium system and its damped least-squares solver.
+"""Entropy-smoothed equilibrium system and its Newton solver.
 
 Adding an entropy term (weight lam) to every player's objective replaces the
 piecewise-linear equilibrium conditions with a smooth square system
@@ -7,19 +7,19 @@ piecewise-linear equilibrium conditions with a smooth square system
 
 which has a unique solution for lam > 0 with monotone interaction costs when
 every player has a strictly positive feasible flow.  The solver below drives
-||F|| to tolerance with a Levenberg-Marquardt iteration started from the
-exponential map at (x, v) = 0, and a lam-continuation wrapper for small lam.
-Each step solves the damped normal equations (J^T J + mu I) z = -J^T F by
-Cholesky, forming J and its products once per accepted iterate; a step whose
-Cholesky factorization fails is solved by QR on the stacked [J; sqrt(mu) I].
+||F|| to tolerance with Newton's method and a backtracking line search,
+started from the exponential map at (x, v) = 0, and a lam-continuation
+wrapper for small lam.  Each iteration forms J once and solves J d = -F by
+LU; where J is singular or the line search along d fails, the minimum-norm
+least-squares direction from a rank-revealing QR is searched instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg.lapack
 
 from . import numerics
 from .errors import ExponentOverflowError, NegativeCycleError, NotConvergedError
@@ -34,9 +34,10 @@ EXP_LIMIT = 200.0
 # even when the exact smoothed flow underflows to zero.
 _POSITIVE_FLOOR = 1e-300
 
-_DAMPING_INIT = 1e-3
-_DAMPING_MIN = 1e-15
-_DAMPING_MAX = 1e15
+# Armijo line search: a step of length t is accepted when it cuts ||F|| by
+# at least the fraction _ARMIJO * t; t is halved at most _MAX_HALVINGS times.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -167,21 +168,16 @@ def solve_nls(
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
     trace: list[float] | None = None,
 ) -> EquilibriumSolution:
-    """Solve the smoothed system by damped least squares.
+    """Solve the smoothed system by Newton's method with backtracking.
 
-    Starts from the given warm start, else from cold_start(game, lam), and
-    iterates Levenberg-Marquardt steps: damping is divided by 10 on an
-    accepted step and multiplied by 10 on a rejected one.  Trial points whose
-    exponent overflows are rejected like any other failed step.  Returns the
-    incumbent with converged=False when the iteration budget runs out.
-
-    Each step minimizes ||J z + F||^2 + damping ||z||^2 through
-    numerics.DampedLeastSquares: Cholesky on J^T J + damping I, or, when that
-    factorization fails, numerics.lstsq on the stacked system.  J and J^T F
-    are formed once per accepted iterate and reused after a rejected step,
-    which only refactors J^T J + damping I at the raised damping; once the
-    factorization has failed for an iterate, its later steps all take the
-    stacked solve.
+    Starts from the given warm start, else from cold_start(game, lam).  Each
+    iteration forms J once and tries at most two directions, each with an
+    Armijo line search on ||F||: the Newton step J d = -F by LU, unless J has
+    a zero pivot or the step is not finite, and, when that search fails, the
+    minimum-norm least-squares step numerics.lstsq(J, -F).  Trial points whose
+    exponent overflows count as failed step lengths.  Returns the incumbent
+    with converged=False when both searches fail or the iteration budget runs
+    out.
 
     Raises:
         ExponentOverflowError: the starting point itself overflows.
@@ -191,39 +187,26 @@ def solve_nls(
     x = np.maximum(np.array(warm_start[0], dtype=float), _POSITIVE_FLOOR)
     v = np.array(warm_start[1], dtype=float)
 
-    pm = game.pm
     resid = residual_F(game, x, v, settings.lam)
     norm = float(np.linalg.norm(resid))
-    damping = _DAMPING_INIT
     iterations = 0
     if trace is not None:
         trace.append(norm)
 
-    # the linearization at the incumbent; a rejected step keeps it and only
-    # changes the damping
-    system: numerics.DampedLeastSquares | None = None
     while norm > settings.residual_tol and iterations < settings.max_iters:
         iterations += 1
-        if system is None:
-            system = numerics.DampedLeastSquares(jacobian_F(game, x, v, settings.lam), -resid)
-        step = system.solve(damping)
-        cand_x = np.maximum(x + step[:pm], _POSITIVE_FLOOR)
-        cand_v = v + step[pm:]
-        try:
-            cand_resid = residual_F(game, cand_x, cand_v, settings.lam)
-            cand_norm = float(np.linalg.norm(cand_resid))
-        except ExponentOverflowError:
-            cand_norm = math.inf
-        if cand_norm < norm:
-            x, v, resid, norm = cand_x, cand_v, cand_resid, cand_norm
-            system = None
-            damping = max(damping / 10.0, _DAMPING_MIN)
-        else:
-            damping *= 10.0
-            if damping > _DAMPING_MAX:
-                break
+        jac = jacobian_F(game, x, v, settings.lam)
+        step = _newton_step(jac, resid)
+        found = None if step is None else _line_search(game, settings.lam, x, v, norm, step)
+        if found is None:
+            step = numerics.lstsq(jac, -resid)
+            found = _line_search(game, settings.lam, x, v, norm, step)
+        if found is not None:
+            x, v, resid, norm = found
         if trace is not None:
             trace.append(norm)
+        if found is None:
+            break
 
     return EquilibriumSolution(
         x=x,
@@ -233,6 +216,42 @@ def solve_nls(
         iterations=iterations,
         converged=norm <= settings.residual_tol,
     )
+
+
+def _newton_step(jac: np.ndarray, resid: np.ndarray) -> np.ndarray | None:
+    # None when the LU factorization meets a zero pivot or the step is not finite
+    lu, piv, info = scipy.linalg.lapack.dgetrf(jac)
+    if info != 0:
+        return None
+    step, _ = scipy.linalg.lapack.dgetrs(lu, piv, -resid)
+    return step if np.all(np.isfinite(step)) else None
+
+
+def _line_search(
+    game: AtomicRoutingGame,
+    lam: float,
+    x: np.ndarray,
+    v: np.ndarray,
+    norm: float,
+    step: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    # The first point along step with ||F|| <= (1 - _ARMIJO t) ||F(x, v)||,
+    # halving t from 1; None when every trial fails or overflows.
+    pm = game.pm
+    t = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        cand_x = np.maximum(x + t * step[:pm], _POSITIVE_FLOOR)
+        cand_v = v + t * step[pm:]
+        try:
+            cand_resid = residual_F(game, cand_x, cand_v, lam)
+        except ExponentOverflowError:
+            cand_resid = None
+        if cand_resid is not None:
+            cand_norm = float(np.linalg.norm(cand_resid))
+            if cand_norm <= (1.0 - _ARMIJO * t) * norm:
+                return cand_x, cand_v, cand_resid, cand_norm
+        t /= 2.0
+    return None
 
 
 def homotopy_solve(

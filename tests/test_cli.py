@@ -224,6 +224,24 @@ def test_usage_errors_exit_one(tmp_path):
     proc = run_cli("design", "--game", str(broken), "--out", str(tmp_path))
     assert proc.returncode == 1
     assert "no link from node 3 to node 2" in proc.stderr and "Traceback" not in proc.stderr
+    # malformed documents: a link with a null end, a player with no
+    # destination, players or desired paths that are not lists, and a
+    # desired path with a null node
+    good = json.loads(broken.read_text(encoding="utf-8"))
+    for edit in (
+        lambda d: d["graph"]["links"].__setitem__(0, [1, None]),
+        lambda d: d["players"][0].pop("destination"),
+        lambda d: d.__setitem__("players", 5),
+        lambda d: d.__setitem__("desired_paths", 3),
+        lambda d: d.__setitem__("desired_paths", [[1, None]]),
+    ):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli("solve", "--game", str(malformed))
+        assert proc.returncode == 1, doc
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_design_without_desired_paths_exits_one(tmp_path):

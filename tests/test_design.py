@@ -17,7 +17,12 @@ from routedesign.design import (
 from routedesign.game import membership_D
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import path_to_target, tracking_objective
-from routedesign.smooth_eq import HomotopySchedule, SmoothEqSettings, homotopy_solve
+from routedesign.smooth_eq import (
+    HomotopySchedule,
+    SmoothEqSettings,
+    homotopy_solve,
+    solve_equilibrium,
+)
 
 
 def two_player_setup():
@@ -228,6 +233,19 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     verify_design(game, objective)
     assert len(chains) == 1
     assert chains[0][0][0] == 1.0 and chains[0][1] is None
+
+
+def test_designed_four_player_game_solves_below_the_design_weight():
+    # continuation from lam = 1 passes a stage, lam = 0.0039, where damped
+    # least-squares steps stall at residual 2.8e-10, short of the tolerance
+    sc = build_scenario("four_player_5x5")
+    objective = tracking_objective(path_to_target(sc.game, sc.desired_link_paths()))
+    config = DesignConfig(alpha=0.01, lam=0.01)
+    b, c_mat, _ = design_loop(sc.game, objective, config)
+    designed = sc.game.with_costs(b, c_mat, rho=config.rho)
+    sol = solve_equilibrium(designed, SmoothEqSettings(lam=1e-3))
+    assert sol.converged
+    assert designed.nash_gap(sol.x) <= 1e-8
 
 
 def test_verify_design_rejects_the_undesigned_game():

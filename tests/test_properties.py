@@ -72,7 +72,8 @@ def test_random_digraph_games_solve_or_are_rejected(case):
             AtomicRoutingGame(graph, players, costs)
         return
     game = AtomicRoutingGame(graph, players, costs)
-    sol = solve_equilibrium(game, SmoothEqSettings(lam=0.1))
-    assert sol.converged
-    assert game.conservation_violation(sol.x) <= 1e-8
-    assert game.nash_gap(sol.x) >= 0.0
+    for lam in (0.1, 0.01):
+        sol = solve_equilibrium(game, SmoothEqSettings(lam=lam))
+        assert sol.converged, f"lam={lam}"
+        assert game.conservation_violation(sol.x) <= 1e-8
+        assert game.nash_gap(sol.x) >= 0.0
