@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BrokenPathError, InfeasibleFlowError, UnreachableError
 from .graph import DirectedGraph, od_vectors, reduced_incidence, shortest_path_cost, stranded_links
@@ -67,6 +69,11 @@ def _require_positive_flow(
         if stranded:
             links = [(tail + base, head + base) for tail, head in stranded]
             raise UnreachableError(f"player {i}: no feasible flow can use links {links}") from None
+
+
+# Above this share of pm, the rank of C makes a factor of it no cheaper to
+# apply than C, and the smoothed system's Jacobian is factored densely.
+LOW_RANK_SHARE = 0.5
 
 
 class AtomicRoutingGame:
@@ -154,6 +161,25 @@ class AtomicRoutingGame:
             self.rho if rho is None else rho,
         )
 
+    @cached_property
+    def cost_factor(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Low-rank factor C = U W^T, computed on first use; None above pm / 2.
+
+        Pivoted QR C P = Q R keeps the leading r rows of R with
+        |R_kk| > pm * eps * |R_11|, which drops only what sits at C's own
+        rounding level: U = Q[:, :r] and W^T = R[:r] P^T.  C = 0 gives r = 0.
+        A factor of rank above pm * LOW_RANK_SHARE is not kept: it is no
+        cheaper to apply than C itself.
+        """
+        q, r, perm = scipy.linalg.qr(self.costs.C, pivoting=True, mode="economic")
+        diag = np.abs(np.diag(r))
+        rank = int(np.count_nonzero(diag > self.pm * np.finfo(float).eps * diag[0]))
+        if rank > LOW_RANK_SHARE * self.pm:
+            return None
+        w = np.empty((self.pm, rank))
+        w[perm] = r[:rank].T
+        return q[:, :rank].copy(), w
+
     # ------------------------------------------------------------------
     # costs and objectives
     # ------------------------------------------------------------------
@@ -166,17 +192,6 @@ class AtomicRoutingGame:
         sl = self.player_slice(i)
         return self.costs.b[sl] + (self.costs.C @ x)[sl]
 
-    def player_objective(self, x: np.ndarray, i: int) -> float:
-        """Cost paid by player i: (b_i + 0.5 C_ii x_i + sum_{j != i} C_ij x_j) . x_i."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.pm,):
-            raise ValueError("flow length must be p*m")
-        sl = self.player_slice(i)
-        x_i = x[sl]
-        own = self.costs.C[sl, sl] @ x_i
-        cross = (self.costs.C @ x)[sl] - own
-        return float((self.costs.b[sl] + 0.5 * own + cross) @ x_i)
-
     def conservation_violation(self, x: np.ndarray) -> float:
         """Max-norm violation of the stacked unit-demand constraints."""
         x = np.asarray(x, dtype=float)
@@ -184,51 +199,9 @@ class AtomicRoutingGame:
             raise ValueError("flow length must be p*m")
         return float(np.max(np.abs(self.s - self.e_blk @ x)))
 
-    def dual_slack(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Stationarity slack b + C x - E^T v implied by the multipliers v."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.shape != (self.pm,) or v.shape != (self.dim_v,):
-            raise ValueError("bad flow or multiplier length")
-        return self.costs.b + self.costs.C @ x - self.e_blk.T @ v
-
     # ------------------------------------------------------------------
-    # equilibrium residuals
+    # equilibrium tests
     # ------------------------------------------------------------------
-
-    def kkt_residual(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        """Max-norm violation of the first-order equilibrium conditions.
-
-        Zero exactly when x is feasible, u matches the stationarity slack,
-        both are nonnegative, and u . x = 0.
-        """
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.pm,):
-            raise ValueError("slack length must be p*m")
-        slack = self.dual_slack(x, v)
-        return float(
-            max(
-                self.conservation_violation(x),
-                np.max(np.abs(u - slack)),
-                abs(float(u @ x)),
-                max(0.0, float(np.max(-x))),
-                max(0.0, float(np.max(-u))),
-            )
-        )
-
-    def pwl_residual(self, x: np.ndarray, v: np.ndarray) -> float:
-        """Max-norm residual of the piecewise-linear equilibrium reformulation.
-
-        Measures x - max(0, x + E^T v - b - C x) together with conservation;
-        vanishing at exactly the same (x, v) pairs as kkt_residual.
-        """
-        x = np.asarray(x, dtype=float)
-        inner = x - self.dual_slack(x, v)
-        fixed_point_gap = x - np.maximum(0.0, inner)
-        return float(
-            max(self.conservation_violation(x), np.max(np.abs(fixed_point_gap)))
-        )
 
     def best_response_path(self, x: np.ndarray, i: int) -> tuple[float, np.ndarray]:
         """Cheapest single path for player i under its marginal costs at x."""
@@ -259,15 +232,6 @@ class AtomicRoutingGame:
             # each regret is nonnegative in exact arithmetic; clamp roundoff
             gap += max(0.0, float(weights @ self.player_flow(x, i)) - cost)
         return gap
-
-    def equals(self, other: "AtomicRoutingGame") -> bool:
-        return (
-            self.graph == other.graph
-            and self.players == other.players
-            and self.rho == other.rho
-            and np.array_equal(self.costs.b, other.costs.b)
-            and np.array_equal(self.costs.C, other.costs.C)
-        )
 
 
 def membership_D(C: np.ndarray, block_size: int, rho: float, tol: float = 1e-8) -> bool:

@@ -1,10 +1,11 @@
-"""Dense least squares shared by the equilibrium solver and the implicit gradient.
+"""Dense least squares, the fallback of the equilibrium solver and the implicit gradient.
 
-`lstsq` is a rank-revealing QR (LAPACK gelsy).  It gives the equilibrium
-solver's fallback direction where the Newton step is singular or its line
-search fails, and solves the implicit gradient's transpose system, which is
-exactly singular on some games.  It is deterministic for fixed inputs, which
-the CLI relies on for byte-identical reruns.
+`lstsq` is a rank-revealing QR (LAPACK gelsy) on the dense Jacobian.  It
+gives the equilibrium solver's direction where the structured Newton step
+meets a singular J or its line search fails, and solves the implicit
+gradient's transpose system where J is singular, as it is exactly on some
+games.  It is deterministic for fixed inputs, which the CLI relies on for
+byte-identical reruns.
 """
 
 from __future__ import annotations

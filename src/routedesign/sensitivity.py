@@ -2,13 +2,14 @@
 
 At a solution of the smoothed system, the equilibrium flow is an implicit
 function of (b, C).  Differentiating through the system gives objective
-gradients without unrolling the solver: one least-squares solve against the
-transpose of the Jacobian the equilibrium solver linearizes, scaled by the
-exponential-map diagonal.  The solve is numerics.lstsq, the rank-revealing QR
-that also gives the solver's fallback direction, because J is exactly
-singular on some games the load-time check accepts (a two-cycle cut off from
-the players' nodes, whose two multipliers can shift together), where LU
-returns NaN.
+gradients without unrolling the solver: one solve against the transpose of
+the Jacobian the equilibrium solver linearizes, scaled by the
+exponential-map diagonal.  The solve reuses the solver's structured
+factorization (smooth_eq.Linearization.solve_T).  J is exactly singular on
+some games the load-time check accepts (a two-cycle cut off from the
+players' nodes, whose two multipliers can shift together); there the factor
+meets a zero pivot and the gradient falls back to numerics.lstsq, the
+minimum-norm rank-revealing QR on the dense J.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import numerics
 from .errors import BrokenPathError
 from .game import AtomicRoutingGame
-from .smooth_eq import EXP_CLAMP, EquilibriumSolution, _exponent, jacobian_F
+from .smooth_eq import EXP_CLAMP, EquilibriumSolution, Linearization, _exponent, jacobian_F
 
 
 @dataclass(frozen=True)
@@ -91,17 +92,19 @@ def implicit_gradients(
 ) -> GradientPair:
     """Objective gradients in (b, C) through the solved smoothed system.
 
-    Solves J^T z = [grad_psi(x); 0] in the minimum-norm least-squares sense
-    with numerics.lstsq, which tolerates singular J, and returns
-    grad_b = -(D z_x) / lam with D the exponential-map diagonal; grad_C
-    follows as the rank-1 outer product with the flow.
+    Solves J^T z = [grad_psi(x); 0] through Linearization.solve_T, or, where
+    that meets a singular J, in the minimum-norm least-squares sense with
+    numerics.lstsq on the dense J, and returns grad_b = -(D z_x) / lam with
+    D the exponential-map diagonal; grad_C follows as the rank-1 outer
+    product with the flow.
     """
-    jac = jacobian_F(game, sol.x, sol.v, sol.lam)
     grad_x = np.asarray(objective.gradient(sol.x), dtype=float)
     if grad_x.shape != (game.pm,):
         raise ValueError("objective gradient must have length p*m")
     rhs = np.concatenate([grad_x, np.zeros(game.dim_v)])
-    z = numerics.lstsq(jac.T, rhs)
+    z = Linearization(game, sol.x, sol.v, sol.lam).solve_T(rhs)
+    if z is None:
+        z = numerics.lstsq(jacobian_F(game, sol.x, sol.v, sol.lam).T, rhs)
     d = equilibrium_diag(game, sol)
     grad_b = -(d * z[: game.pm]) / sol.lam
     return GradientPair(grad_b=grad_b, flow=np.array(sol.x))

@@ -9,9 +9,17 @@ which has a unique solution for lam > 0 with monotone interaction costs when
 every player has a strictly positive feasible flow.  The solver below drives
 ||F|| to tolerance with Newton's method and a backtracking line search,
 started from the exponential map at (x, v) = 0, and a lam-continuation
-wrapper for small lam.  Each iteration forms J once and solves J d = -F by
-LU; where J is singular or the line search along d fails, the minimum-norm
-least-squares direction from a rank-revealing QR is searched instead.
+wrapper for small lam.
+
+J is a saddle-point matrix [[M, -D E^T / lam], [-E, 0]] with M = I + D C / lam
+and D the exponential-map diagonal.  Linearization factors it once per
+iterate by that structure: Woodbury through the game's rank-revealing factor
+C = U W^T for M, then a Schur complement on the multipliers; for C of rank
+above pm / 2 it holds the LU of J itself.  The Newton step and the implicit
+gradient's transpose solve both go through it.  Where J is singular or the
+line search along the Newton step fails, the solver assembles J densely and
+searches the minimum-norm least-squares direction from a rank-revealing QR
+instead.
 """
 
 from __future__ import annotations
@@ -128,6 +136,13 @@ def residual_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
     return np.concatenate([x - ex, game.s - game.e_blk @ x])
 
 
+def _map_diag(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
+    # Derivative of the clamped exponential map: zero past the clamp.
+    g = _exponent(game, x, v, lam)
+    _check_exponent(g, lam)
+    return np.where(g <= EXP_CLAMP, np.exp(np.minimum(g, EXP_CLAMP)), 0.0)
+
+
 def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
     """Jacobian of residual_F with respect to (x, v).
 
@@ -141,9 +156,7 @@ def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
         raise ValueError("lam must be positive")
     if x.shape != (game.pm,) or v.shape != (game.dim_v,):
         raise ValueError("bad flow or multiplier length")
-    g = _exponent(game, x, v, lam)
-    _check_exponent(g, lam)
-    d = np.where(g <= EXP_CLAMP, np.exp(np.minimum(g, EXP_CLAMP)), 0.0)
+    d = _map_diag(game, x, v, lam)
     pm, k = game.pm, game.pm + game.dim_v
     jac = np.zeros((k, k))
     top_left, top_right = jac[:pm, :pm], jac[:pm, pm:]
@@ -154,6 +167,92 @@ def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
     np.negative(game.e_blk, out=jac[pm:, :pm])
     jac.reshape(-1)[: pm * (k + 1) : k + 1] += 1.0
     return jac
+
+
+class Linearization:
+    """J = dF/d(x, v) at one point, factored once by its structure.
+
+    With C = U W^T (game.cost_factor, rank r), A = D U and K = lam I + W^T A,
+    Woodbury gives M^-1 y = y - A K^-1 W^T y.  Eliminating x leaves the Schur
+    complement S = E M^-1 B on the multipliers, B = D E^T / lam, of size
+    p (n - 1); at C = 0 it is the per-player weighted Laplacian E B.  Both
+    K and S are factored by LU, and J^T reuses them transposed, since the
+    Schur complement of J^T is S^T.  When C has no such factor (rank above
+    pm / 2) the LU of the dense J is held instead.
+
+    solve and solve_T return None when a factor met a zero pivot or the
+    result is not finite; J is then (numerically) singular.
+
+    Raises:
+        ExponentOverflowError: the exponent at (x, v) is out of range.
+    """
+
+    def __init__(self, game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> None:
+        self._pm = game.pm
+        self._e = game.e_blk
+        factor = game.cost_factor
+        if factor is None:
+            self._dense = _lu(jacobian_F(game, x, v, lam))
+            return
+        self._dense = None
+        u, w = factor
+        d = _map_diag(game, x, v, lam)
+        self._woodbury = None
+        if u.shape[1] > 0:
+            a = d[:, None] * u
+            self._woodbury = (a, w, _lu(lam * np.eye(u.shape[1]) + w.T @ a))
+        self._m_inv_b = self._m_inv(game.e_blk.T * (d / lam)[:, None])
+        self._schur = _lu(game.e_blk @ self._m_inv_b)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
+        """d with J d = rhs, or None."""
+        if self._dense is not None:
+            return _lu_solve(self._dense, rhs)
+        pm = self._pm
+        y = self._m_inv(rhs[:pm])
+        dv = _lu_solve(self._schur, -(rhs[pm:] + self._e @ y))
+        if dv is None:
+            return None
+        return _finite(np.concatenate([y + self._m_inv_b @ dv, dv]))
+
+    def solve_T(self, rhs: np.ndarray) -> np.ndarray | None:
+        """z with J^T z = rhs, or None."""
+        if self._dense is not None:
+            return _lu_solve(self._dense, rhs, trans=1)
+        pm = self._pm
+        zv = _lu_solve(self._schur, -(rhs[pm:] + self._m_inv_b.T @ rhs[:pm]), trans=1)
+        if zv is None:
+            return None
+        return _finite(np.concatenate([self._m_inv(rhs[:pm] + self._e.T @ zv, trans=1), zv]))
+
+    def _m_inv(self, y: np.ndarray, trans: int = 0) -> np.ndarray:
+        # M^-1 y, or M^-T y = y - W K^-T A^T y with trans=1; y may be a
+        # matrix.  A singular K leaves non-finite values, which solve and
+        # solve_T report as None.
+        if self._woodbury is None:
+            return y
+        a, w, (lu, piv, _) = self._woodbury
+        left, right = (a, w) if trans == 0 else (w, a)
+        return y - left @ scipy.linalg.lapack.dgetrs(lu, piv, right.T @ y, trans=trans)[0]
+
+
+def _lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    # LAPACK getrf directly, in place (every caller passes a fresh matrix):
+    # scipy's lu_factor warns on an exact zero pivot
+    return scipy.linalg.lapack.dgetrf(a, overwrite_a=True)
+
+
+def _lu_solve(
+    factor: tuple[np.ndarray, np.ndarray, int], rhs: np.ndarray, trans: int = 0
+) -> np.ndarray | None:
+    lu, piv, info = factor
+    if info != 0:
+        return None
+    return _finite(scipy.linalg.lapack.dgetrs(lu, piv, rhs, trans=trans)[0])
+
+
+def _finite(z: np.ndarray) -> np.ndarray | None:
+    return z if np.all(np.isfinite(z)) else None
 
 
 def cold_start(game: AtomicRoutingGame, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -171,13 +270,13 @@ def solve_nls(
     """Solve the smoothed system by Newton's method with backtracking.
 
     Starts from the given warm start, else from cold_start(game, lam).  Each
-    iteration forms J once and tries at most two directions, each with an
-    Armijo line search on ||F||: the Newton step J d = -F by LU, unless J has
-    a zero pivot or the step is not finite, and, when that search fails, the
-    minimum-norm least-squares step numerics.lstsq(J, -F).  Trial points whose
-    exponent overflows count as failed step lengths.  Returns the incumbent
-    with converged=False when both searches fail or the iteration budget runs
-    out.
+    iteration factors J once (Linearization) and tries at most two
+    directions, each with an Armijo line search on ||F||: the Newton step
+    J d = -F, unless a factor has a zero pivot or the step is not finite,
+    and, when that search fails, the minimum-norm least-squares step
+    numerics.lstsq(J, -F) on the dense J.  Trial points whose exponent
+    overflows count as failed step lengths.  Returns the incumbent with
+    converged=False when both searches fail or the iteration budget runs out.
 
     Raises:
         ExponentOverflowError: the starting point itself overflows.
@@ -195,11 +294,10 @@ def solve_nls(
 
     while norm > settings.residual_tol and iterations < settings.max_iters:
         iterations += 1
-        jac = jacobian_F(game, x, v, settings.lam)
-        step = _newton_step(jac, resid)
+        step = Linearization(game, x, v, settings.lam).solve(-resid)
         found = None if step is None else _line_search(game, settings.lam, x, v, norm, step)
         if found is None:
-            step = numerics.lstsq(jac, -resid)
+            step = numerics.lstsq(jacobian_F(game, x, v, settings.lam), -resid)
             found = _line_search(game, settings.lam, x, v, norm, step)
         if found is not None:
             x, v, resid, norm = found
@@ -216,15 +314,6 @@ def solve_nls(
         iterations=iterations,
         converged=norm <= settings.residual_tol,
     )
-
-
-def _newton_step(jac: np.ndarray, resid: np.ndarray) -> np.ndarray | None:
-    # None when the LU factorization meets a zero pivot or the step is not finite
-    lu, piv, info = scipy.linalg.lapack.dgetrf(jac)
-    if info != 0:
-        return None
-    step, _ = scipy.linalg.lapack.dgetrs(lu, piv, -resid)
-    return step if np.all(np.isfinite(step)) else None
 
 
 def _line_search(

@@ -1,7 +1,8 @@
 """Shared oracles for the test suite.
 
 Everything here recomputes equilibria by routes independent of the production
-solver: an active-set polish that pivots on sign violations, a stall-tolerant
+solver: the first-order (KKT) and piecewise-linear equilibrium residuals, an
+active-set polish that pivots on sign violations, a stall-tolerant
 continuation used only to seed that polish, and a central-difference Jacobian.
 Tests compare solver output against these, never against the solver itself.
 """
@@ -36,6 +37,73 @@ def random_game(rng, shape, p, rho=0.3):
     b = rng.uniform(0.0, 1.0, size=pm)
     c_mat = project_D(rng.uniform(-0.5, 0.5, size=(pm, pm)), rho, graph.m)
     return AtomicRoutingGame(graph, players, CostParams(b, c_mat), rho=rho)
+
+
+def player_objective(game, x, i):
+    """Cost paid by player i: (b_i + 0.5 C_ii x_i + sum_{j != i} C_ij x_j) . x_i."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (game.pm,):
+        raise ValueError("flow length must be p*m")
+    sl = game.player_slice(i)
+    x_i = x[sl]
+    own = game.costs.C[sl, sl] @ x_i
+    cross = (game.costs.C @ x)[sl] - own
+    return float((game.costs.b[sl] + 0.5 * own + cross) @ x_i)
+
+
+def dual_slack(game, x, v):
+    """Stationarity slack b + C x - E^T v implied by the multipliers v."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if x.shape != (game.pm,) or v.shape != (game.dim_v,):
+        raise ValueError("bad flow or multiplier length")
+    return game.costs.b + game.costs.C @ x - game.e_blk.T @ v
+
+
+def kkt_residual(game, x, u, v):
+    """Max-norm violation of the first-order equilibrium conditions.
+
+    Zero exactly when x is feasible, u matches the stationarity slack,
+    both are nonnegative, and u . x = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (game.pm,):
+        raise ValueError("slack length must be p*m")
+    slack = dual_slack(game, x, v)
+    return float(
+        max(
+            game.conservation_violation(x),
+            np.max(np.abs(u - slack)),
+            abs(float(u @ x)),
+            max(0.0, float(np.max(-x))),
+            max(0.0, float(np.max(-u))),
+        )
+    )
+
+
+def pwl_residual(game, x, v):
+    """Max-norm residual of the piecewise-linear equilibrium reformulation.
+
+    Measures x - max(0, x + E^T v - b - C x) together with conservation;
+    vanishing at exactly the same (x, v) pairs as kkt_residual.
+    """
+    x = np.asarray(x, dtype=float)
+    inner = x - dual_slack(game, x, v)
+    fixed_point_gap = x - np.maximum(0.0, inner)
+    return float(
+        max(game.conservation_violation(x), np.max(np.abs(fixed_point_gap)))
+    )
+
+
+def equals(game, other):
+    return (
+        game.graph == other.graph
+        and game.players == other.players
+        and game.rho == other.rho
+        and np.array_equal(game.costs.b, other.costs.b)
+        and np.array_equal(game.costs.C, other.costs.C)
+    )
 
 
 def pivot_polish(game, x, cutoff=1e-8, rounds=60):
@@ -133,6 +201,18 @@ def two_route_game(b, rho=0.5):
     b = np.asarray(b, dtype=float)
     costs = CostParams(b, np.zeros((4, 4)))
     return AtomicRoutingGame(graph, [Player(0, 3)], costs, rho=rho)
+
+
+def solved_detached_two_cycle(lam=0.2, residual_tol=1e-13):
+    # Links 3->4 and 4->3 form a two-cycle no player path reaches: shifting
+    # both of its node multipliers together leaves F unchanged, so J is
+    # exactly singular (rank 9 of 10), and an LU transpose solve gives NaN.
+    g = DirectedGraph(5, ((0, 1), (0, 2), (1, 0), (2, 1), (3, 4), (4, 3)))
+    b = np.array([0.3, 0.1, 0.2, 0.1, 0.2, 0.2])
+    game = AtomicRoutingGame(g, [Player(0, 1)], CostParams(b, np.zeros((6, 6))))
+    sol = solve_nls(game, SmoothEqSettings(lam=lam, residual_tol=residual_tol))
+    assert sol.converged
+    return game, sol
 
 
 def logit_split(cost_a, cost_b, lam):

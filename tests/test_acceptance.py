@@ -11,7 +11,15 @@ import time
 import numpy as np
 
 import routedesign.design as design_mod
-from helpers import certified_vertex, fd_jacobian, random_game, tolerant_chain
+from helpers import (
+    certified_vertex,
+    dual_slack,
+    fd_jacobian,
+    kkt_residual,
+    pwl_residual,
+    random_game,
+    tolerant_chain,
+)
 from routedesign.design import DesignConfig, design_loop, project_B, project_D, verify_design
 from routedesign.game import membership_D
 from routedesign.graph import shortest_path_cost
@@ -53,14 +61,14 @@ def test_criterion_01_residual_characterizations_agree():
         noisy_v = v + rng.uniform(-1e-11, 1e-11, size=v.size)
         candidates.append((x, noisy_v))
         for cx, cv in candidates:
-            pwl = game.pwl_residual(cx, cv)
-            kkt = game.kkt_residual(cx, game.dual_slack(cx, cv), cv)
+            pwl = pwl_residual(game, cx, cv)
+            kkt = kkt_residual(game, cx, dual_slack(game, cx, cv), cv)
             if pwl <= 1e-10:
                 assert kkt <= 1e-8, f"game {k}: pwl {pwl:.2e} but kkt {kkt:.2e}"
             if kkt <= 1e-10:
                 assert pwl <= 1e-8, f"game {k}: kkt {kkt:.2e} but pwl {pwl:.2e}"
-        pwl = game.pwl_residual(x, v)
-        kkt = game.kkt_residual(x, game.dual_slack(x, v), v)
+        pwl = pwl_residual(game, x, v)
+        kkt = kkt_residual(game, x, dual_slack(game, x, v), v)
         assert pwl <= 1e-10 and kkt <= 1e-10, f"game {k} oracle point not tight"
         worst_pwl = max(worst_pwl, pwl)
         worst_kkt = max(worst_kkt, kkt)

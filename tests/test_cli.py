@@ -130,11 +130,18 @@ def test_lambda_sweep_orders_final_objectives(tmp_path):
 
     # smaller entropy weight tracks the target more closely by iteration 20
     at_20 = []
+    iterations = []
     for lam in ("1", "0.1", "0.01"):
         trace = read_rows(tmp_path / f"trace_lambda_{lam}.csv")
         body = trace[1:]
         at_20.append(float(body[min(19, len(body) - 1)][1]))
-    assert at_20[0] > at_20[1] > at_20[2]
+        iterations.append(len(body))
+    assert at_20[0] > max(at_20[1], at_20[2])
+    # both small weights reach the target below double-precision resolution
+    # of an on-path flow, (1.1e-16)^2, where their order is roundoff; the
+    # smaller weight gets there in fewer outer iterations
+    assert max(at_20[1], at_20[2]) <= 1e-24
+    assert iterations[2] < iterations[1]
 
 
 def test_rho_sweep_without_interaction_budget_tracks_worst(tmp_path):

@@ -15,7 +15,13 @@ from routedesign.design import project_D
 from routedesign.errors import UnreachableError
 from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph, incidence_matrix, od_vectors
-from routedesign.smooth_eq import SmoothEqSettings, solve_equilibrium
+from routedesign.smooth_eq import (
+    Linearization,
+    SmoothEqSettings,
+    jacobian_F,
+    residual_F,
+    solve_equilibrium,
+)
 
 
 @st.composite
@@ -62,9 +68,21 @@ def positive_flow_exists(graph, origin, destination):
     return res.status == 0 and -res.fun > 1e-9
 
 
+def assert_structured_step_is_dense_lu_step(game, x, v, lam):
+    jac = jacobian_F(game, x, v, lam)
+    rhs = -residual_F(game, x, v, lam)
+    step = Linearization(game, x, v, lam).solve(rhs)
+    # where J is near singular the two LU factorizations need not agree;
+    # elsewhere they agree to about cond(J) * eps
+    if np.linalg.cond(jac) <= 1e6:
+        assert step is not None
+        dense = np.linalg.solve(jac, rhs)
+        assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
-@given(random_games())
-def test_random_digraph_games_solve_or_are_rejected(case):
+@given(random_games(), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_random_digraph_games_solve_or_are_rejected(case, rho, seed):
     graph, players, b, c_mat = case
     costs = CostParams(b, c_mat)
     if not all(positive_flow_exists(graph, p.origin, p.destination) for p in players):
@@ -72,8 +90,20 @@ def test_random_digraph_games_solve_or_are_rejected(case):
             AtomicRoutingGame(graph, players, costs)
         return
     game = AtomicRoutingGame(graph, players, costs)
+    solutions = {}
     for lam in (0.1, 0.01):
         sol = solve_equilibrium(game, SmoothEqSettings(lam=lam))
         assert sol.converged, f"lam={lam}"
         assert game.conservation_violation(sol.x) <= 1e-8
         assert game.nash_gap(sol.x) >= 0.0
+        solutions[lam] = sol
+    # the structured Newton step at the lam = 0.1 solution, under a random
+    # admissible C of any rank up to full (Frobenius norm rho <= 0.5), is the
+    # dense-LU step: rank <= pm/2 takes the Woodbury route, higher the dense one
+    rng = np.random.default_rng(seed)
+    pm = game.pm
+    rank = int(rng.integers(0, pm + 1))
+    factors = rng.standard_normal((pm, rank)) @ rng.standard_normal((rank, pm))
+    coupled = game.with_costs(b, project_D(factors, rho, game.m))
+    sol = solutions[0.1]
+    assert_structured_step_is_dense_lu_step(coupled, sol.x, sol.v, 0.1)

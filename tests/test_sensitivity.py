@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_game
+from helpers import random_game, solved_detached_two_cycle
 from routedesign.errors import BrokenPathError
 from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph
@@ -51,18 +51,6 @@ def test_gradient_vanishes_when_target_is_met():
     grads = implicit_gradients(game, sol, tracking_objective(sol.x))
     assert np.array_equal(grads.grad_b, np.zeros(2))
     assert np.array_equal(grads.grad_C, np.zeros((2, 2)))
-
-
-def solved_detached_two_cycle(lam=0.2, residual_tol=1e-13):
-    # Links 3->4 and 4->3 form a two-cycle no player path reaches: shifting
-    # both of its node multipliers together leaves F unchanged, so J is
-    # exactly singular (rank 9 of 10), and an LU transpose solve gives NaN.
-    g = DirectedGraph(5, ((0, 1), (0, 2), (1, 0), (2, 1), (3, 4), (4, 3)))
-    b = np.array([0.3, 0.1, 0.2, 0.1, 0.2, 0.2])
-    game = AtomicRoutingGame(g, [Player(0, 1)], CostParams(b, np.zeros((6, 6))))
-    sol = solve_nls(game, SmoothEqSettings(lam=lam, residual_tol=residual_tol))
-    assert sol.converged
-    return game, sol
 
 
 def test_gradient_matches_resolve_finite_differences():

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from helpers import fd_jacobian, logit_split, random_game, two_route_game
+from helpers import (
+    fd_jacobian,
+    logit_split,
+    random_game,
+    solved_detached_two_cycle,
+    two_route_game,
+)
 from routedesign import smooth_eq
+from routedesign.design import project_D
 from routedesign.errors import ExponentOverflowError, NotConvergedError
 from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph
@@ -15,6 +22,7 @@ from routedesign.scenarios import build_scenario
 from routedesign.smooth_eq import (
     EquilibriumSolution,
     HomotopySchedule,
+    Linearization,
     SmoothEqSettings,
     cold_start,
     homotopy_solve,
@@ -165,28 +173,107 @@ def test_solver_trace_is_monotone():
 
 
 def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
-    game = two_route_game(np.array([0.2, 0.1, 0.2, 0.7]))
+    # one factorization per iteration, however many step lengths it tries;
+    # the dense J is assembled only on iterations that take the QR fallback
     trace = []
-    calls = []
-    residuals = []
-    assemble, evaluate = smooth_eq.jacobian_F, smooth_eq.residual_F
+    log = []
+    evaluate = smooth_eq.residual_F
+    assemble = smooth_eq.jacobian_F
+
+    class CountingLinearization(Linearization):
+        def __init__(self, *args):
+            log.append(("factor", len(trace)))  # the number of the iteration under way
+            super().__init__(*args)
 
     def counting_jacobian(*args):
-        calls.append(len(trace))  # the number of the iteration under way
+        log.append(("jacobian", len(trace)))
         return assemble(*args)
 
     def counting_residual(*args):
-        residuals.append(len(trace))
+        log.append(("residual", len(trace)))
         return evaluate(*args)
 
+    monkeypatch.setattr(smooth_eq, "Linearization", CountingLinearization)
     monkeypatch.setattr(smooth_eq, "jacobian_F", counting_jacobian)
     monkeypatch.setattr(smooth_eq, "residual_F", counting_residual)
+
+    def calls(kind):
+        return [k for name, k in log if name == kind]
+
+    game = two_route_game(np.array([0.2, 0.1, 0.2, 0.7]))
     sol = solve_nls(game, SmoothEqSettings(lam=0.01), trace=trace)
     assert sol.converged
     assert all(b < a for a, b in zip(trace, trace[1:]))
-    # one assembly per iteration, however many step lengths it tries
-    assert calls == list(range(1, sol.iterations + 1))
+    assert calls("factor") == list(range(1, sol.iterations + 1))
+    assert calls("jacobian") == []
+    residuals = calls("residual")
     assert any(residuals.count(k) > 1 for k in range(1, sol.iterations + 1))
+
+    # J is singular on this game, so every iteration falls back to QR
+    game, _ = solved_detached_two_cycle()
+    trace.clear()
+    log.clear()
+    sol = solve_nls(game, SmoothEqSettings(lam=0.2, residual_tol=1e-13), trace=trace)
+    assert sol.converged
+    assert calls("factor") == list(range(1, sol.iterations + 1))
+    assert calls("jacobian") == list(range(1, sol.iterations + 1))
+
+
+def _four_player_solution(c_mat, lam=0.05):
+    base = build_scenario("four_player_5x5").game
+    game = base.with_costs(base.costs.b, c_mat)
+    sol = solve_equilibrium(game, SmoothEqSettings(lam=lam))
+    assert sol.converged
+    return game, sol
+
+
+def _assert_structured_solves_match_dense(game, sol):
+    jac = jacobian_F(game, sol.x, sol.v, sol.lam)
+    lin = Linearization(game, sol.x, sol.v, sol.lam)
+    rng = np.random.default_rng(5)
+    for rhs in (-residual_F(game, sol.x, sol.v, sol.lam), rng.standard_normal(jac.shape[0])):
+        for got, want in (
+            (lin.solve(rhs), np.linalg.solve(jac, rhs)),
+            (lin.solve_T(rhs), np.linalg.solve(jac.T, rhs)),
+        ):
+            assert got is not None
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_linearization_matches_dense_solves_without_interaction():
+    pm = build_scenario("four_player_5x5").game.pm
+    game, sol = _four_player_solution(np.zeros((pm, pm)))
+    u, w = game.cost_factor
+    assert u.shape == w.shape == (pm, 0)
+    _assert_structured_solves_match_dense(game, sol)
+
+
+def test_linearization_matches_dense_solves_through_low_rank_interaction():
+    base = build_scenario("four_player_5x5").game
+    rng = np.random.default_rng(8)
+    low_rank = rng.standard_normal((base.pm, 5)) @ rng.standard_normal((5, base.pm))
+    game, sol = _four_player_solution(project_D(low_rank, 0.5, base.m))
+    u, w = game.cost_factor  # the Woodbury route
+    assert 0 < u.shape[1] <= base.pm // 2
+    assert np.allclose(u @ w.T, game.costs.C, atol=1e-14)
+    _assert_structured_solves_match_dense(game, sol)
+
+
+def test_linearization_matches_dense_solves_with_dense_interaction():
+    base = build_scenario("four_player_5x5").game
+    rng = np.random.default_rng(9)
+    c_mat = project_D(rng.uniform(-0.5, 0.5, size=(base.pm, base.pm)), 0.5, base.m)
+    game, sol = _four_player_solution(c_mat)
+    assert game.cost_factor is None  # the dense-LU route
+    _assert_structured_solves_match_dense(game, sol)
+
+
+def test_linearization_reports_a_singular_jacobian():
+    game, sol = solved_detached_two_cycle()
+    lin = Linearization(game, sol.x, sol.v, sol.lam)
+    rhs = np.ones(game.pm + game.dim_v)
+    assert lin.solve(rhs) is None
+    assert lin.solve_T(rhs) is None
 
 
 def test_overflowing_start_raises():
