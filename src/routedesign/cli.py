@@ -230,10 +230,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         param, field = "rho", "rho"
         values = _parse_sweep_values(args.sweep_rho, "--sweep-rho")
+    # every config is validated before the first design runs
+    configs = [_design_config(args, game, **{field: value}) for value in values]
     rows: list[tuple[float, float]] = []
     failures = 0
-    for value in values:
-        config = _design_config(args, game, **{field: value})
+    for value, config in zip(values, configs):
         try:
             trace, _, verdict, _ = _run_design(game, desired, config)
         except NumericalError as exc:

@@ -3,14 +3,13 @@
 The designer tunes the offsets b inside a box and the interaction matrix C
 inside a convex set (monotone, Frobenius-bounded, symmetric diagonal blocks)
 so that the smoothed equilibrium tracks a desired joint flow.  Gradients come
-from implicit differentiation; the C projection runs Dykstra's alternating
-scheme over three closed-form sub-projections.
+from implicit differentiation; the C projection is one pass of three
+closed-form sub-projections.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,12 +47,13 @@ class DesignConfig:
     max_outer_iters: int = 100
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
-        if self.delta < 0.0 or self.epsilon < 0.0 or self.rho < 0.0:
-            raise ValueError("delta, epsilon, and rho must be nonnegative")
+        # chained comparisons are False for NaN, so these also reject it
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError("lam must be finite and positive")
+        if not all(0.0 <= v < np.inf for v in (self.delta, self.epsilon, self.rho)):
+            raise ValueError("delta, epsilon, and rho must be finite and nonnegative")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
 
@@ -106,8 +106,8 @@ class DesignVerification:
 
 def project_B(b: np.ndarray, delta: float) -> np.ndarray:
     """Project onto the box [0, delta]^pm (componentwise clamp)."""
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be finite and nonnegative")
     return np.clip(np.asarray(b, dtype=float), 0.0, delta)
 
 
@@ -135,54 +135,22 @@ def _project_ball(c: np.ndarray, rho: float) -> np.ndarray:
     return c * (rho / norm)
 
 
-def project_D(
-    C: np.ndarray,
-    rho: float,
-    block_size: int,
-    tol: float = 1e-10,
-    max_sweeps: int = 100,
-) -> np.ndarray:
+def project_D(C: np.ndarray, rho: float, block_size: int) -> np.ndarray:
     """Project onto the admissible interaction set in Frobenius norm.
 
-    Dykstra's algorithm alternates three exact projections: symmetrize the
-    per-player diagonal blocks, clip the symmetric part to the positive
-    semidefinite cone (keeping the skew part), and scale into the Frobenius
-    ball of radius rho.  Sweeps stop when successive iterates differ by at
-    most tol; hitting the sweep cap leaves the best iterate and warns.
+    One pass of the three exact sub-projections suffices: the block
+    constraint acts only on the skew part of C and the monotone constraint
+    only on the orthogonal symmetric part, and scaling a cone's projection
+    into a ball centred at 0 projects onto cone and ball together.
     """
     c = np.asarray(C, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("C must be square")
     if block_size < 1 or c.shape[0] % block_size != 0:
         raise ValueError("matrix size must be a multiple of block_size")
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
-
-    y = c.copy()
-    corr_blocks = np.zeros_like(y)
-    corr_psd = np.zeros_like(y)
-    corr_ball = np.zeros_like(y)
-    prev = y.copy()
-    converged = False
-    for _ in range(max_sweeps):
-        z = _project_diag_blocks(y + corr_blocks, block_size)
-        corr_blocks = y + corr_blocks - z
-        y = z
-        z = _project_monotone(y + corr_psd)
-        corr_psd = y + corr_psd - z
-        y = z
-        z = _project_ball(y + corr_ball, rho)
-        corr_ball = y + corr_ball - z
-        y = z
-        if np.linalg.norm(y - prev) <= tol:
-            converged = True
-            break
-        prev = y.copy()
-    if not converged:
-        warnings.warn("projection sweeps hit the cap before converging", RuntimeWarning)
-    return y
+    if not 0.0 <= rho < np.inf:
+        raise ValueError("rho must be finite and nonnegative")
+    return _project_ball(_project_monotone(_project_diag_blocks(c, block_size)), rho)
 
 
 def _certified_reference(

@@ -45,6 +45,8 @@ class CostParams:
         c = np.array(self.C, dtype=float)
         if b.ndim != 1 or c.ndim != 2 or c.shape != (b.size, b.size):
             raise ValueError("cost shapes must be b: (pm,), C: (pm, pm)")
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+            raise ValueError("cost entries must be finite")
         b.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "b", b)
@@ -102,8 +104,8 @@ class AtomicRoutingGame:
             if player.origin == player.destination:
                 raise ValueError("origin equals destination")
         _require_positive_flow(graph, players)
-        if rho < 0.0:
-            raise ValueError("rho must be nonnegative")
+        if not 0.0 <= rho < np.inf:
+            raise ValueError("rho must be finite and nonnegative")
         pm = len(players) * graph.m
         if costs.b.shape != (pm,):
             raise ValueError(f"b must have length {pm}")

@@ -57,10 +57,11 @@ class SmoothEqSettings:
     max_iters: int = 200
 
     def __post_init__(self) -> None:
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
+        # chained comparisons are False for NaN, so these also reject it
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError("lam must be finite and positive")
+        if not 0.0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -74,8 +75,8 @@ class HomotopySchedule:
     lambda_min: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.lambda_start <= 0.0 or self.lambda_min <= 0.0:
-            raise ValueError("entropy weights must be positive")
+        if not (0.0 < self.lambda_start < np.inf and 0.0 < self.lambda_min < np.inf):
+            raise ValueError("entropy weights must be finite and positive")
         if self.lambda_min > self.lambda_start:
             raise ValueError("lambda_min cannot exceed lambda_start")
         if not 0.0 < self.decay < 1.0:

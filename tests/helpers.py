@@ -4,16 +4,23 @@ Everything here recomputes equilibria by routes independent of the production
 solver: the first-order (KKT) and piecewise-linear equilibrium residuals, an
 active-set polish that pivots on sign violations, a stall-tolerant
 continuation used only to seed that polish, and a central-difference Jacobian.
+Dykstra's alternating scheme recomputes the admissible-set projection.
 Tests compare solver output against these, never against the solver itself.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from routedesign.design import project_D
+from routedesign.design import (
+    _project_ball,
+    _project_diag_blocks,
+    _project_monotone,
+    project_D,
+)
 from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph, grid_graph
 from routedesign.numerics import lstsq
@@ -37,6 +44,40 @@ def random_game(rng, shape, p, rho=0.3):
     b = rng.uniform(0.0, 1.0, size=pm)
     c_mat = project_D(rng.uniform(-0.5, 0.5, size=(pm, pm)), rho, graph.m)
     return AtomicRoutingGame(graph, players, CostParams(b, c_mat), rho=rho)
+
+
+def dykstra_project_D(C, rho, block_size, tol, max_sweeps):
+    """Projection onto the admissible interaction set by Dykstra's scheme.
+
+    Alternating the three exact sub-projections with Dykstra's corrections
+    converges to the projection onto their intersection whatever the sets
+    are (Boyle & Dykstra, 1986), so this checks project_D's one-pass claim.
+    Sweeps stop when successive iterates differ by at most tol; hitting the
+    sweep cap returns the last iterate and warns.
+    """
+    y = np.asarray(C, dtype=float).copy()
+    corr_blocks = np.zeros_like(y)
+    corr_psd = np.zeros_like(y)
+    corr_ball = np.zeros_like(y)
+    prev = y.copy()
+    converged = False
+    for _ in range(max_sweeps):
+        z = _project_diag_blocks(y + corr_blocks, block_size)
+        corr_blocks = y + corr_blocks - z
+        y = z
+        z = _project_monotone(y + corr_psd)
+        corr_psd = y + corr_psd - z
+        y = z
+        z = _project_ball(y + corr_ball, rho)
+        corr_ball = y + corr_ball - z
+        y = z
+        if np.linalg.norm(y - prev) <= tol:
+            converged = True
+            break
+        prev = y.copy()
+    if not converged:
+        warnings.warn("projection sweeps hit the cap before converging", RuntimeWarning)
+    return y
 
 
 def player_objective(game, x, i):

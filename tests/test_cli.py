@@ -212,6 +212,18 @@ def test_usage_errors_exit_one(tmp_path):
         run_cli("design", "--scenario", "two_player_3x3", "--alpha", "-1").returncode
         == 1
     )
+    # a NaN entropy weight, a game file with a NaN offset, and a NaN radius
+    # after a valid one, rejected before any sweep point runs
+    nan_b = _one_player_game(tmp_path / "nan_b.json", 2, [[1, 2]], [float("nan")])
+    for args in (
+        ("solve", "--scenario", "two_player_3x3", "--lambda", "nan"),
+        ("solve", "--game", str(nan_b)),
+        ("sweep", "--scenario", "two_player_3x3", "--sweep-rho", "0.1,nan", "--out", str(tmp_path)),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "trace_rho_0.1.csv").exists()
     # a dead-end link, 2 -> 3 in the file and (1, 2) 0-based, that no flow can
     # use: the message names it as the file does
     dead_end = _one_player_game(tmp_path / "dead_end.json", 3, [[1, 2], [2, 3]], [0.1, 0.1])

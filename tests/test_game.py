@@ -55,6 +55,10 @@ def test_game_constructor_validation():
     with pytest.raises(ValueError):
         AtomicRoutingGame(g, [Player(0, 1)], costs, rho=-1.0)
     with pytest.raises(ValueError):
+        AtomicRoutingGame(g, [Player(0, 1)], costs, rho=float("nan"))
+    with pytest.raises(ValueError):
+        CostParams(np.zeros(2), np.array([[0.0, np.inf], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
         AtomicRoutingGame(g, [Player(0, 1), Player(1, 0)], costs)  # b too short
     one_way = DirectedGraph(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
     costs4 = CostParams(np.zeros(4), np.zeros((4, 4)))

@@ -1,19 +1,30 @@
-"""Property tests on random small digraphs, many of them partly one-way.
+"""Property tests on random small digraphs, many of them partly one-way,
+and on the projection onto the admissible interaction set.
 
 The precondition oracle is a linear program, independent of the graph search
 the game constructor uses: a player admits a strictly positive feasible flow
 exactly when max t subject to E x = r, x >= t, 0 <= t <= 1 is positive.
 """
 
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
+from helpers import dykstra_project_D, equals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routedesign.design import project_D
 from routedesign.errors import UnreachableError
-from routedesign.game import AtomicRoutingGame, CostParams, Player
+from routedesign.game import (
+    AtomicRoutingGame,
+    CostParams,
+    Player,
+    game_from_dict,
+    game_to_dict,
+    membership_D,
+)
 from routedesign.graph import DirectedGraph, incidence_matrix, od_vectors
 from routedesign.smooth_eq import (
     Linearization,
@@ -90,6 +101,7 @@ def test_random_digraph_games_solve_or_are_rejected(case, rho, seed):
             AtomicRoutingGame(graph, players, costs)
         return
     game = AtomicRoutingGame(graph, players, costs)
+    assert equals(game, game_from_dict(json.loads(json.dumps(game_to_dict(game)))))
     solutions = {}
     for lam in (0.1, 0.01):
         sol = solve_equilibrium(game, SmoothEqSettings(lam=lam))
@@ -107,3 +119,47 @@ def test_random_digraph_games_solve_or_are_rejected(case, rho, seed):
     coupled = game.with_costs(b, project_D(factors, rho, game.m))
     sol = solutions[0.1]
     assert_structured_step_is_dense_lu_step(coupled, sol.x, sol.v, 0.1)
+
+
+def admissible_point(rng, block_size, blocks, radius):
+    """A member of D built directly: a PSD symmetric part plus a skew part
+    with zero diagonal blocks, scaled to Frobenius norm radius."""
+    n = block_size * blocks
+    a = rng.standard_normal((n, n))
+    skew = rng.standard_normal((n, n))
+    skew -= skew.T
+    for i in range(blocks):
+        sl = slice(i * block_size, (i + 1) * block_size)
+        skew[sl, sl] = 0.0
+    y = a @ a.T + skew
+    return y * (radius / np.linalg.norm(y))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.floats(0.0, 2.0),
+    st.floats(1e-2, 1e2),
+    st.floats(0.1, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_project_D_is_the_projection_onto_D(block_size, blocks, rho, scale, share, seed):
+    rng = np.random.default_rng(seed)
+    n = block_size * blocks
+    x = scale * rng.uniform(-1.0, 1.0, size=(n, n))
+    out = project_D(x, rho, block_size)
+    assert membership_D(out, block_size, rho)
+    assert np.linalg.norm(project_D(out, rho, block_size) - out) <= 1e-10
+    oracle = dykstra_project_D(x, rho, block_size, tol=1e-13, max_sweeps=1000)
+    assert np.linalg.norm(out - oracle) <= 1e-9
+    # variational inequality of the projection onto a closed convex set:
+    # <x - P(x), y - P(x)> <= 0 for every y in D, checked at a member built
+    # directly
+    y = admissible_point(rng, block_size, blocks, share * rho)
+    assert np.sum((x - out) * (y - out)) <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(y)
+    # and at 0 and rho P(x) / |P(x)|, members of D on the ray of P(x), which
+    # catch a P(x) scaled along that ray (D is a cone cut by a ball about 0)
+    size = np.linalg.norm(out)
+    for y in (np.zeros_like(out), out * (rho / size) if size > 0.0 else out):
+        assert np.sum((x - out) * (y - out)) <= 1e-9 * np.linalg.norm(x) * size

@@ -56,6 +56,7 @@ def two_node_oracle(b1, b2, lam):
 def test_settings_validation():
     for bad in (
         dict(lam=0.0),
+        dict(lam=float("nan")),
         dict(lam=1.0, residual_tol=0.0),
         dict(lam=1.0, max_iters=0),
     ):
@@ -81,6 +82,8 @@ def test_schedule_validation():
         HomotopySchedule(0.01, 0.5, 1.0)
     with pytest.raises(ValueError):
         HomotopySchedule(-1.0, 0.5, 0.1)
+    with pytest.raises(ValueError):
+        HomotopySchedule(1.0, 0.5, float("nan"))
 
 
 def test_residual_and_jacobian_validate_inputs():
