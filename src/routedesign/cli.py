@@ -3,7 +3,8 @@
 Commands:
     solve   compute a smoothed equilibrium (optionally via continuation)
     design  run the projected-gradient cost design and emit its trace
-    sweep   repeat the design over a list of entropy weights or radii
+    sweep   repeat the design over a list of entropy weights or radii; the
+            designs share the outer iterations they have in common
     gap     certify an equilibrium and print its optimality gap
 
 solve and gap share one handler and write the same equilibrium.json; they
@@ -176,8 +177,12 @@ def _run_design(
     game: AtomicRoutingGame,
     desired: list[list[int]] | None,
     config: DesignConfig,
+    memo: dict | None = None,
 ) -> tuple[DesignTrace, AtomicRoutingGame, DesignVerification, float]:
-    """Design, then verify the designed game; also returns the design's wall time."""
+    """Design, then verify the designed game; also returns the design's wall time.
+
+    memo is design_loop's iteration memo, shared by the designs of one sweep.
+    """
     if desired is None:
         raise ValueError(
             "design needs desired paths: use a scenario or add 'desired_paths' to the game file"
@@ -185,7 +190,7 @@ def _run_design(
     target = path_to_target(game, desired)
     objective = tracking_objective(target)
     start = time.perf_counter()
-    b, c_mat, trace = design_loop(game, objective, config)
+    b, c_mat, trace = design_loop(game, objective, config, memo=memo)
     wall = time.perf_counter() - start
     designed = game.with_costs(b, c_mat, rho=config.rho)
     return trace, designed, verify_design(designed, objective), wall
@@ -234,9 +239,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = [_design_config(args, game, **{field: value}) for value in values]
     rows: list[tuple[float, float]] = []
     failures = 0
+    # every design starts from the same (b, C); designs that share iterations
+    # before their paths part compute them once
+    memo: dict = {}
     for value, config in zip(values, configs):
         try:
-            trace, _, verdict, _ = _run_design(game, desired, config)
+            trace, _, verdict, _ = _run_design(game, desired, config, memo)
         except NumericalError as exc:
             print(f"sweep {param}={value:g} failed: {exc}", file=sys.stderr)
             rows.append((value, float("nan")))

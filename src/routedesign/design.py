@@ -10,6 +10,7 @@ closed-form sub-projections.
 from __future__ import annotations
 
 import csv
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -195,10 +196,30 @@ def _certified_reference(
     return sol, gap
 
 
+def _iteration_key(
+    config: DesignConfig,
+    objective: DesignObjective,
+    b: np.ndarray,
+    c_mat: np.ndarray,
+    warm: tuple[np.ndarray, np.ndarray] | None,
+) -> bytes:
+    """Digest of what a design iteration's solve, certification and gradient
+    read, apart from the game's structure and the objective's callables."""
+    h = hashlib.blake2b()
+    h.update(np.float64(config.lam).tobytes())
+    for arr in (objective.target, b, c_mat, *(warm or ())):
+        h.update(np.asarray(arr, dtype=float).tobytes())
+    if warm is None:
+        h.update(b"cold")
+    return h.digest()
+
+
 def design_loop(
     game: AtomicRoutingGame,
     objective: DesignObjective,
     config: DesignConfig,
+    *,
+    memo: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, DesignTrace]:
     """Approximate projected gradient descent on the cost parameters.
 
@@ -210,6 +231,19 @@ def design_loop(
     objective both at the inner solution and at a certified small-entropy
     reference equilibrium, reached by continuation down from that inner
     solution, alongside that reference's optimality gap.
+
+    memo, when given, maps a digest of an iteration's inputs (config.lam, the
+    objective's target, b, C and the inner warm start) to that iteration's
+    inner solution, certified reference, gap and gradients.  An iteration
+    found there skips its solve, certification and gradient and reuses the
+    stored objects, which nothing mutates; one not found stores them.
+    Designs that differ only in rho, or in anything else that only the
+    projections and the step read, share the iterations before their paths
+    part, and a deterministic iteration returns the same bits either way.
+    A memo may be shared only among designs of the same game and the same
+    objective function: the key holds neither the graph and players nor the
+    objective's callables.  Failing iterations are not stored, so each
+    design that reaches one raises.
 
     Raises:
         NotConvergedError: an inner solve failed; the message names the
@@ -223,15 +257,21 @@ def design_loop(
     inner_warm: tuple[np.ndarray, np.ndarray] | None = None
 
     for outer in range(1, config.max_outer_iters + 1):
-        current = game.with_costs(b, c_mat, rho=config.rho)
-        try:
-            sol = solve_equilibrium(current, settings, inner_warm)
-            reference, gap = _certified_reference(current, sol)
-        except NotConvergedError as exc:
-            raise NotConvergedError(f"design iteration {outer}: {exc}") from exc
+        key = None if memo is None else _iteration_key(config, objective, b, c_mat, inner_warm)
+        if key is not None and key in memo:
+            sol, reference, gap, grads = memo[key]
+        else:
+            current = game.with_costs(b, c_mat, rho=config.rho)
+            try:
+                sol = solve_equilibrium(current, settings, inner_warm)
+                reference, gap = _certified_reference(current, sol)
+            except NotConvergedError as exc:
+                raise NotConvergedError(f"design iteration {outer}: {exc}") from exc
+            grads = implicit_gradients(current, sol, objective)
+            if key is not None:
+                memo[key] = (sol, reference, gap, grads)
         inner_warm = (sol.x, sol.v)
 
-        grads = implicit_gradients(current, sol, objective)
         b_next = project_B(b - config.alpha * grads.grad_b, config.delta)
         c_next = project_D(c_mat - config.alpha * grads.grad_C, config.rho, game.m)
         db_norm = float(np.linalg.norm(b_next - b))

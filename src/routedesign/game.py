@@ -247,8 +247,8 @@ def membership_D(C: np.ndarray, block_size: int, rho: float, tol: float = 1e-8) 
         raise ValueError("C must be square")
     if block_size < 1 or c.shape[0] % block_size != 0:
         raise ValueError("matrix size must be a multiple of block_size")
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
+    if not 0.0 <= rho < np.inf:
+        raise ValueError("rho must be finite and nonnegative")
     if np.linalg.norm(c) > rho + tol:
         return False
     p = c.shape[0] // block_size
@@ -298,16 +298,20 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
     try:
         graph_block = data["graph"]
         n = int(graph_block["n"])
-        links = tuple(sorted((int(t) - 1, int(h) - 1) for t, h in graph_block["links"]))
+        file_links = [(int(t), int(h)) for t, h in graph_block["links"]]
         players = [
             Player(int(p["origin"]) - 1, int(p["destination"]) - 1) for p in data["players"]
         ]
         b = np.asarray(data["b"], dtype=float)
         c = np.asarray(data["C"], dtype=float)
         rho = float(data["rho"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
+        # OverflowError: int() of a number like 1e999, which JSON reads as inf
         raise ValueError(f"malformed game document: {exc}") from exc
-    graph = DirectedGraph(n, links)
+    for tail, head in file_links:
+        if not (1 <= tail <= n and 1 <= head <= n):
+            raise ValueError(f"link [{tail}, {head}] out of node range 1..{n}")
+    graph = DirectedGraph(n, tuple(sorted((t - 1, h - 1) for t, h in file_links)))
     try:
         return AtomicRoutingGame(graph, players, CostParams(b, c), rho)
     except UnreachableError:
@@ -334,7 +338,7 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
         return game, None
     try:
         paths = [[int(node) for node in nodes] for nodes in desired]
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed desired_paths: {exc}") from exc
     if len(paths) != game.p:
         raise ValueError("desired_paths must list one node path per player")

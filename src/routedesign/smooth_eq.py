@@ -127,8 +127,8 @@ def residual_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lam must be finite and positive")
     if x.shape != (game.pm,) or v.shape != (game.dim_v,):
         raise ValueError("bad flow or multiplier length")
     g = _exponent(game, x, v, lam)
@@ -153,8 +153,8 @@ def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lam must be finite and positive")
     if x.shape != (game.pm,) or v.shape != (game.dim_v,):
         raise ValueError("bad flow or multiplier length")
     d = _map_diag(game, x, v, lam)

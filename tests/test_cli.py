@@ -12,6 +12,8 @@ import sys
 import numpy as np
 import pytest
 
+import routedesign.design as design_mod
+from routedesign import cli
 from routedesign.game import game_to_dict, load_game_file, membership_D
 from routedesign.scenarios import build_scenario
 
@@ -159,6 +161,50 @@ def test_rho_sweep_without_interaction_budget_tracks_worst(tmp_path):
     assert finals[1] < finals[0]
 
 
+def _count_inner_solves(monkeypatch):
+    solves = []
+    real_solve = design_mod.solve_equilibrium
+
+    def spy_solve(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
+    return solves
+
+
+def test_rho_sweep_shares_iterations_and_matches_one_design_per_value(tmp_path, monkeypatch):
+    common = ["--scenario", "two_player_3x3", "--alpha", "0.01"]
+    rhos = ["0", "0.1", "0.5"]
+    solves = _count_inner_solves(monkeypatch)
+    sweep = tmp_path / "sweep"
+    assert cli.main(["sweep", *common, "--sweep-rho", ",".join(rhos), "--out", str(sweep)]) == 0
+    rows = sum(len(read_rows(sweep / f"trace_rho_{rho}.csv")) - 1 for rho in rhos)
+    # every design starts from the same (b, C), so iteration 1 at least is shared
+    assert len(solves) < rows
+    # each trace is the one a separate design at that radius writes, and each
+    # sweep.csv row the one a separate one-value sweep writes
+    single_rows = [["param", "psi_final"]]
+    for rho in rhos:
+        design = tmp_path / f"design_{rho}"
+        assert cli.main(["design", *common, "--rho", rho, "--out", str(design)]) == 0
+        trace = (sweep / f"trace_rho_{rho}.csv").read_bytes()
+        assert trace == (design / "trace.csv").read_bytes()
+        single = tmp_path / f"sweep_{rho}"
+        assert cli.main(["sweep", *common, "--sweep-rho", rho, "--out", str(single)]) == 0
+        single_rows += read_rows(single / "sweep.csv")[1:]
+    assert read_rows(sweep / "sweep.csv") == single_rows
+
+
+def test_lambda_sweep_shares_no_iterations(tmp_path, monkeypatch):
+    solves = _count_inner_solves(monkeypatch)
+    args = ["sweep", "--scenario", "two_player_3x3", "--alpha", "0.01"]
+    assert cli.main([*args, "--sweep-lambda", "0.1,0.01", "--out", str(tmp_path)]) == 0
+    rows = sum(len(read_rows(tmp_path / f"trace_lambda_{lam}.csv")) - 1 for lam in ("0.1", "0.01"))
+    # the entropy weight is part of every iteration's key: one solve per row
+    assert len(solves) == rows
+
+
 def test_sweep_reports_partial_failures_but_continues(tmp_path):
     proc = run_cli(
         "sweep",
@@ -261,6 +307,29 @@ def test_usage_errors_exit_one(tmp_path):
         proc = run_cli("solve", "--game", str(malformed))
         assert proc.returncode == 1, doc
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    # indices written as 1e999, which JSON readers parse as inf: a node
+    # count, a player's origin and destination, a link end and a desired-path node
+    for edit in (
+        lambda d: d["graph"].__setitem__("n", "HUGE"),
+        lambda d: d["players"][0].__setitem__("origin", "HUGE"),
+        lambda d: d["players"][0].__setitem__("destination", "HUGE"),
+        lambda d: d["graph"]["links"].__setitem__(0, [1, "HUGE"]),
+        lambda d: d.__setitem__("desired_paths", [[1, "HUGE"]]),
+    ):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc).replace('"HUGE"', "1e999"), encoding="utf-8")
+        proc = run_cli("solve", "--game", str(huge))
+        assert proc.returncode == 1, doc
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    # a link to node 0, named as the file writes it
+    doc = json.loads(json.dumps(good))
+    doc["graph"]["links"][0] = [0, 2]
+    malformed.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_cli("solve", "--game", str(malformed))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "[0, 2]" in proc.stderr
 
 
 def test_design_without_desired_paths_exits_one(tmp_path):

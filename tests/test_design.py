@@ -220,6 +220,26 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     assert chains[0][0][0] == 1.0 and chains[0][1] is None
 
 
+def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
+    game, objective = two_player_setup()
+    cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=5, epsilon=0.0)
+    memo = {}
+    b_first, c_first, first = design_loop(game, objective, cfg, memo=memo)
+    assert len(memo) == 5
+    solves = []
+    real_solve = design_mod.solve_equilibrium
+
+    def spy_solve(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
+    b_again, c_again, again = design_loop(game, objective, cfg, memo=memo)
+    assert solves == []
+    assert again.records == first.records
+    assert np.array_equal(b_again, b_first) and np.array_equal(c_again, c_first)
+
+
 def test_designed_four_player_game_solves_below_the_design_weight():
     # continuation from lam = 1 passes a stage, lam = 0.0039, where damped
     # least-squares steps stall at residual 2.8e-10, short of the tolerance

@@ -176,6 +176,8 @@ def test_membership_of_interaction_set():
     assert not membership_D(lopsided, 2, 5.0)  # own block not symmetric
     with pytest.raises(ValueError):
         membership_D(np.zeros((3, 3)), 2, 0.5)
+    with pytest.raises(ValueError):
+        membership_D(5.0 * np.eye(2), 1, float("nan"))
 
 
 def test_with_costs_keeps_structure():

@@ -29,9 +29,11 @@ from routedesign.graph import DirectedGraph, incidence_matrix, od_vectors
 from routedesign.smooth_eq import (
     Linearization,
     SmoothEqSettings,
+    cold_start,
     jacobian_F,
     residual_F,
     solve_equilibrium,
+    solve_nls,
 )
 
 
@@ -102,18 +104,26 @@ def test_random_digraph_games_solve_or_are_rejected(case, rho, seed):
         return
     game = AtomicRoutingGame(graph, players, costs)
     assert equals(game, game_from_dict(json.loads(json.dumps(game_to_dict(game)))))
+    rng = np.random.default_rng(seed)
+    pm = game.pm
     solutions = {}
     for lam in (0.1, 0.01):
-        sol = solve_equilibrium(game, SmoothEqSettings(lam=lam))
+        settings_lam = SmoothEqSettings(lam=lam)
+        sol = solve_equilibrium(game, settings_lam)
         assert sol.converged, f"lam={lam}"
         assert game.conservation_violation(sol.x) <= 1e-8
         assert game.nash_gap(sol.x) >= 0.0
         solutions[lam] = sol
+        # C is monotone, so the smoothed equilibrium is unique: Newton from
+        # the cold start and from a random strictly positive flow, when both
+        # converge, reach the same x
+        cold = solve_nls(game, settings_lam, cold_start(game, lam))
+        other = solve_nls(game, settings_lam, (rng.uniform(0.01, 1.0, pm), np.zeros(game.dim_v)))
+        if cold.converged and other.converged:
+            assert np.max(np.abs(other.x - cold.x)) <= 1e-8, f"lam={lam}"
     # the structured Newton step at the lam = 0.1 solution, under a random
     # admissible C of any rank up to full (Frobenius norm rho <= 0.5), is the
     # dense-LU step: rank <= pm/2 takes the Woodbury route, higher the dense one
-    rng = np.random.default_rng(seed)
-    pm = game.pm
     rank = int(rng.integers(0, pm + 1))
     factors = rng.standard_normal((pm, rank)) @ rng.standard_normal((rank, pm))
     coupled = game.with_costs(b, project_D(factors, rho, game.m))

@@ -95,6 +95,9 @@ def test_residual_and_jacobian_validate_inputs():
         residual_F(game, np.ones(3), v, 1.0)
     with pytest.raises(ValueError):
         jacobian_F(game, x, np.ones(2), 1.0)
+    for f in (residual_F, jacobian_F):
+        with pytest.raises(ValueError):
+            f(game, x, v, float("nan"))
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.3, 0.05])
