@@ -1,5 +1,14 @@
 """Entropy-smoothed equilibria and cost design for atomic routing games."""
 
+import os
+
+# One BLAS thread unless the user set a count: numpy's and scipy's separate
+# OpenBLAS pools otherwise compete for the cores, and the many small dense
+# solves get several times slower.  This only takes effect when numpy has not
+# been imported yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .design import (
     DesignConfig,
     DesignRecord,

@@ -12,14 +12,15 @@ started from the exponential map at (x, v) = 0, and a lam-continuation
 wrapper for small lam.
 
 J is a saddle-point matrix [[M, -D E^T / lam], [-E, 0]] with M = I + D C / lam
-and D the exponential-map diagonal.  Linearization factors it once per
-iterate by that structure: Woodbury through the game's rank-revealing factor
-C = U W^T for M, then a Schur complement on the multipliers; for C of rank
-above pm / 2 it holds the LU of J itself.  The Newton step and the implicit
-gradient's transpose solve both go through it.  Where J is singular or the
-line search along the Newton step fails, the solver assembles J densely and
-searches the minimum-norm least-squares direction from a rank-revealing QR
-instead.
+and D the exponential-map diagonal.  Linearization factors it by that
+structure: Woodbury through the game's rank-revealing factor C = U W^T for
+M, then a Schur complement on the multipliers; for C of rank above pm / 2 it
+holds the LU of J^T.  The Newton step and the implicit gradient's
+transpose solve both go through it.  The structured factor is rebuilt at
+every iterate; the dense LU is kept for chord steps while they contract
+||F|| by _CHORD_RATE.  Where J is singular or the line search along the
+Newton step fails, the solver assembles J densely and searches the
+minimum-norm least-squares direction from a rank-revealing QR instead.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ _POSITIVE_FLOOR = 1e-300
 # at least the fraction _ARMIJO * t; t is halved at most _MAX_HALVINGS times.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
+
+# Chord steps on the dense route: after an iteration that cut ||F|| by at
+# least this factor, the next one first takes the full step from the same
+# LU and keeps it only if it cuts ||F|| by the factor again.  On the games of
+# bench/coupled_game.py 0.5 took less time than 0.25, which refactors more
+# often, and than 0.75, which takes many more chord steps that each gain less.
+_CHORD_RATE = 0.5
 
 
 @dataclass(frozen=True)
@@ -179,7 +187,10 @@ class Linearization:
     p (n - 1); at C = 0 it is the per-player weighted Laplacian E B.  Both
     K and S are factored by LU, and J^T reuses them transposed, since the
     Schur complement of J^T is S^T.  When C has no such factor (rank above
-    pm / 2) the LU of the dense J is held instead.
+    pm / 2) the LU of the dense J^T is held instead: J's C-order buffer is
+    J^T in Fortran order, so LAPACK factors it without a copy, and partial
+    pivoting on J^T picks its pivots along the rows of J, a choice that
+    their scale, set mostly by D, does not change.
 
     solve and solve_T return None when a factor met a zero pivot or the
     result is not finite; J is then (numerically) singular.
@@ -193,7 +204,7 @@ class Linearization:
         self._e = game.e_blk
         factor = game.cost_factor
         if factor is None:
-            self._dense = _lu(jacobian_F(game, x, v, lam))
+            self._dense = _lu(jacobian_F(game, x, v, lam).T)
             return
         self._dense = None
         u, w = factor
@@ -208,7 +219,7 @@ class Linearization:
     def solve(self, rhs: np.ndarray) -> np.ndarray | None:
         """d with J d = rhs, or None."""
         if self._dense is not None:
-            return _lu_solve(self._dense, rhs)
+            return _lu_solve(self._dense, rhs, trans=1)
         pm = self._pm
         y = self._m_inv(rhs[:pm])
         dv = _lu_solve(self._schur, -(rhs[pm:] + self._e @ y))
@@ -219,7 +230,7 @@ class Linearization:
     def solve_T(self, rhs: np.ndarray) -> np.ndarray | None:
         """z with J^T z = rhs, or None."""
         if self._dense is not None:
-            return _lu_solve(self._dense, rhs, trans=1)
+            return _lu_solve(self._dense, rhs)
         pm = self._pm
         zv = _lu_solve(self._schur, -(rhs[pm:] + self._m_inv_b.T @ rhs[:pm]), trans=1)
         if zv is None:
@@ -270,14 +281,19 @@ def solve_nls(
 ) -> EquilibriumSolution:
     """Solve the smoothed system by Newton's method with backtracking.
 
-    Starts from the given warm start, else from cold_start(game, lam).  Each
-    iteration factors J once (Linearization) and tries at most two
+    Starts from the given warm start, else from cold_start(game, lam).  On
+    the dense route (game.cost_factor is None), an iteration that cut ||F||
+    by at least the factor _CHORD_RATE keeps its dense LU, and the next
+    iteration first takes the full chord step from it with the new residual;
+    it accepts that step only if ||F|| falls by the factor again.  Any other
+    iteration factors J afresh (Linearization) and tries at most two
     directions, each with an Armijo line search on ||F||: the Newton step
     J d = -F, unless a factor has a zero pivot or the step is not finite,
     and, when that search fails, the minimum-norm least-squares step
     numerics.lstsq(J, -F) on the dense J.  Trial points whose exponent
-    overflows count as failed step lengths.  Returns the incumbent with
-    converged=False when both searches fail or the iteration budget runs out.
+    overflows count as failed steps.  iterations counts chord steps too.
+    Returns the incumbent with converged=False when both searches fail or
+    the iteration budget runs out.
 
     Raises:
         ExponentOverflowError: the starting point itself overflows.
@@ -293,14 +309,29 @@ def solve_nls(
     if trace is not None:
         trace.append(norm)
 
+    lin = None  # a dense LU kept while its steps contract
     while norm > settings.residual_tol and iterations < settings.max_iters:
         iterations += 1
-        step = Linearization(game, x, v, settings.lam).solve(-resid)
-        found = None if step is None else _line_search(game, settings.lam, x, v, norm, step)
+        found = None
+        if lin is not None:
+            step = lin.solve(-resid)
+            found = None if step is None else _trial(game, settings.lam, x, v, step, 1.0)
+            if found is not None and found[3] > _CHORD_RATE * norm:
+                found = None
         if found is None:
-            step = numerics.lstsq(jacobian_F(game, x, v, settings.lam), -resid)
-            found = _line_search(game, settings.lam, x, v, norm, step)
+            lin = None  # release the stale LU before factoring afresh
+            lin = Linearization(game, x, v, settings.lam)
+            step = lin.solve(-resid)
+            if game.cost_factor is not None:
+                lin = None  # structured factors are rebuilt at every iterate
+            found = None if step is None else _line_search(game, settings.lam, x, v, norm, step)
+            if found is None:
+                lin = None  # its step failed; free the LU before the dense QR
+                step = numerics.lstsq(jacobian_F(game, x, v, settings.lam), -resid)
+                found = _line_search(game, settings.lam, x, v, norm, step)
         if found is not None:
+            if found[3] > _CHORD_RATE * norm:
+                lin = None
             x, v, resid, norm = found
         if trace is not None:
             trace.append(norm)
@@ -327,21 +358,33 @@ def _line_search(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
     # The first point along step with ||F|| <= (1 - _ARMIJO t) ||F(x, v)||,
     # halving t from 1; None when every trial fails or overflows.
-    pm = game.pm
     t = 1.0
     for _ in range(_MAX_HALVINGS + 1):
-        cand_x = np.maximum(x + t * step[:pm], _POSITIVE_FLOOR)
-        cand_v = v + t * step[pm:]
-        try:
-            cand_resid = residual_F(game, cand_x, cand_v, lam)
-        except ExponentOverflowError:
-            cand_resid = None
-        if cand_resid is not None:
-            cand_norm = float(np.linalg.norm(cand_resid))
-            if cand_norm <= (1.0 - _ARMIJO * t) * norm:
-                return cand_x, cand_v, cand_resid, cand_norm
+        found = _trial(game, lam, x, v, step, t)
+        if found is not None and found[3] <= (1.0 - _ARMIJO * t) * norm:
+            return found
         t /= 2.0
     return None
+
+
+def _trial(
+    game: AtomicRoutingGame,
+    lam: float,
+    x: np.ndarray,
+    v: np.ndarray,
+    step: np.ndarray,
+    t: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    # The point t along step, flows floored positive, with its residual and
+    # norm; None when its exponent overflows.
+    pm = game.pm
+    cand_x = np.maximum(x + t * step[:pm], _POSITIVE_FLOOR)
+    cand_v = v + t * step[pm:]
+    try:
+        cand_resid = residual_F(game, cand_x, cand_v, lam)
+    except ExponentOverflowError:
+        return None
+    return cand_x, cand_v, cand_resid, float(np.linalg.norm(cand_resid))
 
 
 def homotopy_solve(

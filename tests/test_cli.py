@@ -1,7 +1,10 @@
-"""End-to-end command-line runs via subprocess.
+"""End-to-end command-line runs.
 
-Each test invokes the installed module exactly as a user would and inspects
-exit codes, stdout, and the emitted JSON/CSV files.
+Each test runs a command through the CLI entry point and inspects exit codes,
+stdout, stderr, and the emitted JSON/CSV files.  Most call `cli.main` in the
+test process, with capsys capturing the streams; two start
+`python -m routedesign.cli` in a subprocess, exactly as a user would, to
+check the module entry point and that exit codes reach the shell.
 """
 
 import csv
@@ -27,6 +30,13 @@ def run_cli(*args, cwd=None):
     )
 
 
+def run_main(capsys, *args):
+    """cli.main(args) in this process, reported like a finished subprocess."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -45,8 +55,8 @@ def test_solve_writes_equilibrium_json(tmp_path):
     assert len(doc["x"]) == 48 and len(doc["v"]) == 16
 
 
-def test_solve_homotopy_reaches_the_default_floor(tmp_path):
-    proc = run_cli(
+def test_solve_homotopy_reaches_the_default_floor(tmp_path, capsys):
+    proc = run_main(capsys,
         "solve", "--scenario", "two_player_3x3", "--homotopy", "--out", str(tmp_path)
     )
     assert proc.returncode == 0, proc.stderr
@@ -55,8 +65,8 @@ def test_solve_homotopy_reaches_the_default_floor(tmp_path):
     assert doc["gap"] <= 1e-2
 
 
-def test_gap_reports_a_certified_value(tmp_path):
-    proc = run_cli(
+def test_gap_reports_a_certified_value(tmp_path, capsys):
+    proc = run_main(capsys,
         "gap", "--scenario", "two_player_3x3", "--lambda", "0.05", "--out", str(tmp_path)
     )
     assert proc.returncode == 0, proc.stderr
@@ -65,8 +75,8 @@ def test_gap_reports_a_certified_value(tmp_path):
     assert doc["gap"] >= 0.0
 
 
-def test_design_emits_trace_and_designed_game(tmp_path):
-    proc = run_cli(
+def test_design_emits_trace_and_designed_game(tmp_path, capsys):
+    proc = run_main(capsys,
         "design", "--scenario", "two_player_3x3", "--out", str(tmp_path)
     )
     assert proc.returncode == 0, proc.stderr
@@ -85,8 +95,8 @@ def test_design_emits_trace_and_designed_game(tmp_path):
     assert raw["desired_paths"] == [[4, 1, 2, 3, 6], [6, 9, 8, 7, 4]]
 
 
-def test_design_zero_step_logs_one_iteration(tmp_path):
-    proc = run_cli(
+def test_design_zero_step_logs_one_iteration(tmp_path, capsys):
+    proc = run_main(capsys,
         "design", "--scenario", "two_player_3x3", "--alpha", "0", "--out", str(tmp_path)
     )
     assert proc.returncode == 0, proc.stderr
@@ -94,8 +104,8 @@ def test_design_zero_step_logs_one_iteration(tmp_path):
     assert len(rows) == 2  # header plus a single iteration
 
 
-def test_design_respects_the_iteration_cap(tmp_path):
-    proc = run_cli(
+def test_design_respects_the_iteration_cap(tmp_path, capsys):
+    proc = run_main(capsys,
         "design", "--scenario", "four_player_5x5", "--max-iters", "4", "--out", str(tmp_path)
     )
     assert proc.returncode == 0, proc.stderr
@@ -103,7 +113,7 @@ def test_design_respects_the_iteration_cap(tmp_path):
     assert 2 <= len(rows) <= 5
 
 
-def test_design_accepts_game_files_with_desired_paths(tmp_path):
+def test_design_accepts_game_files_with_desired_paths(tmp_path, capsys):
     sc = build_scenario("two_player_3x3")
     doc = game_to_dict(sc.game)
     doc["desired_paths"] = [
@@ -111,14 +121,14 @@ def test_design_accepts_game_files_with_desired_paths(tmp_path):
     ]
     game_file = tmp_path / "game.json"
     game_file.write_text(json.dumps(doc), encoding="utf-8")
-    proc = run_cli(
+    proc = run_main(capsys,
         "design", "--game", str(game_file), "--alpha", "0", "--out", str(tmp_path)
     )
     assert proc.returncode == 0, proc.stderr
 
 
-def test_lambda_sweep_orders_final_objectives(tmp_path):
-    proc = run_cli(
+def test_lambda_sweep_orders_final_objectives(tmp_path, capsys):
+    proc = run_main(capsys,
         "sweep",
         "--scenario", "two_player_3x3",
         "--sweep-lambda", "1.0,0.1,0.01",
@@ -146,8 +156,8 @@ def test_lambda_sweep_orders_final_objectives(tmp_path):
     assert iterations[2] < iterations[1]
 
 
-def test_rho_sweep_without_interaction_budget_tracks_worst(tmp_path):
-    proc = run_cli(
+def test_rho_sweep_without_interaction_budget_tracks_worst(tmp_path, capsys):
+    proc = run_main(capsys,
         "sweep",
         "--scenario", "two_player_3x3",
         "--sweep-rho", "0,0.5",
@@ -205,8 +215,8 @@ def test_lambda_sweep_shares_no_iterations(tmp_path, monkeypatch):
     assert len(solves) == rows
 
 
-def test_sweep_reports_partial_failures_but_continues(tmp_path):
-    proc = run_cli(
+def test_sweep_reports_partial_failures_but_continues(tmp_path, capsys):
+    proc = run_main(capsys,
         "sweep",
         "--scenario", "two_player_3x3",
         "--sweep-lambda", "1e-9,0.1",
@@ -219,8 +229,8 @@ def test_sweep_reports_partial_failures_but_continues(tmp_path):
     assert float(rows[1][1]) < 1.0
 
 
-def test_sweep_with_all_failures_exits_two(tmp_path):
-    proc = run_cli(
+def test_sweep_with_all_failures_exits_two(tmp_path, capsys):
+    proc = run_main(capsys,
         "sweep",
         "--scenario", "two_player_3x3",
         "--sweep-lambda", "1e-9",
@@ -232,30 +242,30 @@ def test_sweep_with_all_failures_exits_two(tmp_path):
     assert rows == [["1e-09", "nan"]]
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     # missing source
-    assert run_cli("solve").returncode == 1
+    assert run_main(capsys, "solve").returncode == 1
     # unknown scenario name
-    assert run_cli("solve", "--scenario", "nope").returncode == 1
+    assert run_main(capsys, "solve", "--scenario", "nope").returncode == 1
     # mutually exclusive sources
     assert (
-        run_cli("solve", "--scenario", "two_player_3x3", "--game", "x.json").returncode
+        run_main(capsys, "solve", "--scenario", "two_player_3x3", "--game", "x.json").returncode
         == 1
     )
     # unreadable game file
-    assert run_cli("solve", "--game", str(tmp_path / "missing.json")).returncode == 1
+    assert run_main(capsys, "solve", "--game", str(tmp_path / "missing.json")).returncode == 1
     # malformed JSON
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    assert run_cli("solve", "--game", str(bad)).returncode == 1
+    assert run_main(capsys, "solve", "--game", str(bad)).returncode == 1
     # empty sweep list
     assert (
-        run_cli("sweep", "--scenario", "two_player_3x3", "--sweep-lambda", ",").returncode
+        run_main(capsys, "sweep", "--scenario", "two_player_3x3", "--sweep-lambda", ",").returncode
         == 1
     )
     # invalid design step size
     assert (
-        run_cli("design", "--scenario", "two_player_3x3", "--alpha", "-1").returncode
+        run_main(capsys, "design", "--scenario", "two_player_3x3", "--alpha", "-1").returncode
         == 1
     )
     # a NaN entropy weight, a game file with a NaN offset, and a NaN radius
@@ -266,19 +276,19 @@ def test_usage_errors_exit_one(tmp_path):
         ("solve", "--game", str(nan_b)),
         ("sweep", "--scenario", "two_player_3x3", "--sweep-rho", "0.1,nan", "--out", str(tmp_path)),
     ):
-        proc = run_cli(*args)
+        proc = run_main(capsys, *args)
         assert proc.returncode == 1, args
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert not (tmp_path / "trace_rho_0.1.csv").exists()
     # a dead-end link, 2 -> 3 in the file and (1, 2) 0-based, that no flow can
     # use: the message names it as the file does
     dead_end = _one_player_game(tmp_path / "dead_end.json", 3, [[1, 2], [2, 3]], [0.1, 0.1])
-    proc = run_cli("solve", "--game", str(dead_end))
+    proc = run_main(capsys, "solve", "--game", str(dead_end))
     assert proc.returncode == 1
     assert "[(2, 3)]" in proc.stderr and "Traceback" not in proc.stderr
     # an unreachable destination, named 1-based
     unreachable = _one_player_game(tmp_path / "unreachable.json", 2, [[2, 1]], [0.1])
-    proc = run_cli("solve", "--game", str(unreachable))
+    proc = run_main(capsys, "solve", "--game", str(unreachable))
     assert proc.returncode == 1
     assert "no path from node 1 to node 2" in proc.stderr and "Traceback" not in proc.stderr
     # a desired path along a missing link, 3 -> 2 in the file, named as the file does
@@ -286,7 +296,7 @@ def test_usage_errors_exit_one(tmp_path):
     doc = json.loads(broken.read_text(encoding="utf-8"))
     doc["desired_paths"] = [[1, 3, 2]]
     broken.write_text(json.dumps(doc), encoding="utf-8")
-    proc = run_cli("design", "--game", str(broken), "--out", str(tmp_path))
+    proc = run_main(capsys, "design", "--game", str(broken), "--out", str(tmp_path))
     assert proc.returncode == 1
     assert "no link from node 3 to node 2" in proc.stderr and "Traceback" not in proc.stderr
     # malformed documents: a link with a null end, a player with no
@@ -304,7 +314,7 @@ def test_usage_errors_exit_one(tmp_path):
         edit(doc)
         malformed = tmp_path / "malformed.json"
         malformed.write_text(json.dumps(doc), encoding="utf-8")
-        proc = run_cli("solve", "--game", str(malformed))
+        proc = run_main(capsys, "solve", "--game", str(malformed))
         assert proc.returncode == 1, doc
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     # indices written as 1e999, which JSON readers parse as inf: a node
@@ -320,28 +330,29 @@ def test_usage_errors_exit_one(tmp_path):
         edit(doc)
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(doc).replace('"HUGE"', "1e999"), encoding="utf-8")
-        proc = run_cli("solve", "--game", str(huge))
+        proc = run_main(capsys, "solve", "--game", str(huge))
         assert proc.returncode == 1, doc
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     # a link to node 0, named as the file writes it
     doc = json.loads(json.dumps(good))
     doc["graph"]["links"][0] = [0, 2]
     malformed.write_text(json.dumps(doc), encoding="utf-8")
-    proc = run_cli("solve", "--game", str(malformed))
+    proc = run_main(capsys, "solve", "--game", str(malformed))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "[0, 2]" in proc.stderr
 
 
-def test_design_without_desired_paths_exits_one(tmp_path):
+def test_design_without_desired_paths_exits_one(tmp_path, capsys):
     sc = build_scenario("two_player_3x3")
     game_file = tmp_path / "game.json"
     game_file.write_text(json.dumps(game_to_dict(sc.game)), encoding="utf-8")
-    proc = run_cli("design", "--game", str(game_file), "--out", str(tmp_path))
+    proc = run_main(capsys, "design", "--game", str(game_file), "--out", str(tmp_path))
     assert proc.returncode == 1
     assert "desired" in proc.stderr
 
 
 def test_hopeless_entropy_weight_exits_two(tmp_path):
+    # run as a user runs it, so the exit code is the process's own
     proc = run_cli(
         "solve",
         "--scenario", "two_player_3x3",
@@ -351,6 +362,9 @@ def test_hopeless_entropy_weight_exits_two(tmp_path):
     )
     assert proc.returncode == 2
     assert "numerical failure" in proc.stderr
+    proc = run_cli("solve")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def _one_player_game(path, n, links, b):
@@ -366,21 +380,21 @@ def _one_player_game(path, n, links, b):
     return path
 
 
-def test_solve_falls_back_when_the_cold_start_overflows(tmp_path):
+def test_solve_falls_back_when_the_cold_start_overflows(tmp_path, capsys):
     # b = -3 puts the cold start's exponent at ~299 for lambda 0.01, past
     # the overflow limit; continuation from lambda 1 still reaches the solution
     game_file = _one_player_game(tmp_path / "game.json", 2, [[1, 2], [2, 1]], [-3.0, 3.5])
-    proc = run_cli("solve", "--game", str(game_file), "--lambda", "0.01", "--out", str(tmp_path))
+    proc = run_main(capsys, "solve", "--game", str(game_file), "--lambda", "0.01", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "equilibrium.json").read_text())
     assert doc["lambda"] == 0.01
     assert doc["residual"] <= 1e-10
 
 
-def test_solve_names_a_negative_cost_cycle(tmp_path):
+def test_solve_names_a_negative_cost_cycle(tmp_path, capsys):
     # the 2-cycle costs -2.5, so the smoothed flow around it grows without
     # bound as lambda shrinks and continuation stalls
     game_file = _one_player_game(tmp_path / "game.json", 2, [[1, 2], [2, 1]], [-3.0, 0.5])
-    proc = run_cli("solve", "--game", str(game_file), "--lambda", "0.01", "--out", str(tmp_path))
+    proc = run_main(capsys, "solve", "--game", str(game_file), "--lambda", "0.01", "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "negative-cost cycle" in proc.stderr

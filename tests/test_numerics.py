@@ -1,5 +1,10 @@
 """Dense linear-algebra wrappers: contracts the rest of the package relies on."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,3 +35,25 @@ def test_lstsq_input_validation():
     with pytest.raises(ValueError):
         lstsq(np.ones(3), np.ones(3))
 
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_vars_after_import(**preset):
+    # a fresh interpreter, since this one imported numpy long ago
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    code = (
+        "import json, os, routedesign; "
+        f"print(json.dumps([os.environ.get(v) for v in {BLAS_VARS!r}]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+def test_import_pins_blas_threads_unless_the_user_set_them():
+    assert _blas_vars_after_import() == ["1", "1", "1"]
+    assert _blas_vars_after_import(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]

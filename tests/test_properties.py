@@ -7,6 +7,7 @@ exactly when max t subject to E x = r, x >= t, 0 <= t <= 1 is positive.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from helpers import dykstra_project_D, equals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routedesign import smooth_eq
 from routedesign.design import project_D
-from routedesign.errors import UnreachableError
+from routedesign.errors import NumericalError, UnreachableError
 from routedesign.game import (
     AtomicRoutingGame,
     CostParams,
@@ -27,6 +29,7 @@ from routedesign.game import (
 )
 from routedesign.graph import DirectedGraph, incidence_matrix, od_vectors
 from routedesign.smooth_eq import (
+    EquilibriumSolution,
     Linearization,
     SmoothEqSettings,
     cold_start,
@@ -173,3 +176,33 @@ def test_project_D_is_the_projection_onto_D(block_size, blocks, rho, scale, shar
     size = np.linalg.norm(out)
     for y in (np.zeros_like(out), out * (rho / size) if size > 0.0 else out):
         assert np.sum((x - out) * (y - out)) <= 1e-9 * np.linalg.norm(x) * size
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(random_games(), st.floats(0.01, 0.5), st.integers(0, 2**32 - 1))
+def test_chord_steps_reach_the_newton_solution_on_dense_interactions(case, rho, seed):
+    graph, players, b, c_mat = case
+    try:
+        game = AtomicRoutingGame(graph, players, CostParams(b, c_mat))
+    except UnreachableError:
+        return  # rejections are the random-digraph test's business
+    # full rank, so above pm / 2: the dense-LU route, where chord steps run
+    c_mat = admissible_point(np.random.default_rng(seed), game.m, game.p, rho)
+    game = game.with_costs(b, c_mat)
+    assert game.cost_factor is None
+    for lam in (0.1, 0.01):
+        settings_lam = SmoothEqSettings(lam=lam)
+        outcomes = []
+        for rate in (smooth_eq._CHORD_RATE, 0.0):  # 0: refactor every iteration
+            with mock.patch.object(smooth_eq, "_CHORD_RATE", rate):
+                try:
+                    outcomes.append(solve_equilibrium(game, settings_lam))
+                except NumericalError as exc:
+                    outcomes.append(type(exc))
+        chord, newton = outcomes
+        if not isinstance(newton, EquilibriumSolution):
+            assert chord is newton, f"lam={lam}"
+            continue
+        assert isinstance(chord, EquilibriumSolution), f"lam={lam}"
+        assert chord.residual_norm <= settings_lam.residual_tol
+        assert np.max(np.abs(chord.x - newton.x)) <= 1e-8, f"lam={lam}"

@@ -180,7 +180,9 @@ def test_solver_trace_is_monotone():
 
 def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
     # one factorization per iteration, however many step lengths it tries;
-    # the dense J is assembled only on iterations that take the QR fallback
+    # the dense J is assembled only on iterations that take the QR fallback.
+    # Both games have C = 0, so they take the structured route, which keeps
+    # no factor for chord steps
     trace = []
     log = []
     evaluate = smooth_eq.residual_F
@@ -223,6 +225,41 @@ def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
     assert sol.converged
     assert calls("factor") == list(range(1, sol.iterations + 1))
     assert calls("jacobian") == list(range(1, sol.iterations + 1))
+
+
+def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
+    base = build_scenario("two_player_3x3").game
+    rng = np.random.default_rng(3)
+    c_mat = project_D(rng.uniform(-0.5, 0.5, size=(base.pm, base.pm)), 0.5, base.m)
+    game = base.with_costs(base.costs.b, c_mat)
+    assert game.cost_factor is None  # rank above pm / 2: the dense-LU route
+    settings = SmoothEqSettings(lam=0.01)
+    trace = []
+    factored = []
+
+    class CountingLinearization(Linearization):
+        def __init__(self, *args):
+            factored.append(len(trace))  # the number of the iteration under way
+            super().__init__(*args)
+
+    monkeypatch.setattr(smooth_eq, "Linearization", CountingLinearization)
+    sol = solve_nls(game, settings, trace=trace)
+    assert sol.converged
+    assert len(factored) < sol.iterations
+    # an iteration that did not factor took a chord step, which must have
+    # cut ||F|| by the chord rate
+    for k in range(1, sol.iterations + 1):
+        if k not in factored:
+            assert trace[k] <= smooth_eq._CHORD_RATE * trace[k - 1]
+
+    # without chord steps every iteration factors, and the solutions agree
+    monkeypatch.setattr(smooth_eq, "_CHORD_RATE", 0.0)
+    factored.clear()
+    trace.clear()
+    newton = solve_nls(game, settings, trace=trace)
+    assert newton.converged
+    assert factored == list(range(1, newton.iterations + 1))
+    assert np.max(np.abs(sol.x - newton.x)) <= 1e-8
 
 
 def _four_player_solution(c_mat, lam=0.05):
