@@ -59,7 +59,6 @@ from .sensitivity import (
 )
 from .smooth_eq import (
     EquilibriumSolution,
-    HomotopySchedule,
     Linearization,
     SmoothEqSettings,
     cold_start,
@@ -85,7 +84,6 @@ __all__ = [
     "EquilibriumSolution",
     "ExponentOverflowError",
     "GradientPair",
-    "HomotopySchedule",
     "Linearization",
     "InfeasibleFlowError",
     "NegativeCycleError",

@@ -179,7 +179,8 @@ def _run_design(
     config: DesignConfig,
     memo: dict | None = None,
 ) -> tuple[DesignTrace, AtomicRoutingGame, DesignVerification, float]:
-    """Design, then verify the designed game; also returns the design's wall time.
+    """Design, then verify the designed game from the design's last inner
+    solution; also returns the design's wall time.
 
     memo is design_loop's iteration memo, shared by the designs of one sweep.
     """
@@ -190,10 +191,10 @@ def _run_design(
     target = path_to_target(game, desired)
     objective = tracking_objective(target)
     start = time.perf_counter()
-    b, c_mat, trace = design_loop(game, objective, config, memo=memo)
+    b, c_mat, trace, last = design_loop(game, objective, config, memo=memo)
     wall = time.perf_counter() - start
     designed = game.with_costs(b, c_mat, rho=config.rho)
-    return trace, designed, verify_design(designed, objective), wall
+    return trace, designed, verify_design(designed, objective, last), wall
 
 
 def cmd_design(args: argparse.Namespace) -> int:

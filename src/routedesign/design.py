@@ -19,13 +19,7 @@ import numpy as np
 from .errors import NegativeCycleError, NotConvergedError
 from .game import AtomicRoutingGame
 from .sensitivity import DesignObjective, implicit_gradients
-from .smooth_eq import (
-    EquilibriumSolution,
-    HomotopySchedule,
-    SmoothEqSettings,
-    homotopy_solve,
-    solve_equilibrium,
-)
+from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve, solve_equilibrium
 
 TRACE_COLUMNS = ("iter", "psi_bar", "psi_lambda", "db_norm", "dC_norm", "residual", "gap")
 
@@ -156,15 +150,14 @@ def project_D(C: np.ndarray, rho: float, block_size: int) -> np.ndarray:
 
 def _certified_reference(
     game: AtomicRoutingGame,
-    start: EquilibriumSolution | None,
+    start: EquilibriumSolution,
 ) -> tuple[EquilibriumSolution, float]:
     """Reference equilibrium at the certification weight plus its gap.
 
     Runs continuation from max(start.lam, REFERENCE_LAMBDA) down to
-    REFERENCE_LAMBDA, warm-started from start, a solution of the same game;
-    without a start, from the cold start at weight 1.  Stages may stall: the
-    endpoint is accepted only when its optimality gap certifies it, not by
-    per-stage convergence.
+    REFERENCE_LAMBDA, warm-started from start, a solution of the same game.
+    Stages may stall: the endpoint is accepted only when its optimality gap
+    certifies it, not by per-stage convergence.
 
     When the marginal costs admit a negative-cost cycle the first-order gap
     is unbounded (the flow polytope has circulation rays); the gap is then
@@ -174,11 +167,8 @@ def _certified_reference(
         NotConvergedError: neither certificate held.
         InfeasibleFlowError: the reference iterate is not even feasible.
     """
-    top = 1.0 if start is None else max(start.lam, REFERENCE_LAMBDA)
-    warm = None if start is None else (start.x, start.v)
-    schedule = HomotopySchedule(lambda_start=top, lambda_min=REFERENCE_LAMBDA)
     settings = SmoothEqSettings(lam=REFERENCE_LAMBDA, residual_tol=REFERENCE_RESIDUAL_TOL)
-    sol = homotopy_solve(game, schedule, settings, warm, strict=False)[-1]
+    sol = homotopy_solve(game, settings, (start.x, start.v), lam_start=start.lam, strict=False)[-1]
     try:
         gap = game.nash_gap(sol.x, feas_tol=1e-5)
     except NegativeCycleError:
@@ -220,7 +210,7 @@ def design_loop(
     config: DesignConfig,
     *,
     memo: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, DesignTrace]:
+) -> tuple[np.ndarray, np.ndarray, DesignTrace, EquilibriumSolution]:
     """Approximate projected gradient descent on the cost parameters.
 
     Starts from b = delta * 1 and C = 0 and repeats: solve the smoothed game
@@ -230,7 +220,9 @@ def design_loop(
     config.epsilon or the iteration cap is reached.  Every iteration logs the
     objective both at the inner solution and at a certified small-entropy
     reference equilibrium, reached by continuation down from that inner
-    solution, alongside that reference's optimality gap.
+    solution, alongside that reference's optimality gap.  Returns the last
+    (b, C), the trace, and the last inner solution, which solves the game
+    before the last step and is where verify_design starts.
 
     memo, when given, maps a digest of an iteration's inputs (config.lam, the
     objective's target, b, C and the inner warm start) to that iteration's
@@ -291,24 +283,36 @@ def design_loop(
         if max(db_norm, dc_norm) < config.epsilon:
             break
 
-    return b, c_mat, trace
+    return b, c_mat, trace, sol
 
 
-def verify_design(game: AtomicRoutingGame, objective: DesignObjective) -> DesignVerification:
+def verify_design(
+    game: AtomicRoutingGame,
+    objective: DesignObjective,
+    start: EquilibriumSolution,
+) -> DesignVerification:
     """Certify a designed game against its target flow.
 
-    Solves a small-entropy reference equilibrium, reports the tracking
-    objective and optimality gap there, and checks that every player's
-    cheapest path under its marginal costs uses exactly the links of the
-    target flow.  Negative-cost cycles under the designed costs mean no
-    cheapest path exists at all; that is reported as path_match False with
-    an infinite gap rather than an error.
+    Re-solves the game at start.lam from start, a solution of a nearby game
+    such as design_loop's last inner solution, and certifies a small-entropy
+    reference equilibrium by continuation down from there, as every design
+    iteration does.  Reports the tracking objective and optimality gap at
+    that reference, and checks that every player's cheapest path under its
+    marginal costs uses exactly the links of the target flow.  Negative-cost
+    cycles under the designed costs mean no cheapest path exists at all;
+    that is reported as path_match False with an infinite gap rather than
+    an error.
+
+    Raises:
+        ValueError: the objective's target does not have length p*m.
+        NumericalError: the re-solve or the certification failed.
     """
-    result, gap = _certified_reference(game, None)
-    psi = objective.evaluate(result.x)
     target = np.asarray(objective.target, dtype=float)
     if target.shape != (game.pm,):
         raise ValueError("objective target must have length p*m")
+    sol = solve_equilibrium(game, SmoothEqSettings(lam=start.lam), (start.x, start.v))
+    result, gap = _certified_reference(game, sol)
+    psi = objective.evaluate(result.x)
     path_match = True
     for i in range(game.p):
         try:

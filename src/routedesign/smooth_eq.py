@@ -8,8 +8,8 @@ piecewise-linear equilibrium conditions with a smooth square system
 which has a unique solution for lam > 0 with monotone interaction costs when
 every player has a strictly positive feasible flow.  The solver below drives
 ||F|| to tolerance with Newton's method and a backtracking line search,
-started from the exponential map at (x, v) = 0, and a lam-continuation
-wrapper for small lam.
+started from the exponential map at (x, v) = 0, and a continuation that
+halves lam down to a small target.
 
 J is a saddle-point matrix [[M, -D E^T / lam], [-E, 0]] with M = I + D C / lam
 and D the exponential-map diagonal.  Linearization factors it by that
@@ -72,32 +72,6 @@ class SmoothEqSettings:
             raise ValueError("residual_tol must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-
-
-@dataclass(frozen=True)
-class HomotopySchedule:
-    """Geometric continuation schedule in the entropy weight."""
-
-    lambda_start: float = 1.0
-    decay: float = 0.5
-    lambda_min: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lambda_start < np.inf and 0.0 < self.lambda_min < np.inf):
-            raise ValueError("entropy weights must be finite and positive")
-        if self.lambda_min > self.lambda_start:
-            raise ValueError("lambda_min cannot exceed lambda_start")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
-
-    def stages(self) -> list[float]:
-        """Entropy weights visited, ending exactly at lambda_min."""
-        out = [self.lambda_start]
-        lam = self.lambda_start
-        while lam > self.lambda_min:
-            lam = max(lam * self.decay, self.lambda_min)
-            out.append(lam)
-        return out
 
 
 @dataclass(frozen=True)
@@ -389,17 +363,17 @@ def _trial(
 
 def homotopy_solve(
     game: AtomicRoutingGame,
-    schedule: HomotopySchedule,
     settings: SmoothEqSettings,
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
     *,
+    lam_start: float = 1.0,
     strict: bool = True,
 ) -> list[EquilibriumSolution]:
     """Continuation in the entropy weight, warm-starting every re-solve.
 
-    Solves at lambda_start (from warm_start, else the cold start), then
-    repeatedly multiplies the weight by decay (clamping the final stage to
-    exactly lambda_min) and re-solves from the previous stage's solution.
+    Solves at max(lam_start, settings.lam) (from warm_start, else the cold
+    start), then repeatedly halves the weight, clamping the final stage to
+    exactly settings.lam, and re-solves from the previous stage's solution.
     Every stage uses settings with its own weight in place of settings.lam.
     Returns every stage's solution, final stage last.  With strict=False a
     stage that stalls is kept unconverged and its best iterate warm starts
@@ -407,17 +381,20 @@ def homotopy_solve(
     as its optimality gap.
 
     Raises:
+        ValueError: lam_start is not finite and positive.
         NegativeCycleError: strict, some stage failed, and some player's
             marginal costs there admit a negative-cost cycle.
         NotConvergedError: strict and some stage failed otherwise; the
             message names its weight.
         ExponentOverflowError: a stage started out of range.
     """
+    if not 0.0 < lam_start < np.inf:
+        raise ValueError("lam_start must be finite and positive")
     stages: list[EquilibriumSolution] = []
     carry = warm_start
-    for lam in schedule.stages():
-        stage_settings = replace(settings, lam=lam)
-        sol = solve_nls(game, stage_settings, warm_start=carry)
+    lam = max(lam_start, settings.lam)
+    while True:
+        sol = solve_nls(game, replace(settings, lam=lam), warm_start=carry)
         if strict and not sol.converged:
             stall = NotConvergedError(
                 f"continuation stage at lam={lam:g} stalled with residual {sol.residual_norm:.3e}"
@@ -432,8 +409,10 @@ def homotopy_solve(
                     ) from stall
             raise stall
         stages.append(sol)
+        if lam <= settings.lam:
+            return stages
         carry = (sol.x, sol.v)
-    return stages
+        lam = max(0.5 * lam, settings.lam)
 
 
 def solve_equilibrium(
@@ -462,5 +441,4 @@ def solve_equilibrium(
             sol = None
         if sol is not None and sol.converged:
             return sol
-    schedule = HomotopySchedule(lambda_start=max(1.0, settings.lam), lambda_min=settings.lam)
-    return homotopy_solve(game, schedule, settings)[-1]
+    return homotopy_solve(game, settings)[-1]

@@ -24,12 +24,7 @@ from routedesign.design import (
 from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph, grid_graph
 from routedesign.numerics import lstsq
-from routedesign.smooth_eq import (
-    HomotopySchedule,
-    SmoothEqSettings,
-    residual_F,
-    solve_nls,
-)
+from routedesign.smooth_eq import SmoothEqSettings, residual_F, solve_nls
 
 
 def random_game(rng, shape, p, rho=0.3):
@@ -194,11 +189,11 @@ def tolerant_chain(game, lam_min, lam_start=0.25):
     not depend on any stage having converged.
     """
     settings = SmoothEqSettings(lam=lam_min)
-    carry = None
-    sol = None
-    for lam in HomotopySchedule(lam_start, 0.5, lam_min).stages():
-        sol = solve_nls(game, replace(settings, lam=lam), warm_start=carry)
-        carry = (sol.x, sol.v)
+    lam = max(lam_start, lam_min)
+    sol = solve_nls(game, replace(settings, lam=lam))
+    while lam > lam_min:
+        lam = max(lam / 2.0, lam_min)
+        sol = solve_nls(game, replace(settings, lam=lam), warm_start=(sol.x, sol.v))
     return sol
 
 

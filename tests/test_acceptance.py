@@ -26,13 +26,7 @@ from routedesign.game import membership_D
 from routedesign.graph import shortest_path_cost
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import implicit_gradients, path_to_target, tracking_objective
-from routedesign.smooth_eq import (
-    HomotopySchedule,
-    SmoothEqSettings,
-    homotopy_solve,
-    jacobian_F,
-    solve_nls,
-)
+from routedesign.smooth_eq import SmoothEqSettings, homotopy_solve, jacobian_F, solve_nls
 
 
 def _report(index, label, ok, detail):
@@ -116,9 +110,7 @@ def test_criterion_03_solution_unique_across_starting_points():
         pair = []
         for eps in (0.1, 0.9):
             start = (paths + eps, np.zeros(game.dim_v))
-            sol = homotopy_solve(
-                game, HomotopySchedule(1.0, 0.5, lam), SmoothEqSettings(lam=lam), start
-            )[-1]
+            sol = homotopy_solve(game, SmoothEqSettings(lam=lam), start)[-1]
             assert sol.converged
             pair.append(sol)
         dx = float(np.max(np.abs(pair[0].x - pair[1].x)))
@@ -151,7 +143,7 @@ def test_criterion_04_implicit_gradient_matches_resolve_differences():
     # the finite-difference quotients divide solver noise by 2e-5, so both the
     # base solve and every re-solve run at a much tighter residual tolerance
     settings = SmoothEqSettings(lam=0.1, residual_tol=1e-13)
-    sol = homotopy_solve(game, HomotopySchedule(1.0, 0.5, 0.1), settings)[-1]
+    sol = homotopy_solve(game, settings)[-1]
     grads = implicit_gradients(game, sol, objective)
 
     h = 1e-5
@@ -183,11 +175,7 @@ def test_criterion_05_continuation_certifies_vanishing_gap():
     details = []
     for name in ("two_player_3x3", "four_player_5x5"):
         game = build_scenario(name).game
-        stages = homotopy_solve(
-            game,
-            HomotopySchedule(1.0, 0.5, 1e-3),
-            SmoothEqSettings(lam=1e-3),
-        )
+        stages = homotopy_solve(game, SmoothEqSettings(lam=1e-3))
         gaps = [game.nash_gap(stage.x) for stage in stages]
         assert gaps[-1] <= 1e-2, f"{name}: final gap {gaps[-1]:.2e}"
         for earlier, later in zip(gaps, gaps[1:]):
@@ -207,7 +195,7 @@ def test_criterion_06_design_drives_tracking_error_down():
         for lam, cap in ((0.01, 100), (1.0, cap_large_lam)):
             config = DesignConfig(alpha=0.005, lam=lam, max_outer_iters=cap)
             start = time.perf_counter()
-            _, _, trace = design_loop(sc.game, objective, config)
+            _, _, trace, _ = design_loop(sc.game, objective, config)
             elapsed = time.perf_counter() - start
             assert elapsed < 60.0, f"{name} lam={lam}: {elapsed:.1f}s"
             runs[(name, lam)] = [record.psi_bar for record in trace.records]
@@ -226,10 +214,10 @@ def test_criterion_06_design_drives_tracking_error_down():
 
 def test_criterion_07_designed_costs_reroute_the_players():
     sc, objective = _scenario_objective("two_player_3x3")
-    b, c_mat, _ = design_loop(sc.game, objective, DesignConfig(lam=0.01))
+    b, c_mat, _, last = design_loop(sc.game, objective, DesignConfig(lam=0.01))
     designed = sc.game.with_costs(b, c_mat, rho=0.5)
 
-    verdict = verify_design(designed, objective)
+    verdict = verify_design(designed, objective, last)
     assert verdict.path_match, "designed equilibrium is off the desired paths"
 
     reference = tolerant_chain(designed, 1e-3, lam_start=1.0)
@@ -253,7 +241,7 @@ def test_criterion_08_interaction_budget_improves_tracking():
         finals = []
         for rho in (0.0, 0.1, 0.2, 0.3):
             config = DesignConfig(alpha=0.01, lam=0.01, rho=rho)
-            _, _, trace = design_loop(sc.game, objective, config)
+            _, _, trace, _ = design_loop(sc.game, objective, config)
             finals.append(trace.records[-1].psi_bar)
         for tighter, looser in zip(finals, finals[1:]):
             assert looser <= 1.05 * tighter + 1e-9, f"{name}: finals {finals}"

@@ -190,8 +190,9 @@ def test_rho_sweep_shares_iterations_and_matches_one_design_per_value(tmp_path, 
     sweep = tmp_path / "sweep"
     assert cli.main(["sweep", *common, "--sweep-rho", ",".join(rhos), "--out", str(sweep)]) == 0
     rows = sum(len(read_rows(sweep / f"trace_rho_{rho}.csv")) - 1 for rho in rhos)
-    # every design starts from the same (b, C), so iteration 1 at least is shared
-    assert len(solves) < rows
+    # every design starts from the same (b, C), so iteration 1 at least is
+    # shared; verification adds one re-solve per design
+    assert len(solves) - len(rhos) < rows
     # each trace is the one a separate design at that radius writes, and each
     # sweep.csv row the one a separate one-value sweep writes
     single_rows = [["param", "psi_final"]]
@@ -211,8 +212,9 @@ def test_lambda_sweep_shares_no_iterations(tmp_path, monkeypatch):
     args = ["sweep", "--scenario", "two_player_3x3", "--alpha", "0.01"]
     assert cli.main([*args, "--sweep-lambda", "0.1,0.01", "--out", str(tmp_path)]) == 0
     rows = sum(len(read_rows(tmp_path / f"trace_lambda_{lam}.csv")) - 1 for lam in ("0.1", "0.01"))
-    # the entropy weight is part of every iteration's key: one solve per row
-    assert len(solves) == rows
+    # the entropy weight is part of every iteration's key: one solve per row,
+    # plus verification's one re-solve per design
+    assert len(solves) == rows + 2
 
 
 def test_sweep_reports_partial_failures_but_continues(tmp_path, capsys):

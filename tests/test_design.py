@@ -1,5 +1,7 @@
 """Parameter projections, the outer design loop, and its verification."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import dykstra_project_D
@@ -18,12 +20,7 @@ from routedesign.design import (
 from routedesign.game import membership_D
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import path_to_target, tracking_objective
-from routedesign.smooth_eq import (
-    HomotopySchedule,
-    SmoothEqSettings,
-    homotopy_solve,
-    solve_equilibrium,
-)
+from routedesign.smooth_eq import SmoothEqSettings, homotopy_solve, solve_equilibrium
 
 
 def two_player_setup():
@@ -121,7 +118,7 @@ def test_design_config_validation():
 
 def test_zero_step_design_stops_after_one_iteration():
     game, objective = two_player_setup()
-    b, c_mat, trace = design_loop(game, objective, DesignConfig(alpha=0.0, lam=0.01))
+    b, c_mat, trace, _ = design_loop(game, objective, DesignConfig(alpha=0.0, lam=0.01))
     assert len(trace.records) == 1
     assert trace.records[0].db_norm == 0.0
     assert trace.records[0].dC_norm == 0.0
@@ -131,17 +128,15 @@ def test_zero_step_design_stops_after_one_iteration():
 
 def test_design_with_target_already_at_equilibrium_exits_fast():
     game, _ = two_player_setup()
-    eq = homotopy_solve(
-        game, HomotopySchedule(1.0, 0.5, 0.01), SmoothEqSettings(lam=0.01)
-    )[-1]
-    _, _, trace = design_loop(game, tracking_objective(eq.x), DesignConfig(lam=0.01))
+    eq = homotopy_solve(game, SmoothEqSettings(lam=0.01))[-1]
+    _, _, trace, _ = design_loop(game, tracking_objective(eq.x), DesignConfig(lam=0.01))
     assert len(trace.records) <= 2
 
 
 def test_design_run_tracks_the_desired_flow():
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01)
-    b, c_mat, trace = design_loop(game, objective, cfg)
+    b, c_mat, trace, _ = design_loop(game, objective, cfg)
     records = trace.records
     assert 1 <= len(records) <= cfg.max_outer_iters
     assert records[-1].psi_bar < records[0].psi_bar
@@ -182,7 +177,7 @@ def test_every_design_iterate_stays_admissible(monkeypatch):
 def test_iteration_cap_is_honored():
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=3, epsilon=0.0)
-    _, _, trace = design_loop(game, objective, cfg)
+    _, _, trace, _ = design_loop(game, objective, cfg)
     assert len(trace.records) == 3
 
 
@@ -196,35 +191,42 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
         inner.append(sol)
         return sol
 
-    def spy_chain(game, schedule, settings, warm_start=None, **kwargs):
-        chains.append((schedule.stages(), warm_start))
-        return real_chain(game, schedule, settings, warm_start, **kwargs)
+    def spy_chain(game, settings, warm_start=None, **kwargs):
+        stages = real_chain(game, settings, warm_start, **kwargs)
+        chains.append(([s.lam for s in stages], warm_start))
+        return stages
 
     monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
     monkeypatch.setattr(design_mod, "homotopy_solve", spy_chain)
-    design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=3, epsilon=0.0))
+    cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=3, epsilon=0.0)
+    b, c_mat, _, last = design_loop(game, objective, cfg)
     assert len(inner) == 3 and len(chains) == 3
+    assert last is inner[-1]
     for sol, (stages, warm) in zip(inner, chains):
         assert stages == [0.01, 0.005, 0.0025, 0.00125, 0.001]
         assert np.array_equal(warm[0], sol.x) and np.array_equal(warm[1], sol.v)
+
+    # verification re-solves the designed game from the design's last
+    # solution and continues down from that re-solve, in one chain
+    inner.clear()
+    chains.clear()
+    verify_design(game.with_costs(b, c_mat, rho=cfg.rho), objective, last)
+    assert len(inner) == 1 and len(chains) == 1
+    stages, warm = chains[0]
+    assert stages == [0.01, 0.005, 0.0025, 0.00125, 0.001]
+    assert np.array_equal(warm[0], inner[0].x) and np.array_equal(warm[1], inner[0].v)
 
     # an inner weight below the certification weight certifies in one stage
     chains.clear()
     design_loop(game, objective, DesignConfig(alpha=0.01, lam=5e-4, max_outer_iters=1))
     assert [stages for stages, _ in chains] == [[1e-3]]
 
-    # with no inner solution to start from, verification starts cold at 1
-    chains.clear()
-    verify_design(game, objective)
-    assert len(chains) == 1
-    assert chains[0][0][0] == 1.0 and chains[0][1] is None
-
 
 def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=5, epsilon=0.0)
     memo = {}
-    b_first, c_first, first = design_loop(game, objective, cfg, memo=memo)
+    b_first, c_first, first, last_first = design_loop(game, objective, cfg, memo=memo)
     assert len(memo) == 5
     solves = []
     real_solve = design_mod.solve_equilibrium
@@ -234,9 +236,10 @@ def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
         return real_solve(*args)
 
     monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
-    b_again, c_again, again = design_loop(game, objective, cfg, memo=memo)
+    b_again, c_again, again, last_again = design_loop(game, objective, cfg, memo=memo)
     assert solves == []
     assert again.records == first.records
+    assert last_again is last_first
     assert np.array_equal(b_again, b_first) and np.array_equal(c_again, c_first)
 
 
@@ -246,20 +249,48 @@ def test_designed_four_player_game_solves_below_the_design_weight():
     sc = build_scenario("four_player_5x5")
     objective = tracking_objective(path_to_target(sc.game, sc.desired_link_paths()))
     config = DesignConfig(alpha=0.01, lam=0.01)
-    b, c_mat, _ = design_loop(sc.game, objective, config)
+    b, c_mat, _, last = design_loop(sc.game, objective, config)
     designed = sc.game.with_costs(b, c_mat, rho=config.rho)
     sol = solve_equilibrium(designed, SmoothEqSettings(lam=1e-3))
     assert sol.converged
     assert designed.nash_gap(sol.x) <= 1e-8
+    # verification from the design's last solution certifies the same point
+    verdict = verify_design(designed, objective, last)
+    assert verdict.path_match
+    assert verdict.gap <= 1e-2
+    assert verdict.psi == pytest.approx(objective.evaluate(sol.x), rel=0.0, abs=1e-9)
 
 
 def test_verify_design_rejects_the_undesigned_game():
     game, objective = two_player_setup()
-    verdict = verify_design(game, objective)
+    start = solve_equilibrium(game, SmoothEqSettings(lam=0.01))
+    verdict = verify_design(game, objective, start)
     assert not verdict.path_match
     assert verdict.gap <= 1e-2
     # both players sit on the two-link middle paths, four links off target each
     assert verdict.psi == pytest.approx(6.0, abs=0.05)
+
+
+def test_verify_design_rejects_a_bad_target_before_solving(monkeypatch):
+    game, _ = two_player_setup()
+    start = solve_equilibrium(game, SmoothEqSettings(lam=0.01))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the target")
+
+    monkeypatch.setattr(design_mod, "solve_equilibrium", no_solve)
+    monkeypatch.setattr(design_mod, "homotopy_solve", no_solve)
+    with pytest.raises(ValueError, match="length p\\*m"):
+        verify_design(game, tracking_objective(np.ones(game.pm - 1)), start)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(readme), "exec"), {})
+    # the example's design reroutes both players onto their desired paths
+    assert "path_match=True" in capsys.readouterr().out
 
 
 def test_trace_csv_header_and_determinism(tmp_path):

@@ -21,7 +21,6 @@ from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
 from routedesign.smooth_eq import (
     EquilibriumSolution,
-    HomotopySchedule,
     Linearization,
     SmoothEqSettings,
     cold_start,
@@ -65,25 +64,25 @@ def test_settings_validation():
 
 
 def test_schedule_stages_halve_and_clamp():
-    sched = HomotopySchedule(1.0, 0.5, 1e-3)
-    stages = sched.stages()
+    game = two_node_game(0.3, 0.7)
+    stages = [s.lam for s in homotopy_solve(game, SmoothEqSettings(lam=1e-3), strict=False)]
+    assert len(stages) == 11
     assert stages[0] == 1.0
     assert stages[-1] == 1e-3
     assert stages[-2] == 0.001953125
     for a, b in zip(stages, stages[1:-1]):
         assert b == a * 0.5
-    assert HomotopySchedule(0.25, 0.5, 0.25).stages() == [0.25]
+    # a start at or below the target weight solves at the target alone
+    for lam_start in (0.25, 0.1):
+        one = homotopy_solve(game, SmoothEqSettings(lam=0.25), lam_start=lam_start)
+        assert [s.lam for s in one] == [0.25]
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        HomotopySchedule(1.0, 1.5, 0.1)
-    with pytest.raises(ValueError):
-        HomotopySchedule(0.01, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        HomotopySchedule(-1.0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        HomotopySchedule(1.0, 0.5, float("nan"))
+    game = two_node_game(0.3, 0.7)
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            homotopy_solve(game, SmoothEqSettings(lam=0.1), lam_start=bad)
 
 
 def test_residual_and_jacobian_validate_inputs():
@@ -336,16 +335,15 @@ def test_unconverged_solution_is_flagged():
 
 def test_strict_continuation_names_the_stalled_stage():
     game = two_node_game(0.3, 0.7)
-    settings = SmoothEqSettings(lam=1.0, residual_tol=1e-15, max_iters=1)
+    settings = SmoothEqSettings(lam=0.5, residual_tol=1e-15, max_iters=1)
     with pytest.raises(NotConvergedError, match="lam=1"):
-        homotopy_solve(game, HomotopySchedule(1.0, 0.5, 0.5), settings)
+        homotopy_solve(game, settings)
 
 
 def test_continuation_returns_stage_list():
     game = two_node_game(0.3, 0.7)
-    sched = HomotopySchedule(1.0, 0.5, 0.01)
-    stages = homotopy_solve(game, sched, SmoothEqSettings(lam=0.01))
-    assert [s.lam for s in stages] == sched.stages()
+    stages = homotopy_solve(game, SmoothEqSettings(lam=0.01))
+    assert [s.lam for s in stages] == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01]
     assert all(isinstance(s, EquilibriumSolution) and s.converged for s in stages)
     assert stages[-1].lam == 0.01
 
@@ -375,7 +373,7 @@ def test_stalled_warm_start_falls_back_to_continuation():
     sol = solve_equilibrium(game, settings, warm)
     assert sol.converged
     assert sol.lam == 0.003
-    chain = homotopy_solve(game, HomotopySchedule(1.0, 0.5, 0.003), settings)
+    chain = homotopy_solve(game, settings)
     assert np.array_equal(sol.x, chain[-1].x)
 
 
@@ -384,7 +382,7 @@ def test_tolerant_continuation_passes_stalled_stages_on():
     settings = SmoothEqSettings(lam=0.5, residual_tol=1e-15, max_iters=1)
     with pytest.raises(NotConvergedError, match="lam=1"):
         solve_equilibrium(game, settings)
-    stages = homotopy_solve(game, HomotopySchedule(1.0, 0.5, 0.5), settings, strict=False)
+    stages = homotopy_solve(game, settings, strict=False)
     assert [s.lam for s in stages] == [1.0, 0.5]
     assert not any(s.converged for s in stages)
     assert all(s.iterations == 1 for s in stages)
