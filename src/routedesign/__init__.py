@@ -52,7 +52,6 @@ from .scenarios import SCENARIOS, Scenario, build_scenario, four_player_5x5, two
 from .sensitivity import (
     DesignObjective,
     GradientPair,
-    equilibrium_diag,
     implicit_gradients,
     path_to_target,
     tracking_objective,
@@ -98,7 +97,6 @@ __all__ = [
     "build_scenario",
     "cold_start",
     "design_loop",
-    "equilibrium_diag",
     "four_player_5x5",
     "game_from_dict",
     "game_to_dict",

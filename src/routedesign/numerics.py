@@ -1,10 +1,9 @@
-"""Dense least squares, the fallback of the equilibrium solver and the implicit gradient.
+"""Dense least squares, the fallback of every solve with the Jacobian.
 
-`lstsq` is a rank-revealing QR (LAPACK gelsy) on the dense Jacobian.  It
-gives the equilibrium solver's direction where the structured Newton step
-meets a singular J or its line search fails, and solves the implicit
-gradient's transpose system where J is singular, as it is exactly on some
-games.  It is deterministic for fixed inputs, which the CLI relies on for
+`lstsq` is a rank-revealing QR (LAPACK gelsy).  smooth_eq.Linearization
+calls it on the dense J where its factors meet a singular J, and for the
+equilibrium solver's direction when the line search along the Newton step
+fails.  It is deterministic for fixed inputs, which the CLI relies on for
 byte-identical reruns.
 """
 

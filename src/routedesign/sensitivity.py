@@ -4,12 +4,10 @@ At a solution of the smoothed system, the equilibrium flow is an implicit
 function of (b, C).  Differentiating through the system gives objective
 gradients without unrolling the solver: one solve against the transpose of
 the Jacobian the equilibrium solver linearizes, scaled by the
-exponential-map diagonal.  The solve reuses the solver's structured
-factorization (smooth_eq.Linearization.solve_T).  J is exactly singular on
-some games the load-time check accepts (a two-cycle cut off from the
-players' nodes, whose two multipliers can shift together); there the factor
-meets a zero pivot and the gradient falls back to numerics.lstsq, the
-minimum-norm rank-revealing QR on the dense J.
+exponential-map diagonal.  Both come from the solver's own linearization
+(smooth_eq.Linearization), which also answers where J is singular, as it is
+exactly on some games the load-time check accepts (a two-cycle cut off from
+the players' nodes, whose two multipliers can shift together).
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import numerics
 from .errors import BrokenPathError
 from .game import AtomicRoutingGame
-from .smooth_eq import EXP_CLAMP, EquilibriumSolution, Linearization, _exponent, jacobian_F
+from .smooth_eq import EquilibriumSolution, Linearization
 
 
 @dataclass(frozen=True)
@@ -75,16 +72,6 @@ class GradientPair:
         return np.outer(self.grad_b, self.flow)
 
 
-def equilibrium_diag(game: AtomicRoutingGame, sol: EquilibriumSolution) -> np.ndarray:
-    """Diagonal of the exponential-map linearization at a solution.
-
-    Equals the equilibrium flow itself up to the solve tolerance, since the
-    solved system pins x to the exponential map.
-    """
-    g = _exponent(game, sol.x, sol.v, sol.lam)
-    return np.exp(np.minimum(g, EXP_CLAMP))
-
-
 def implicit_gradients(
     game: AtomicRoutingGame,
     sol: EquilibriumSolution,
@@ -92,21 +79,18 @@ def implicit_gradients(
 ) -> GradientPair:
     """Objective gradients in (b, C) through the solved smoothed system.
 
-    Solves J^T z = [grad_psi(x); 0] through Linearization.solve_T, or, where
-    that meets a singular J, in the minimum-norm least-squares sense with
-    numerics.lstsq on the dense J, and returns grad_b = -(D z_x) / lam with
-    D the exponential-map diagonal; grad_C follows as the rank-1 outer
-    product with the flow.
+    Solves J^T z = [grad_psi(x); 0] through Linearization.solve_T (in the
+    minimum-norm least-squares sense where J is singular) and returns
+    grad_b = -(D z_x) / lam with D the linearization's exponential-map
+    diagonal; grad_C follows as the rank-1 outer product with the flow.
     """
     grad_x = np.asarray(objective.gradient(sol.x), dtype=float)
     if grad_x.shape != (game.pm,):
         raise ValueError("objective gradient must have length p*m")
     rhs = np.concatenate([grad_x, np.zeros(game.dim_v)])
-    z = Linearization(game, sol.x, sol.v, sol.lam).solve_T(rhs)
-    if z is None:
-        z = numerics.lstsq(jacobian_F(game, sol.x, sol.v, sol.lam).T, rhs)
-    d = equilibrium_diag(game, sol)
-    grad_b = -(d * z[: game.pm]) / sol.lam
+    lin = Linearization(game, sol.x, sol.v, sol.lam)
+    z = lin.solve_T(rhs)
+    grad_b = -(lin.d * z[: game.pm]) / sol.lam
     return GradientPair(grad_b=grad_b, flow=np.array(sol.x))
 
 

@@ -12,20 +12,20 @@ started from the exponential map at (x, v) = 0, and a continuation that
 halves lam down to a small target.
 
 J is a saddle-point matrix [[M, -D E^T / lam], [-E, 0]] with M = I + D C / lam
-and D the exponential-map diagonal.  Linearization factors it by that
-structure: Woodbury through the game's rank-revealing factor C = U W^T for
-M, then a Schur complement on the multipliers; for C of rank above pm / 2 it
-holds the LU of J^T.  The Newton step and the implicit gradient's
-transpose solve both go through it.  The structured factor is rebuilt at
-every iterate; the dense LU is kept for chord steps while they contract
-||F|| by _CHORD_RATE.  Where J is singular or the line search along the
-Newton step fails, the solver assembles J densely and searches the
-minimum-norm least-squares direction from a rank-revealing QR instead.
+and D the exponential-map diagonal.  Linearization owns every solve with J:
+by that structure (Woodbury through the game's rank-revealing factor
+C = U W^T for M, then a Schur complement on the multipliers), by the LU of
+J^T for C of rank above pm / 2, and where J is singular by the minimum-norm
+least-squares solution from a rank-revealing QR.  The Newton step, the QR
+fallback direction and the implicit gradient all go through it.  The
+structured factor is rebuilt at every iterate; the dense LU is kept for
+chord steps while they contract ||F|| by _CHORD_RATE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg.lapack
@@ -139,7 +139,10 @@ def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
         raise ValueError("lam must be finite and positive")
     if x.shape != (game.pm,) or v.shape != (game.dim_v,):
         raise ValueError("bad flow or multiplier length")
-    d = _map_diag(game, x, v, lam)
+    return _assemble_jacobian(game, _map_diag(game, x, v, lam), lam)
+
+
+def _assemble_jacobian(game: AtomicRoutingGame, d: np.ndarray, lam: float) -> np.ndarray:
     pm, k = game.pm, game.pm + game.dim_v
     jac = np.zeros((k, k))
     top_left, top_right = jac[:pm, :pm], jac[:pm, pm:]
@@ -166,23 +169,24 @@ class Linearization:
     pivoting on J^T picks its pivots along the rows of J, a choice that
     their scale, set mostly by D, does not change.
 
-    solve and solve_T return None when a factor met a zero pivot or the
-    result is not finite; J is then (numerically) singular.
+    Where a factor met a zero pivot or a result is not finite, J is
+    singular, and solves return numerics.lstsq on the dense J assembled
+    from d, the kept map diagonal; a dense LU is released for good first.
 
     Raises:
         ExponentOverflowError: the exponent at (x, v) is out of range.
     """
 
     def __init__(self, game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> None:
-        self._pm = game.pm
-        self._e = game.e_blk
+        self._game = game
+        self._lam = lam
+        self.d = d = _map_diag(game, x, v, lam)
+        self._dense = self._schur = None
         factor = game.cost_factor
         if factor is None:
-            self._dense = _lu(jacobian_F(game, x, v, lam).T)
+            self._dense = _lu(_assemble_jacobian(game, d, lam).T)
             return
-        self._dense = None
         u, w = factor
-        d = _map_diag(game, x, v, lam)
         self._woodbury = None
         if u.shape[1] > 0:
             a = d[:, None] * u
@@ -190,31 +194,53 @@ class Linearization:
         self._m_inv_b = self._m_inv(game.e_blk.T * (d / lam)[:, None])
         self._schur = _lu(game.e_blk @ self._m_inv_b)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """d with J d = rhs, or None."""
-        if self._dense is not None:
-            return _lu_solve(self._dense, rhs, trans=1)
-        pm = self._pm
-        y = self._m_inv(rhs[:pm])
-        dv = _lu_solve(self._schur, -(rhs[pm:] + self._e @ y))
-        if dv is None:
-            return None
-        return _finite(np.concatenate([y + self._m_inv_b @ dv, dv]))
+    @property
+    def holds_dense_lu(self) -> bool:
+        """Whether this holds a dense LU of J, worth keeping for chord steps."""
+        return self._dense is not None
 
-    def solve_T(self, rhs: np.ndarray) -> np.ndarray | None:
-        """z with J^T z = rhs, or None."""
-        if self._dense is not None:
-            return _lu_solve(self._dense, rhs)
-        pm = self._pm
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """d with J d = rhs; the least-squares solution where J is singular."""
+        return next(self.directions(rhs))
+
+    def solve_T(self, rhs: np.ndarray) -> np.ndarray:
+        """z with J^T z = rhs; the least-squares solution where J is singular."""
+        z = self._factored_solve(rhs, trans=1)
+        return self._least_squares(rhs, trans=1) if z is None else z
+
+    def directions(self, rhs: np.ndarray) -> Iterator[np.ndarray]:
+        """Steps for J d = rhs: the factored solve unless J is singular, then
+        the least-squares solution, computed only when asked for."""
+        step = self._factored_solve(rhs, trans=0)
+        if step is not None:
+            yield step
+        yield self._least_squares(rhs, trans=0)
+
+    def _factored_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray | None:
+        # None where J is singular
+        if self._schur is None:  # the dense route; no LU once released
+            return None if self._dense is None else _lu_solve(self._dense, rhs, trans=1 - trans)
+        pm, e = self._game.pm, self._game.e_blk
+        if trans == 0:
+            y = self._m_inv(rhs[:pm])
+            dv = _lu_solve(self._schur, -(rhs[pm:] + e @ y))
+            if dv is None:
+                return None
+            return _finite(np.concatenate([y + self._m_inv_b @ dv, dv]))
         zv = _lu_solve(self._schur, -(rhs[pm:] + self._m_inv_b.T @ rhs[:pm]), trans=1)
         if zv is None:
             return None
-        return _finite(np.concatenate([self._m_inv(rhs[:pm] + self._e.T @ zv, trans=1), zv]))
+        return _finite(np.concatenate([self._m_inv(rhs[:pm] + e.T @ zv, trans=1), zv]))
+
+    def _least_squares(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        self._dense = None  # free the LU before assembling the dense J
+        jac = _assemble_jacobian(self._game, self.d, self._lam)
+        return numerics.lstsq(jac.T if trans else jac, rhs)
 
     def _m_inv(self, y: np.ndarray, trans: int = 0) -> np.ndarray:
         # M^-1 y, or M^-T y = y - W K^-T A^T y with trans=1; y may be a
-        # matrix.  A singular K leaves non-finite values, which solve and
-        # solve_T report as None.
+        # matrix.  A singular K leaves non-finite values, which send the
+        # solves to least squares.
         if self._woodbury is None:
             return y
         a, w, (lu, piv, _) = self._woodbury
@@ -251,23 +277,21 @@ def solve_nls(
     game: AtomicRoutingGame,
     settings: SmoothEqSettings,
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
-    trace: list[float] | None = None,
 ) -> EquilibriumSolution:
     """Solve the smoothed system by Newton's method with backtracking.
 
-    Starts from the given warm start, else from cold_start(game, lam).  On
-    the dense route (game.cost_factor is None), an iteration that cut ||F||
-    by at least the factor _CHORD_RATE keeps its dense LU, and the next
-    iteration first takes the full chord step from it with the new residual;
-    it accepts that step only if ||F|| falls by the factor again.  Any other
-    iteration factors J afresh (Linearization) and tries at most two
-    directions, each with an Armijo line search on ||F||: the Newton step
-    J d = -F, unless a factor has a zero pivot or the step is not finite,
-    and, when that search fails, the minimum-norm least-squares step
-    numerics.lstsq(J, -F) on the dense J.  Trial points whose exponent
-    overflows count as failed steps.  iterations counts chord steps too.
-    Returns the incumbent with converged=False when both searches fail or
-    the iteration budget runs out.
+    Starts from the given warm start, else from cold_start(game, lam).  An
+    iteration whose linearization holds a dense LU and cut ||F|| by at least
+    the factor _CHORD_RATE keeps it, and the next iteration first takes the
+    full chord step from it with the new residual; it accepts that step
+    only if ||F|| falls by the factor again.  Any other iteration factors J
+    afresh (Linearization) and tries its directions in turn, each with an
+    Armijo line search on ||F||: the Newton step J d = -F, and, when J is
+    singular or that search fails, the minimum-norm least-squares step.
+    Trial points whose exponent overflows count as failed steps.
+    iterations counts chord steps too.  Returns the incumbent with
+    converged=False when every search fails or the iteration budget runs
+    out.
 
     Raises:
         ExponentOverflowError: the starting point itself overflows.
@@ -280,37 +304,27 @@ def solve_nls(
     resid = residual_F(game, x, v, settings.lam)
     norm = float(np.linalg.norm(resid))
     iterations = 0
-    if trace is not None:
-        trace.append(norm)
 
     lin = None  # a dense LU kept while its steps contract
     while norm > settings.residual_tol and iterations < settings.max_iters:
         iterations += 1
         found = None
         if lin is not None:
-            step = lin.solve(-resid)
-            found = None if step is None else _trial(game, settings.lam, x, v, step, 1.0)
+            found = _trial(game, settings.lam, x, v, lin.solve(-resid), 1.0)
             if found is not None and found[3] > _CHORD_RATE * norm:
                 found = None
         if found is None:
             lin = None  # release the stale LU before factoring afresh
             lin = Linearization(game, x, v, settings.lam)
-            step = lin.solve(-resid)
-            if game.cost_factor is not None:
-                lin = None  # structured factors are rebuilt at every iterate
-            found = None if step is None else _line_search(game, settings.lam, x, v, norm, step)
-            if found is None:
-                lin = None  # its step failed; free the LU before the dense QR
-                step = numerics.lstsq(jacobian_F(game, x, v, settings.lam), -resid)
+            for step in lin.directions(-resid):
                 found = _line_search(game, settings.lam, x, v, norm, step)
-        if found is not None:
-            if found[3] > _CHORD_RATE * norm:
-                lin = None
-            x, v, resid, norm = found
-        if trace is not None:
-            trace.append(norm)
+                if found is not None:
+                    break
         if found is None:
             break
+        if found[3] > _CHORD_RATE * norm or not lin.holds_dense_lu:
+            lin = None
+        x, v, resid, norm = found
 
     return EquilibriumSolution(
         x=x,

@@ -91,7 +91,6 @@ def assert_structured_step_is_dense_lu_step(game, x, v, lam):
     # where J is near singular the two LU factorizations need not agree;
     # elsewhere they agree to about cond(J) * eps
     if np.linalg.cond(jac) <= 1e6:
-        assert step is not None
         dense = np.linalg.solve(jac, rhs)
         assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 

@@ -10,12 +10,11 @@ from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import (
     DesignObjective,
-    equilibrium_diag,
     implicit_gradients,
     path_to_target,
     tracking_objective,
 )
-from routedesign.smooth_eq import SmoothEqSettings, jacobian_F, solve_nls
+from routedesign.smooth_eq import Linearization, SmoothEqSettings, solve_nls
 
 
 def solved_two_node(lam=0.5, residual_tol=1e-10):
@@ -41,9 +40,11 @@ def test_tracking_objective_values_and_gradient():
         obj.target[0] = 9.0
 
 
-def test_equilibrium_diag_equals_flow_at_solution():
+def test_linearization_diag_equals_flow_at_solution():
+    # the diagonal the gradient scales by is the flow, up to the solve
+    # tolerance, since the solved system pins x to the exponential map
     game, sol = solved_two_node()
-    assert np.allclose(equilibrium_diag(game, sol), sol.x, atol=1e-9)
+    assert np.allclose(Linearization(game, sol.x, sol.v, sol.lam).d, sol.x, atol=1e-9)
 
 
 def test_gradient_vanishes_when_target_is_met():
@@ -88,14 +89,24 @@ def test_grad_C_is_the_exact_outer_product():
 
 
 def test_gradient_matches_the_direct_transpose_solve():
+    # D and J straight from the residual's definition,
+    # F = [x - exp((E^T v - b - C x) / lam - 1);  s - E x],
+    # so this oracle shares no code with the gradient
     game, sol = solved_two_node()
     obj = tracking_objective(np.array([0.5, 0.5]))
-    via_lstsq = implicit_gradients(game, sol, obj)
-    jac = jacobian_F(game, sol.x, sol.v, sol.lam)
+    grads = implicit_gradients(game, sol, obj)
+    e, c_mat, lam = game.e_blk, game.costs.C, sol.lam
+    d = np.exp((e.T @ sol.v - game.costs.b - c_mat @ sol.x) / lam - 1.0)
+    jac = np.block(
+        [
+            [np.eye(game.pm) + d[:, None] * c_mat / lam, -d[:, None] * e.T / lam],
+            [-e, np.zeros((game.dim_v, game.dim_v))],
+        ]
+    )
     rhs = np.concatenate([obj.gradient(sol.x), np.zeros(game.dim_v)])
     z = np.linalg.solve(jac.T, rhs)
-    via_exact = -(equilibrium_diag(game, sol) * z[: game.pm]) / sol.lam
-    assert np.allclose(via_lstsq.grad_b, via_exact, atol=1e-9)
+    via_exact = -(d * z[: game.pm]) / lam
+    assert np.allclose(grads.grad_b, via_exact, atol=1e-9)
 
 
 def test_objective_gradient_shape_is_validated():

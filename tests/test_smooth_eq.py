@@ -1,6 +1,8 @@
 """Smoothed equilibrium system: residual, Jacobian, solver, continuation."""
 
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,63 +169,89 @@ def test_warm_start_at_solution_returns_immediately():
     assert again.iterations == 0
 
 
+def _replay(game, settings, counts):
+    """||F|| before the first iteration of solve_nls and after each, and
+    what each iteration added to counts.
+
+    The solver is deterministic, so a run capped at k iterations repeats the
+    first k iterations of the uncapped run, and a run whose tolerance the
+    start already meets takes none.  counts is a Counter that patched
+    internals increment; iteration k added the difference between the
+    capped runs at k and k - 1.
+    """
+    sol = solve_nls(game, settings)
+    caps = [replace(settings, residual_tol=1e300)]
+    caps += [replace(settings, max_iters=k) for k in range(1, sol.iterations + 1)]
+    norms, added, before = [], [], None
+    for cap in caps:
+        counts.clear()
+        norms.append(solve_nls(game, cap).residual_norm)
+        if before is not None:
+            added.append(counts - before)
+        before = Counter(counts)
+    assert norms[-1] == sol.residual_norm
+    return sol, norms, added
+
+
 def test_solver_trace_is_monotone():
     game = two_node_game(0.3, 0.7)
-    trace = []
-    sol = solve_nls(game, SmoothEqSettings(lam=0.2), trace=trace)
+    sol, norms, _ = _replay(game, SmoothEqSettings(lam=0.2), Counter())
     assert sol.converged
-    assert len(trace) >= 2
-    assert all(b <= a for a, b in zip(trace, trace[1:]))
-    assert trace[-1] <= 1e-10
+    assert len(norms) >= 2
+    assert all(b <= a for a, b in zip(norms, norms[1:]))
+    assert norms[-1] <= 1e-10
 
 
 def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
     # one factorization per iteration, however many step lengths it tries;
     # the dense J is assembled only on iterations that take the QR fallback.
-    # Both games have C = 0, so they take the structured route, which keeps
-    # no factor for chord steps
-    trace = []
-    log = []
+    # All three games have C = 0, so they take the structured route, which
+    # keeps no factor for chord steps
+    counts = Counter()
     evaluate = smooth_eq.residual_F
-    assemble = smooth_eq.jacobian_F
+    assemble = smooth_eq._assemble_jacobian
 
     class CountingLinearization(Linearization):
         def __init__(self, *args):
-            log.append(("factor", len(trace)))  # the number of the iteration under way
+            counts["factor"] += 1
             super().__init__(*args)
 
     def counting_jacobian(*args):
-        log.append(("jacobian", len(trace)))
+        counts["jacobian"] += 1
         return assemble(*args)
 
     def counting_residual(*args):
-        log.append(("residual", len(trace)))
+        counts["residual"] += 1
         return evaluate(*args)
 
     monkeypatch.setattr(smooth_eq, "Linearization", CountingLinearization)
-    monkeypatch.setattr(smooth_eq, "jacobian_F", counting_jacobian)
+    monkeypatch.setattr(smooth_eq, "_assemble_jacobian", counting_jacobian)
     monkeypatch.setattr(smooth_eq, "residual_F", counting_residual)
 
-    def calls(kind):
-        return [k for name, k in log if name == kind]
-
     game = two_route_game(np.array([0.2, 0.1, 0.2, 0.7]))
-    sol = solve_nls(game, SmoothEqSettings(lam=0.01), trace=trace)
+    sol, norms, added = _replay(game, SmoothEqSettings(lam=0.01), counts)
     assert sol.converged
-    assert all(b < a for a, b in zip(trace, trace[1:]))
-    assert calls("factor") == list(range(1, sol.iterations + 1))
-    assert calls("jacobian") == []
-    residuals = calls("residual")
-    assert any(residuals.count(k) > 1 for k in range(1, sol.iterations + 1))
+    assert all(b < a for a, b in zip(norms, norms[1:]))
+    assert [c["factor"] for c in added] == [1] * sol.iterations
+    assert [c["jacobian"] for c in added] == [0] * sol.iterations
+    assert any(c["residual"] > 1 for c in added)
 
     # J is singular on this game, so every iteration falls back to QR
     game, _ = solved_detached_two_cycle()
-    trace.clear()
-    log.clear()
-    sol = solve_nls(game, SmoothEqSettings(lam=0.2, residual_tol=1e-13), trace=trace)
+    sol, _, added = _replay(game, SmoothEqSettings(lam=0.2, residual_tol=1e-13), counts)
     assert sol.converged
-    assert calls("factor") == list(range(1, sol.iterations + 1))
-    assert calls("jacobian") == list(range(1, sol.iterations + 1))
+    assert [c["factor"] for c in added] == [1] * sol.iterations
+    assert [c["jacobian"] for c in added] == [1] * sol.iterations
+
+    # from the cold start neither direction's line search gets anywhere: the
+    # one iteration tries the Newton step, then the QR direction, once
+    game = build_scenario("two_player_3x3").game
+    counts.clear()
+    stalled = solve_nls(game, SmoothEqSettings(lam=0.003), warm_start=cold_start(game, 0.003))
+    assert not stalled.converged
+    assert stalled.iterations == 1
+    assert counts["factor"] == 1
+    assert counts["jacobian"] == 1
 
 
 def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
@@ -233,31 +261,28 @@ def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
     game = base.with_costs(base.costs.b, c_mat)
     assert game.cost_factor is None  # rank above pm / 2: the dense-LU route
     settings = SmoothEqSettings(lam=0.01)
-    trace = []
-    factored = []
+    counts = Counter()
 
     class CountingLinearization(Linearization):
         def __init__(self, *args):
-            factored.append(len(trace))  # the number of the iteration under way
+            counts["factor"] += 1
             super().__init__(*args)
 
     monkeypatch.setattr(smooth_eq, "Linearization", CountingLinearization)
-    sol = solve_nls(game, settings, trace=trace)
+    sol, norms, added = _replay(game, settings, counts)
     assert sol.converged
-    assert len(factored) < sol.iterations
+    assert sum(c["factor"] for c in added) < sol.iterations
     # an iteration that did not factor took a chord step, which must have
     # cut ||F|| by the chord rate
-    for k in range(1, sol.iterations + 1):
-        if k not in factored:
-            assert trace[k] <= smooth_eq._CHORD_RATE * trace[k - 1]
+    for k, c in enumerate(added, start=1):
+        if c["factor"] == 0:
+            assert norms[k] <= smooth_eq._CHORD_RATE * norms[k - 1]
 
     # without chord steps every iteration factors, and the solutions agree
     monkeypatch.setattr(smooth_eq, "_CHORD_RATE", 0.0)
-    factored.clear()
-    trace.clear()
-    newton = solve_nls(game, settings, trace=trace)
+    newton, _, added = _replay(game, settings, counts)
     assert newton.converged
-    assert factored == list(range(1, newton.iterations + 1))
+    assert [c["factor"] for c in added] == [1] * newton.iterations
     assert np.max(np.abs(sol.x - newton.x)) <= 1e-8
 
 
@@ -278,7 +303,6 @@ def _assert_structured_solves_match_dense(game, sol):
             (lin.solve(rhs), np.linalg.solve(jac, rhs)),
             (lin.solve_T(rhs), np.linalg.solve(jac.T, rhs)),
         ):
-            assert got is not None
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -310,12 +334,23 @@ def test_linearization_matches_dense_solves_with_dense_interaction():
     _assert_structured_solves_match_dense(game, sol)
 
 
-def test_linearization_reports_a_singular_jacobian():
+def test_linearization_solves_a_singular_jacobian_by_least_squares():
     game, sol = solved_detached_two_cycle()
-    lin = Linearization(game, sol.x, sol.v, sol.lam)
-    rhs = np.ones(game.pm + game.dim_v)
-    assert lin.solve(rhs) is None
-    assert lin.solve_T(rhs) is None
+    # the same graph with a full-rank C takes the dense-LU route instead
+    rng = np.random.default_rng(0)
+    c_mat = project_D(rng.uniform(-0.5, 0.5, size=(game.pm, game.pm)), 0.5, game.m)
+    dense = game.with_costs(game.costs.b, c_mat)
+    assert dense.cost_factor is None
+    dense_sol = solve_nls(dense, SmoothEqSettings(lam=sol.lam, residual_tol=1e-13))
+    assert dense_sol.converged
+    for game, sol in ((game, sol), (dense, dense_sol)):
+        jac = jacobian_F(game, sol.x, sol.v, sol.lam)
+        assert np.linalg.matrix_rank(jac) == jac.shape[0] - 1
+        lin = Linearization(game, sol.x, sol.v, sol.lam)
+        rhs = np.ones(jac.shape[0])
+        assert np.linalg.norm(lin.solve(rhs) - np.linalg.pinv(jac) @ rhs) <= 1e-9
+        assert np.linalg.norm(lin.solve_T(rhs) - np.linalg.pinv(jac.T) @ rhs) <= 1e-9
+        assert not lin.holds_dense_lu
 
 
 def test_overflowing_start_raises():
