@@ -17,7 +17,6 @@ from .design import (
     design_loop,
     project_B,
     project_D,
-    verify_design,
 )
 from .errors import (
     BrokenPathError,
@@ -120,5 +119,4 @@ __all__ = [
     "stranded_links",
     "tracking_objective",
     "two_player_3x3",
-    "verify_design",
 ]

@@ -28,13 +28,9 @@ import sys
 import time
 from pathlib import Path
 
-from .design import (
-    DesignConfig,
-    DesignTrace,
-    DesignVerification,
-    design_loop,
-    verify_design,
-)
+import numpy as np
+
+from .design import DesignConfig, DesignTrace, DesignVerification, design_loop
 from .errors import NumericalError, RouteDesignError
 from .game import AtomicRoutingGame, game_to_dict, load_game_file
 from .graph import path_links
@@ -178,9 +174,8 @@ def _run_design(
     desired: list[list[int]] | None,
     config: DesignConfig,
     memo: dict | None = None,
-) -> tuple[DesignTrace, AtomicRoutingGame, DesignVerification, float]:
-    """Design, then verify the designed game from the design's last inner
-    solution; also returns the design's wall time.
+) -> tuple[np.ndarray, np.ndarray, DesignTrace, DesignVerification, float]:
+    """design_loop's designed (b, C), trace and verdict, and its wall time.
 
     memo is design_loop's iteration memo, shared by the designs of one sweep.
     """
@@ -191,19 +186,18 @@ def _run_design(
     target = path_to_target(game, desired)
     objective = tracking_objective(target)
     start = time.perf_counter()
-    b, c_mat, trace, last = design_loop(game, objective, config, memo=memo)
-    wall = time.perf_counter() - start
-    designed = game.with_costs(b, c_mat, rho=config.rho)
-    return trace, designed, verify_design(designed, objective, last), wall
+    b, c_mat, trace, verdict = design_loop(game, objective, config, memo=memo)
+    return b, c_mat, trace, verdict, time.perf_counter() - start
 
 
 def cmd_design(args: argparse.Namespace) -> int:
     game, desired = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace, designed, verdict, wall = _run_design(game, desired, _design_config(args, game))
+    config = _design_config(args, game)
+    b, c_mat, trace, verdict, wall = _run_design(game, desired, config)
     trace.write_csv(out / "trace.csv")
-    payload = game_to_dict(designed)
+    payload = game_to_dict(game.with_costs(b, c_mat, rho=config.rho))
     payload["desired_paths"] = _desired_paths_payload(game, desired)
     _write_json(out / "designed_game.json", payload)
     print(
@@ -236,22 +230,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         param, field = "rho", "rho"
         values = _parse_sweep_values(args.sweep_rho, "--sweep-rho")
-    # every config is validated before the first design runs
+    # every config and trace file name is validated before the first design runs
     configs = [_design_config(args, game, **{field: value}) for value in values]
+    trace_names: dict[str, float] = {}
+    for value in values:
+        name = f"trace_{param}_{value:g}.csv"
+        if name in trace_names:
+            raise ValueError(f"{param} values {trace_names[name]!r} and {value!r} both write {name}")
+        trace_names[name] = value
     rows: list[tuple[float, float]] = []
     failures = 0
     # every design starts from the same (b, C); designs that share iterations
     # before their paths part compute them once
     memo: dict = {}
-    for value, config in zip(values, configs):
+    for value, config, trace_name in zip(values, configs, trace_names):
         try:
-            trace, _, verdict, _ = _run_design(game, desired, config, memo)
+            _, _, trace, verdict, _ = _run_design(game, desired, config, memo)
         except NumericalError as exc:
             print(f"sweep {param}={value:g} failed: {exc}", file=sys.stderr)
             rows.append((value, float("nan")))
             failures += 1
             continue
-        trace_name = f"trace_{param}_{value:g}.csv"
         trace.write_csv(out / trace_name)
         rows.append((value, verdict.psi))
         print(f"sweep {param}={value:g}: psi={verdict.psi:.6f} gap={verdict.gap:.6f}")

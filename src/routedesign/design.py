@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -210,7 +211,7 @@ def design_loop(
     config: DesignConfig,
     *,
     memo: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, DesignTrace, EquilibriumSolution]:
+) -> tuple[np.ndarray, np.ndarray, DesignTrace, DesignVerification]:
     """Approximate projected gradient descent on the cost parameters.
 
     Starts from b = delta * 1 and C = 0 and repeats: solve the smoothed game
@@ -220,9 +221,13 @@ def design_loop(
     config.epsilon or the iteration cap is reached.  Every iteration logs the
     objective both at the inner solution and at a certified small-entropy
     reference equilibrium, reached by continuation down from that inner
-    solution, alongside that reference's optimality gap.  Returns the last
-    (b, C), the trace, and the last inner solution, which solves the game
-    before the last step and is where verify_design starts.
+    solution, alongside that reference's optimality gap.
+
+    One more iteration, not logged, verifies the designed game: its reference
+    gives the verdict's objective and gap, and path_match holds when every
+    player's cheapest path under the marginal costs there uses exactly the
+    target's links (False under a negative-cost cycle, whose gap is inf).
+    Returns the designed (b, C), the trace and the verdict.
 
     memo, when given, maps a digest of an iteration's inputs (config.lam, the
     objective's target, b, C and the inner warm start) to that iteration's
@@ -238,17 +243,22 @@ def design_loop(
     design that reaches one raises.
 
     Raises:
+        ValueError: the objective's target does not have length p*m.
         NotConvergedError: an inner solve failed; the message names the
             outer iteration.
     """
     pm = game.pm
+    target = np.asarray(objective.target, dtype=float)
+    if target.shape != (pm,):
+        raise ValueError("objective target must have length p*m")
     b = np.full(pm, config.delta)
     c_mat = np.zeros((pm, pm))
     settings = SmoothEqSettings(lam=config.lam)
     trace = DesignTrace()
     inner_warm: tuple[np.ndarray, np.ndarray] | None = None
+    final = False
 
-    for outer in range(1, config.max_outer_iters + 1):
+    for outer in itertools.count(1):
         key = None if memo is None else _iteration_key(config, objective, b, c_mat, inner_warm)
         if key is not None and key in memo:
             sol, reference, gap, grads = memo[key]
@@ -262,6 +272,8 @@ def design_loop(
             grads = implicit_gradients(current, sol, objective)
             if key is not None:
                 memo[key] = (sol, reference, gap, grads)
+        if final:
+            break
         inner_warm = (sol.x, sol.v)
 
         b_next = project_B(b - config.alpha * grads.grad_b, config.delta)
@@ -280,48 +292,22 @@ def design_loop(
             )
         )
         b, c_mat = b_next, c_next
-        if max(db_norm, dc_norm) < config.epsilon:
-            break
+        final = max(db_norm, dc_norm) < config.epsilon or outer == config.max_outer_iters
 
-    return b, c_mat, trace, sol
+    # a memo hit builds no game, so the designed one is built here
+    designed = game.with_costs(b, c_mat, rho=config.rho)
+    path_match = _paths_match(designed, reference.x, target)
+    return b, c_mat, trace, DesignVerification(objective.evaluate(reference.x), gap, path_match)
 
 
-def verify_design(
-    game: AtomicRoutingGame,
-    objective: DesignObjective,
-    start: EquilibriumSolution,
-) -> DesignVerification:
-    """Certify a designed game against its target flow.
-
-    Re-solves the game at start.lam from start, a solution of a nearby game
-    such as design_loop's last inner solution, and certifies a small-entropy
-    reference equilibrium by continuation down from there, as every design
-    iteration does.  Reports the tracking objective and optimality gap at
-    that reference, and checks that every player's cheapest path under its
-    marginal costs uses exactly the links of the target flow.  Negative-cost
-    cycles under the designed costs mean no cheapest path exists at all;
-    that is reported as path_match False with an infinite gap rather than
-    an error.
-
-    Raises:
-        ValueError: the objective's target does not have length p*m.
-        NumericalError: the re-solve or the certification failed.
-    """
-    target = np.asarray(objective.target, dtype=float)
-    if target.shape != (game.pm,):
-        raise ValueError("objective target must have length p*m")
-    sol = solve_equilibrium(game, SmoothEqSettings(lam=start.lam), (start.x, start.v))
-    result, gap = _certified_reference(game, sol)
-    psi = objective.evaluate(result.x)
-    path_match = True
+def _paths_match(game: AtomicRoutingGame, x: np.ndarray, target: np.ndarray) -> bool:
+    """Whether every player's cheapest path under its marginal costs at x
+    uses exactly the links the target flow puts above one half."""
     for i in range(game.p):
         try:
-            _, best = game.best_response_path(result.x, i)
+            _, best = game.best_response_path(x, i)
         except NegativeCycleError:
-            path_match = False
-            break
-        want = target[game.player_slice(i)] > 0.5
-        if not np.array_equal(best > 0.5, want):
-            path_match = False
-            break
-    return DesignVerification(psi=psi, gap=gap, path_match=path_match)
+            return False
+        if not np.array_equal(best > 0.5, target[game.player_slice(i)] > 0.5):
+            return False
+    return True

@@ -9,6 +9,7 @@ m entries.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -282,6 +283,13 @@ def game_to_dict(game: AtomicRoutingGame) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    """A node index or count from a game document: no float, string or bool."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def game_from_dict(data: dict) -> AtomicRoutingGame:
     """Build a game from the JSON wire schema.
 
@@ -289,7 +297,8 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
     desired paths.
 
     Raises:
-        ValueError: missing keys, malformed shapes, or invalid indices.
+        ValueError: missing keys, malformed shapes, or node indices that are
+            not integers or lie out of range.
         UnreachableError: some player has no strictly positive feasible flow;
             the message names nodes and links 1-based, as the document does.
     """
@@ -297,16 +306,17 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
         raise ValueError("game document must be a JSON object")
     try:
         graph_block = data["graph"]
-        n = int(graph_block["n"])
-        file_links = [(int(t), int(h)) for t, h in graph_block["links"]]
+        n = _integer(graph_block["n"], "n")
+        file_links = [(_integer(t, "links"), _integer(h, "links")) for t, h in graph_block["links"]]
         players = [
-            Player(int(p["origin"]) - 1, int(p["destination"]) - 1) for p in data["players"]
+            Player(_integer(p["origin"], "origin") - 1, _integer(p["destination"], "destination") - 1)
+            for p in data["players"]
         ]
         b = np.asarray(data["b"], dtype=float)
         c = np.asarray(data["C"], dtype=float)
         rho = float(data["rho"])
     except (KeyError, TypeError, OverflowError) as exc:
-        # OverflowError: int() of a number like 1e999, which JSON reads as inf
+        # OverflowError: float() of an integer beyond the float range
         raise ValueError(f"malformed game document: {exc}") from exc
     for tail, head in file_links:
         if not (1 <= tail <= n and 1 <= head <= n):
@@ -337,8 +347,8 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
     if desired is None:
         return game, None
     try:
-        paths = [[int(node) for node in nodes] for nodes in desired]
-    except (TypeError, OverflowError) as exc:
+        paths = [[_integer(node, "desired_paths") for node in nodes] for nodes in desired]
+    except TypeError as exc:
         raise ValueError(f"malformed desired_paths: {exc}") from exc
     if len(paths) != game.p:
         raise ValueError("desired_paths must list one node path per player")

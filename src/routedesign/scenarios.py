@@ -1,6 +1,6 @@
 """Built-in grid-world scenarios with baked-in desired detour paths.
 
-Both scenarios start from uniform link offsets (b = delta) and no interaction
+Both scenarios start from uniform link offsets (b = DELTA) and no interaction
 (C = 0), so the undesigned equilibrium sends every player down its shortest
 corridor.  The desired paths route the players around each other instead; the
 design loop's job is to make those detours the equilibrium.
@@ -14,6 +14,9 @@ import numpy as np
 
 from .game import AtomicRoutingGame, CostParams, Player
 from .graph import grid_graph, path_links
+
+DELTA = 0.1
+RHO = 0.5
 
 
 @dataclass(frozen=True)
@@ -32,10 +35,10 @@ class Scenario:
         return [path_links(self.game.graph, list(p)) for p in self.original_node_paths]
 
 
-def _build(name, graph, players, desired, original, delta, rho) -> Scenario:
+def _build(name, graph, players, desired, original) -> Scenario:
     pm = len(players) * graph.m
-    costs = CostParams(np.full(pm, delta), np.zeros((pm, pm)))
-    game = AtomicRoutingGame(graph, players, costs, rho=rho)
+    costs = CostParams(np.full(pm, DELTA), np.zeros((pm, pm)))
+    game = AtomicRoutingGame(graph, players, costs, rho=RHO)
     return Scenario(
         name=name,
         game=game,
@@ -44,7 +47,7 @@ def _build(name, graph, players, desired, original, delta, rho) -> Scenario:
     )
 
 
-def two_player_3x3(delta: float = 0.1, rho: float = 0.5) -> Scenario:
+def two_player_3x3() -> Scenario:
     """Two opposing players on a 3x3 grid.
 
     Player 0 goes middle-left to middle-right, player 1 the reverse.  Both
@@ -61,10 +64,10 @@ def two_player_3x3(delta: float = 0.1, rho: float = 0.5) -> Scenario:
         (3, 4, 5),
         (5, 4, 3),
     ]
-    return _build("two_player_3x3", graph, players, desired, original, delta, rho)
+    return _build("two_player_3x3", graph, players, desired, original)
 
 
-def four_player_5x5(delta: float = 0.1, rho: float = 0.5) -> Scenario:
+def four_player_5x5() -> Scenario:
     """Four players crossing a 5x5 grid through its center.
 
     Two horizontal players traverse the middle row in opposite directions and
@@ -87,7 +90,7 @@ def four_player_5x5(delta: float = 0.1, rho: float = 0.5) -> Scenario:
         (7, 12, 17),
         (17, 12, 7),
     ]
-    return _build("four_player_5x5", graph, players, desired, original, delta, rho)
+    return _build("four_player_5x5", graph, players, desired, original)
 
 
 SCENARIOS = {
@@ -96,7 +99,7 @@ SCENARIOS = {
 }
 
 
-def build_scenario(name: str, delta: float = 0.1, rho: float = 0.5) -> Scenario:
+def build_scenario(name: str) -> Scenario:
     """Look up a scenario builder by name.
 
     Raises:
@@ -107,4 +110,4 @@ def build_scenario(name: str, delta: float = 0.1, rho: float = 0.5) -> Scenario:
     except KeyError:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {name!r} (known: {known})") from None
-    return builder(delta=delta, rho=rho)
+    return builder()

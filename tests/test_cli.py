@@ -191,7 +191,7 @@ def test_rho_sweep_shares_iterations_and_matches_one_design_per_value(tmp_path, 
     assert cli.main(["sweep", *common, "--sweep-rho", ",".join(rhos), "--out", str(sweep)]) == 0
     rows = sum(len(read_rows(sweep / f"trace_rho_{rho}.csv")) - 1 for rho in rhos)
     # every design starts from the same (b, C), so iteration 1 at least is
-    # shared; verification adds one re-solve per design
+    # shared; each design's final, verifying iteration adds one solve at most
     assert len(solves) - len(rhos) < rows
     # each trace is the one a separate design at that radius writes, and each
     # sweep.csv row the one a separate one-value sweep writes
@@ -213,8 +213,19 @@ def test_lambda_sweep_shares_no_iterations(tmp_path, monkeypatch):
     assert cli.main([*args, "--sweep-lambda", "0.1,0.01", "--out", str(tmp_path)]) == 0
     rows = sum(len(read_rows(tmp_path / f"trace_lambda_{lam}.csv")) - 1 for lam in ("0.1", "0.01"))
     # the entropy weight is part of every iteration's key: one solve per row,
-    # plus verification's one re-solve per design
+    # plus each design's final, verifying iteration
     assert len(solves) == rows + 2
+
+
+def test_sweep_rejects_values_whose_trace_files_collide(tmp_path, capsys, monkeypatch):
+    solves = _count_inner_solves(monkeypatch)
+    proc = run_main(capsys,
+        "sweep", "--scenario", "two_player_3x3", "--sweep-rho", "0.5,0.1,0.1000001",
+        "--out", str(tmp_path),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: rho values 0.1 and 0.1000001 both write trace_rho_0.1.csv\n"
+    assert solves == [] and list(tmp_path.iterdir()) == []
 
 
 def test_sweep_reports_partial_failures_but_continues(tmp_path, capsys):
@@ -335,6 +346,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         proc = run_main(capsys, "solve", "--game", str(huge))
         assert proc.returncode == 1, doc
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    # a fractional origin, which would otherwise be truncated to node 1
+    doc = json.loads(json.dumps(good))
+    doc["players"][0]["origin"] = 1.6
+    malformed.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_main(capsys, "solve", "--game", str(malformed))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: origin: expected an integer, got 1.6\n"
     # a link to node 0, named as the file writes it
     doc = json.loads(json.dumps(good))
     doc["graph"]["links"][0] = [0, 2]

@@ -1,4 +1,4 @@
-"""Parameter projections, the outer design loop, and its verification."""
+"""Parameter projections, the outer design loop, and its final verdict."""
 
 from pathlib import Path
 
@@ -15,7 +15,6 @@ from routedesign.design import (
     design_loop,
     project_B,
     project_D,
-    verify_design,
 )
 from routedesign.game import membership_D
 from routedesign.scenarios import build_scenario
@@ -188,7 +187,7 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
 
     def spy_solve(*args):
         sol = real_solve(*args)
-        inner.append(sol)
+        inner.append((sol, args[2]))
         return sol
 
     def spy_chain(game, settings, warm_start=None, **kwargs):
@@ -199,35 +198,62 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
     monkeypatch.setattr(design_mod, "homotopy_solve", spy_chain)
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=3, epsilon=0.0)
-    b, c_mat, _, last = design_loop(game, objective, cfg)
-    assert len(inner) == 3 and len(chains) == 3
-    assert last is inner[-1]
-    for sol, (stages, warm) in zip(inner, chains):
+    _, _, trace, _ = design_loop(game, objective, cfg)
+    # the three logged iterations, then the unlogged one that verifies the
+    # designed game, each warm-started from the solution before it
+    assert len(trace.records) == 3
+    assert len(inner) == 4 and len(chains) == 4
+    assert inner[0][1] is None
+    for (before, _), (_, warm) in zip(inner, inner[1:]):
+        assert np.array_equal(warm[0], before.x) and np.array_equal(warm[1], before.v)
+    for (sol, _), (stages, warm) in zip(inner, chains):
         assert stages == [0.01, 0.005, 0.0025, 0.00125, 0.001]
         assert np.array_equal(warm[0], sol.x) and np.array_equal(warm[1], sol.v)
-
-    # verification re-solves the designed game from the design's last
-    # solution and continues down from that re-solve, in one chain
-    inner.clear()
-    chains.clear()
-    verify_design(game.with_costs(b, c_mat, rho=cfg.rho), objective, last)
-    assert len(inner) == 1 and len(chains) == 1
-    stages, warm = chains[0]
-    assert stages == [0.01, 0.005, 0.0025, 0.00125, 0.001]
-    assert np.array_equal(warm[0], inner[0].x) and np.array_equal(warm[1], inner[0].v)
 
     # an inner weight below the certification weight certifies in one stage
     chains.clear()
     design_loop(game, objective, DesignConfig(alpha=0.01, lam=5e-4, max_outer_iters=1))
-    assert [stages for stages, _ in chains] == [[1e-3]]
+    assert [stages for stages, _ in chains] == [[1e-3], [1e-3]]
+
+
+@pytest.mark.parametrize(
+    ("cfg", "rows"),
+    [
+        (DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=2, epsilon=0.0), 2),
+        (DesignConfig(alpha=0.01, lam=0.01), 5),
+    ],
+    ids=["cap", "epsilon"],
+)
+def test_a_design_solves_certifies_and_differentiates_once_past_its_trace(
+    monkeypatch, cfg, rows
+):
+    game, objective = two_player_setup()
+    calls = {"solve_equilibrium": 0, "_certified_reference": 0, "implicit_gradients": 0}
+
+    def counted(name):
+        real = getattr(design_mod, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(design_mod, name, counted(name))
+    _, _, trace, verdict = design_loop(game, objective, cfg)
+    assert len(trace.records) == rows
+    assert calls == dict.fromkeys(calls, rows + 1)
+    assert verdict.path_match
 
 
 def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=5, epsilon=0.0)
     memo = {}
-    b_first, c_first, first, last_first = design_loop(game, objective, cfg, memo=memo)
-    assert len(memo) == 5
+    b_first, c_first, first, verdict_first = design_loop(game, objective, cfg, memo=memo)
+    # the five logged iterations and the final, verifying one
+    assert len(memo) == 6
     solves = []
     real_solve = design_mod.solve_equilibrium
 
@@ -236,10 +262,10 @@ def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
         return real_solve(*args)
 
     monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
-    b_again, c_again, again, last_again = design_loop(game, objective, cfg, memo=memo)
+    b_again, c_again, again, verdict_again = design_loop(game, objective, cfg, memo=memo)
     assert solves == []
     assert again.records == first.records
-    assert last_again is last_first
+    assert verdict_again == verdict_first
     assert np.array_equal(b_again, b_first) and np.array_equal(c_again, c_first)
 
 
@@ -249,31 +275,31 @@ def test_designed_four_player_game_solves_below_the_design_weight():
     sc = build_scenario("four_player_5x5")
     objective = tracking_objective(path_to_target(sc.game, sc.desired_link_paths()))
     config = DesignConfig(alpha=0.01, lam=0.01)
-    b, c_mat, _, last = design_loop(sc.game, objective, config)
+    b, c_mat, _, verdict = design_loop(sc.game, objective, config)
     designed = sc.game.with_costs(b, c_mat, rho=config.rho)
     sol = solve_equilibrium(designed, SmoothEqSettings(lam=1e-3))
     assert sol.converged
     assert designed.nash_gap(sol.x) <= 1e-8
-    # verification from the design's last solution certifies the same point
-    verdict = verify_design(designed, objective, last)
+    # the design's final, certified iteration reaches the same point
     assert verdict.path_match
     assert verdict.gap <= 1e-2
     assert verdict.psi == pytest.approx(objective.evaluate(sol.x), rel=0.0, abs=1e-9)
 
 
-def test_verify_design_rejects_the_undesigned_game():
+def test_a_design_that_cannot_move_reports_the_undesigned_game_off_target():
     game, objective = two_player_setup()
-    start = solve_equilibrium(game, SmoothEqSettings(lam=0.01))
-    verdict = verify_design(game, objective, start)
+    # alpha = 0 leaves b = delta and C = 0: the design stops after one
+    # iteration and its verdict judges the undesigned game
+    _, _, trace, verdict = design_loop(game, objective, DesignConfig(alpha=0.0, lam=0.01))
+    assert len(trace.records) == 1
     assert not verdict.path_match
     assert verdict.gap <= 1e-2
     # both players sit on the two-link middle paths, four links off target each
     assert verdict.psi == pytest.approx(6.0, abs=0.05)
 
 
-def test_verify_design_rejects_a_bad_target_before_solving(monkeypatch):
+def test_design_loop_rejects_a_bad_target_before_solving(monkeypatch):
     game, _ = two_player_setup()
-    start = solve_equilibrium(game, SmoothEqSettings(lam=0.01))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating the target")
@@ -281,7 +307,7 @@ def test_verify_design_rejects_a_bad_target_before_solving(monkeypatch):
     monkeypatch.setattr(design_mod, "solve_equilibrium", no_solve)
     monkeypatch.setattr(design_mod, "homotopy_solve", no_solve)
     with pytest.raises(ValueError, match="length p\\*m"):
-        verify_design(game, tracking_objective(np.ones(game.pm - 1)), start)
+        design_loop(game, tracking_objective(np.ones(game.pm - 1)), DesignConfig())
 
 
 def test_readme_library_example_runs(capsys):

@@ -42,3 +42,13 @@ def test_readme_module_map_names_every_module_and_only_real_names():
                     f"README module map, `{name}`: `{span}` is not an attribute of "
                     f"routedesign or routedesign.{name}"
                 )
+
+
+def test_package_exports_are_unique_and_resolve():
+    names = routedesign.__all__
+    assert len(names) == len(set(names)), "routedesign.__all__ lists a name twice"
+    missing = [name for name in names if not hasattr(routedesign, name)]
+    assert missing == [], f"routedesign.__all__ names attributes the package lacks: {missing}"
+    namespace = {}
+    exec("from routedesign import *", namespace)
+    assert set(names) <= set(namespace)

@@ -210,6 +210,43 @@ def test_game_from_dict_rejects_malformed_documents():
         game_from_dict({"graph": {"n": 2, "links": [[1, 2]]}})  # players missing
 
 
+def _line_document():
+    """Game document: one player 1 -> 2 on the two-node graph, 1-based."""
+    return {
+        "graph": {"n": 2, "links": [[1, 2], [2, 1]]},
+        "players": [{"origin": 1, "destination": 2}],
+        "b": [0.1, 0.1],
+        "C": [[0.0, 0.0], [0.0, 0.0]],
+        "rho": 0.5,
+        "desired_paths": [[1, 2]],
+    }
+
+
+@pytest.mark.parametrize("value", [1.6, 2.9, True, "1"])
+@pytest.mark.parametrize(
+    ("where", "field"),
+    [
+        (("graph", "n"), "n"),
+        (("graph", "links", 0, 0), "links"),
+        (("players", 0, "origin"), "origin"),
+        (("players", 0, "destination"), "destination"),
+        (("desired_paths", 0, 0), "desired_paths"),
+    ],
+)
+def test_game_files_reject_node_indices_that_are_not_integers(tmp_path, where, field, value):
+    # int() would truncate the floats and convert the bool and the string
+    doc = _line_document()
+    *parents, key = where
+    owner = doc
+    for parent in parents:
+        owner = owner[parent]
+    owner[key] = value
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer, got {value!r}$"):
+        load_game_file(path)
+
+
 def test_load_game_file_with_desired_paths(tmp_path):
     game = random_game(np.random.default_rng(9), (1, 3), 1)
     doc = game_to_dict(game)

@@ -1,5 +1,6 @@
 """Property tests on random small digraphs, many of them partly one-way,
-and on the projection onto the admissible interaction set.
+in a benign cost regime and in the one the design workloads reach, and on
+the projection onto the admissible interaction set.
 
 The precondition oracle is a linear program, independent of the graph search
 the game constructor uses: a player admits a strictly positive feasible flow
@@ -16,9 +17,10 @@ from helpers import dykstra_project_D, equals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import routedesign.design as design_mod
 from routedesign import smooth_eq
-from routedesign.design import project_D
-from routedesign.errors import NumericalError, UnreachableError
+from routedesign.design import DesignConfig, design_loop, project_D
+from routedesign.errors import NegativeCycleError, NumericalError, UnreachableError
 from routedesign.game import (
     AtomicRoutingGame,
     CostParams,
@@ -27,7 +29,8 @@ from routedesign.game import (
     game_to_dict,
     membership_D,
 )
-from routedesign.graph import DirectedGraph, incidence_matrix, od_vectors
+from routedesign.graph import DirectedGraph, incidence_matrix, od_vectors, shortest_path_cost
+from routedesign.sensitivity import implicit_gradients, tracking_objective
 from routedesign.smooth_eq import (
     EquilibriumSolution,
     Linearization,
@@ -66,6 +69,32 @@ def random_games(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         c_mat = project_D(rng.uniform(-0.5, 0.5, size=(pm, pm)), 0.05, graph.m)
     return graph, players, b, c_mat
+
+
+@st.composite
+def design_regime_games(draw):
+    """(graph, players, b, C) as random_games draws them, with the costs the
+    design workloads reach: offsets in [0, 0.1] and C the projection onto D
+    of a random matrix at rho = 0.5, where marginal costs may admit
+    negative-cost cycles."""
+    graph, players, _, _ = draw(random_games())
+    pm = len(players) * graph.m
+    b = np.array(draw(st.lists(st.floats(0.0, 0.1), min_size=pm, max_size=pm)))
+    c_mat = np.zeros((pm, pm))
+    if pm:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        c_mat = project_D(rng.uniform(-1.0, 1.0, size=(pm, pm)), 0.5, graph.m)
+    return graph, players, b, c_mat
+
+
+def has_negative_cycle(game, x):
+    """Whether some player's marginal costs at x admit a negative-cost cycle."""
+    for i in range(game.p):
+        try:
+            game.best_response_path(x, i)
+        except NegativeCycleError:
+            return True
+    return False
 
 
 def positive_flow_exists(graph, origin, destination):
@@ -205,3 +234,92 @@ def test_chord_steps_reach_the_newton_solution_on_dense_interactions(case, rho, 
         assert isinstance(chord, EquilibriumSolution), f"lam={lam}"
         assert chord.residual_norm <= settings_lam.residual_tol
         assert np.max(np.abs(chord.x - newton.x)) <= 1e-8, f"lam={lam}"
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(design_regime_games(), st.integers(0, 2**32 - 1))
+def test_design_regime_games_solve_certify_and_differentiate(case, seed):
+    graph, players, b, c_mat = case
+    try:
+        game = AtomicRoutingGame(graph, players, CostParams(b, c_mat))
+    except UnreachableError:
+        return  # rejections are the random-digraph test's business
+    rng = np.random.default_rng(seed)
+    objective = tracking_objective(rng.uniform(0.0, 1.0, game.pm))
+    for lam in (0.1, 0.01):
+        # a tight tolerance, so the differences below see the solution map
+        # rather than the solver's stopping point
+        settings_lam = SmoothEqSettings(lam=lam, residual_tol=1e-13)
+        try:
+            sol = solve_equilibrium(game, settings_lam)
+        except NumericalError:
+            continue  # a typed failure is an allowed outcome
+        assert sol.converged and sol.residual_norm <= settings_lam.residual_tol
+        if has_negative_cycle(game, sol.x):
+            with pytest.raises(NegativeCycleError):
+                game.nash_gap(sol.x)
+        else:
+            assert 0.0 <= game.nash_gap(sol.x) < np.inf
+        # the implicit derivative along a random b direction against central
+        # differences of re-solves, at the best of three steps
+        direction = rng.standard_normal(game.pm)
+        exact = float(implicit_gradients(game, sol, objective).grad_b @ direction)
+        errors = []
+        for h in (1e-3, 1e-4, 1e-5):
+            psi = [
+                objective.evaluate(
+                    solve_equilibrium(
+                        game.with_costs(b + sign * h * direction, c_mat),
+                        settings_lam,
+                        (sol.x, sol.v),
+                    ).x
+                )
+                for sign in (1.0, -1.0)
+            ]
+            errors.append(abs((psi[0] - psi[1]) / (2.0 * h) - exact))
+        assert min(errors) <= 1e-4 * abs(exact), f"lam={lam}"
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(design_regime_games(), st.integers(0, 2**32 - 1))
+def test_short_designs_stay_admissible_and_log_finite_values(case, seed):
+    graph, players, b, c_mat = case
+    try:
+        game = AtomicRoutingGame(graph, players, CostParams(b, c_mat))
+    except UnreachableError:
+        return
+    # the design starts from b = delta, C = 0 whatever the drawn costs; its
+    # target puts each player on its cheapest path under random link weights
+    weights = np.random.default_rng(seed).uniform(0.0, 1.0, graph.m)
+    target = np.concatenate(
+        [shortest_path_cost(graph, weights, p.origin, p.destination)[1] for p in players]
+    )
+    real_project, real_certify = design_mod.project_D, design_mod._certified_reference
+    iterates = []
+
+    def spy_project(c, rho, block_size):
+        out = real_project(c, rho, block_size)
+        iterates.append(out)
+        return out
+
+    def spy_certify(game, start):
+        reference, gap = real_certify(game, start)
+        # an unbounded gap only ever comes from a negative-cost cycle
+        assert np.isfinite(gap) or (gap == np.inf and has_negative_cycle(game, reference.x))
+        return reference, gap
+
+    # a long step, so C can reach the rho = 0.5 boundary within three iterations
+    config = DesignConfig(alpha=0.5, lam=0.01, epsilon=0.0, max_outer_iters=3)
+    with (
+        mock.patch.object(design_mod, "project_D", spy_project),
+        mock.patch.object(design_mod, "_certified_reference", spy_certify),
+    ):
+        _, _, trace, verdict = design_loop(game, tracking_objective(target), config)
+    assert len(trace.records) == len(iterates) == 3
+    for c in iterates:
+        assert membership_D(c, game.m, config.rho)
+    for record in trace.records:
+        logged = (record.psi_bar, record.psi_lambda, record.db_norm, record.dC_norm, record.residual)
+        assert np.all(np.isfinite(logged)) and record.gap >= 0.0
+    assert np.isfinite(verdict.psi)
+    assert np.isfinite(verdict.gap) or not verdict.path_match
