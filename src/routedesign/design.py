@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NegativeCycleError, NotConvergedError
+from .errors import NegativeCycleError, NotConvergedError, NumericalError
 from .game import AtomicRoutingGame
 from .sensitivity import DesignObjective, implicit_gradients
 from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve, solve_equilibrium
@@ -244,8 +244,8 @@ def design_loop(
 
     Raises:
         ValueError: the objective's target does not have length p*m.
-        NotConvergedError: an inner solve failed; the message names the
-            outer iteration.
+        NumericalError: an inner solve or certification failed; re-raised
+            as the same type, with the outer iteration named.
     """
     pm = game.pm
     target = np.asarray(objective.target, dtype=float)
@@ -267,8 +267,8 @@ def design_loop(
             try:
                 sol = solve_equilibrium(current, settings, inner_warm)
                 reference, gap = _certified_reference(current, sol)
-            except NotConvergedError as exc:
-                raise NotConvergedError(f"design iteration {outer}: {exc}") from exc
+            except NumericalError as exc:
+                raise type(exc)(f"design iteration {outer}: {exc}") from exc
             grads = implicit_gradients(current, sol, objective)
             if key is not None:
                 memo[key] = (sol, reference, gap, grads)

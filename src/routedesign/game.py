@@ -337,8 +337,9 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
         ValueError: see game_from_dict; also malformed desired_paths or an
             entry count other than one per player.
         UnreachableError: see game_from_dict.
-        BrokenPathError: a desired path has fewer than two nodes or steps
-            along a missing link; the message names nodes 1-based.
+        BrokenPathError: a desired path has fewer than two nodes, a missing
+            link, ends other than its player's origin and destination, or a
+            repeated link; the message names nodes 1-based.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -352,7 +353,7 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
         raise ValueError(f"malformed desired_paths: {exc}") from exc
     if len(paths) != game.p:
         raise ValueError("desired_paths must list one node path per player")
-    for i, nodes in enumerate(paths):
+    for i, (nodes, player) in enumerate(zip(paths, game.players)):
         if len(nodes) < 2:
             raise BrokenPathError(f"player {i}: a desired path needs at least two nodes")
         for tail, head in zip(nodes, nodes[1:]):
@@ -360,4 +361,11 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
                 raise BrokenPathError(
                     f"player {i}: desired path {nodes} has no link from node {tail} to node {head}"
                 )
+        ends = (player.origin + 1, player.destination + 1)
+        if (nodes[0], nodes[-1]) != ends:
+            raise BrokenPathError(
+                f"player {i}: desired path {nodes} runs from node {nodes[0]} to node {nodes[-1]}, not {ends[0]} to {ends[1]}"
+            )
+        if len(set(zip(nodes, nodes[1:]))) < len(nodes) - 1:
+            raise BrokenPathError(f"player {i}: desired path {nodes} uses a link twice")
     return game, [[node - 1 for node in nodes] for nodes in paths]

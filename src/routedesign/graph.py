@@ -136,15 +136,18 @@ def shortest_path_cost(
 ) -> tuple[float, np.ndarray]:
     """Minimum-cost simple path under possibly negative link weights.
 
-    Label-correcting relaxation in canonical link order.  Ties are broken by
-    fewer hops, then by the lowest predecessor node index, which keeps the
-    predecessor structure acyclic and the result deterministic.
+    Textbook Bellman-Ford: rounds of relaxation over the links in canonical
+    order, each accepting only a strict improvement, until a round changes
+    nothing.  A graph with no negative-cost cycle settles within n - 1
+    rounds, so a change in round n means one is reachable from the origin.
+    The result is deterministic: among equally cheap paths, the one settled
+    first in canonical link order is returned.
 
     Returns:
-        (cost, flow): the path cost and its 0/1 link-flow vector.
+        (cost, flow): the path cost, a Python float, and its 0/1 link flows.
 
     Raises:
-        NegativeCycleError: weights admit unbounded descent.
+        NegativeCycleError: a negative-cost cycle is reachable from the origin.
         UnreachableError: no directed origin -> destination path exists.
     """
     w = np.asarray(weights, dtype=float)
@@ -157,38 +160,24 @@ def shortest_path_cost(
     if origin == destination:
         raise ValueError("origin equals destination")
 
-    inf = math.inf
-    dist = [inf] * g.n
-    hops = [0] * g.n
+    dist = [math.inf] * g.n
     pred = [-1] * g.n
     dist[origin] = 0.0
     links = g.links
-    for _ in range(g.n - 1):
+    weight = w.tolist()
+    for _ in range(g.n):
         changed = False
         for j, (tail, head) in enumerate(links):
-            dt = dist[tail]
-            if dt == inf:
-                continue
-            cand = dt + w[j]
+            cand = dist[tail] + weight[j]
             if cand < dist[head]:
                 dist[head] = cand
-                hops[head] = hops[tail] + 1
                 pred[head] = j
                 changed = True
-            elif cand == dist[head] and pred[head] >= 0:
-                cand_hops = hops[tail] + 1
-                if cand_hops < hops[head] or (
-                    cand_hops == hops[head] and tail < links[pred[head]][0]
-                ):
-                    hops[head] = cand_hops
-                    pred[head] = j
-                    changed = True
         if not changed:
             break
-    for j, (tail, head) in enumerate(links):
-        if dist[tail] != inf and dist[tail] + w[j] < dist[head]:
-            raise NegativeCycleError("link weights admit a negative-cost cycle")
-    if dist[destination] == inf:
+    else:
+        raise NegativeCycleError("link weights admit a negative-cost cycle")
+    if dist[destination] == math.inf:
         raise UnreachableError(f"no path from node {origin} to node {destination}")
 
     flow = np.zeros(g.m)

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse
 
 from routedesign.design import (
     _project_ball,
@@ -25,6 +26,14 @@ from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph, grid_graph
 from routedesign.numerics import lstsq
 from routedesign.smooth_eq import SmoothEqSettings, residual_F, solve_nls
+
+
+def csgraph(g, weights):
+    """g as a SciPy sparse matrix of link weights, for the scipy.sparse.csgraph
+    path oracles; a zero weight stays a link, as an explicit zero."""
+    rows = [t for t, _ in g.links]
+    cols = [h for _, h in g.links]
+    return scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(g.n, g.n))
 
 
 def random_game(rng, shape, p, rho=0.3):

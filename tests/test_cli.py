@@ -362,6 +362,31 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert proc.stderr.startswith("error:") and "[0, 2]" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    ("nodes", "message"),
+    [
+        ([2, 4], "runs from node 2 to node 4, not 1 to 4"),
+        ([1, 3], "runs from node 1 to node 3, not 1 to 4"),
+        ([1, 2, 1, 2, 4], "uses a link twice"),
+    ],
+)
+@pytest.mark.parametrize("command", ["design", "solve"])
+def test_desired_paths_off_the_origin_destination_route_exit_one(
+    tmp_path, capsys, command, nodes, message
+):
+    # one player from node 1 to node 4 round the cycle 1-2-4-3-1, linked both ways
+    links = [[1, 2], [1, 3], [2, 1], [2, 4], [3, 1], [3, 4], [4, 2], [4, 3]]
+    game_file = _one_player_game(tmp_path / "game.json", 4, links, [0.1] * 8)
+    doc = json.loads(game_file.read_text(encoding="utf-8"))
+    doc["players"][0]["destination"] = 4
+    doc["desired_paths"] = [nodes]
+    game_file.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_main(capsys, command, "--game", str(game_file), "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: player 0: desired path {nodes} {message}\n"
+    assert not (tmp_path / "equilibrium.json").exists()
+
+
 def test_design_without_desired_paths_exits_one(tmp_path, capsys):
     sc = build_scenario("two_player_3x3")
     game_file = tmp_path / "game.json"

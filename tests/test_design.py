@@ -16,6 +16,12 @@ from routedesign.design import (
     project_B,
     project_D,
 )
+from routedesign.errors import (
+    ExponentOverflowError,
+    InfeasibleFlowError,
+    NegativeCycleError,
+    NotConvergedError,
+)
 from routedesign.game import membership_D
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import path_to_target, tracking_objective
@@ -298,6 +304,28 @@ def test_a_design_that_cannot_move_reports_the_undesigned_game_off_target():
     assert verdict.psi == pytest.approx(6.0, abs=0.05)
 
 
+@pytest.mark.parametrize(
+    ("where", "error"),
+    [
+        ("solve_equilibrium", NegativeCycleError),
+        ("solve_equilibrium", ExponentOverflowError),
+        ("_certified_reference", InfeasibleFlowError),
+        ("_certified_reference", NotConvergedError),
+    ],
+)
+def test_a_numerical_failure_names_its_design_iteration(monkeypatch, where, error):
+    game, objective = two_player_setup()
+
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(design_mod, where, fail)
+    with pytest.raises(error, match="^design iteration 1: boom$") as info:
+        design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
+    assert type(info.value) is error
+    assert type(info.value.__cause__) is error
+
+
 def test_design_loop_rejects_a_bad_target_before_solving(monkeypatch):
     game, _ = two_player_setup()
 
@@ -315,8 +343,11 @@ def test_readme_library_example_runs(capsys):
     section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, str(readme), "exec"), {})
+    out = capsys.readouterr().out
     # the example's design reroutes both players onto their desired paths
-    assert "path_match=True" in capsys.readouterr().out
+    assert "path_match=True" in out
+    # and its verdict holds plain floats, not numpy scalars
+    assert "np.float64" not in out
 
 
 def test_trace_csv_header_and_determinism(tmp_path):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from helpers import dual_slack, equals, kkt_residual, player_objective, pwl_residual, random_game
-from routedesign.errors import InfeasibleFlowError, NegativeCycleError, UnreachableError
+from routedesign.errors import (
+    BrokenPathError,
+    InfeasibleFlowError,
+    NegativeCycleError,
+    UnreachableError,
+)
 from routedesign.game import (
     AtomicRoutingGame,
     CostParams,
@@ -261,3 +266,27 @@ def test_load_game_file_with_desired_paths(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError):
         load_game_file(path)
+
+
+@pytest.mark.parametrize(
+    ("nodes", "message"),
+    [
+        ([2, 4], "runs from node 2 to node 4, not 1 to 4"),
+        ([1, 3], "runs from node 1 to node 3, not 1 to 4"),
+        ([1, 2, 1, 2, 4], "uses a link twice"),
+    ],
+)
+def test_load_game_file_checks_desired_paths_in_file_terms(tmp_path, nodes, message):
+    # one player from node 1 to node 4 (1-based) round the cycle 1-2-4-3-1,
+    # linked both ways
+    links = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
+    game = AtomicRoutingGame(
+        DirectedGraph(4, links), [Player(0, 3)], CostParams(np.ones(8), np.zeros((8, 8)))
+    )
+    doc = game_to_dict(game)
+    doc["desired_paths"] = [nodes]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(BrokenPathError) as info:
+        load_game_file(path)
+    assert str(info.value) == f"player 0: desired path {nodes} {message}"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-import scipy.sparse
+from helpers import csgraph
 from scipy.sparse.csgraph import bellman_ford, dijkstra
 
 from routedesign.errors import BrokenPathError, NegativeCycleError, UnreachableError
@@ -16,12 +16,6 @@ from routedesign.graph import (
     shortest_path_cost,
     stranded_links,
 )
-
-
-def _csgraph(g, weights):
-    rows = [t for t, _ in g.links]
-    cols = [h for _, h in g.links]
-    return scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(g.n, g.n))
 
 
 @pytest.mark.parametrize(
@@ -106,7 +100,7 @@ def test_shortest_path_matches_dijkstra_on_random_weights():
     for _ in range(30):
         w = rng.uniform(0.05, 2.0, size=g.m)
         o, d = rng.choice(g.n, size=2, replace=False)
-        ref = dijkstra(_csgraph(g, w), indices=int(o))[int(d)]
+        ref = dijkstra(csgraph(g, w), indices=int(o))[int(d)]
         cost, flow = shortest_path_cost(g, w, int(o), int(d))
         assert cost == pytest.approx(ref, abs=1e-12)
         # the returned flow is a unit o -> d path realizing that cost
@@ -121,7 +115,7 @@ def test_shortest_path_negative_weights_without_cycles():
     # two parallel routes, one with a negative link; still cycle-free
     g = DirectedGraph(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
     w = np.array([1.0, 2.0, -0.5, 1.0])
-    ref = bellman_ford(_csgraph(g, w), indices=0)[3]
+    ref = bellman_ford(csgraph(g, w), indices=0)[3]
     cost, flow = shortest_path_cost(g, w, 0, 3)
     assert cost == pytest.approx(ref, abs=1e-12)
     assert np.array_equal(flow, np.array([1.0, 0.0, 1.0, 0.0]))

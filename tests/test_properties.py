@@ -13,8 +13,9 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
-from helpers import dykstra_project_D, equals
-from hypothesis import given, settings
+import scipy.sparse.csgraph
+from helpers import csgraph, dykstra_project_D, equals
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import routedesign.design as design_mod
@@ -87,6 +88,18 @@ def design_regime_games(draw):
     return graph, players, b, c_mat
 
 
+@st.composite
+def weighted_digraphs(draw):
+    """(graph, weights, origin, destination): each ordered node pair linked
+    or not, with integer weights in [-1, 3], so that equally cheap paths,
+    zero-cost cycles and negative-cost cycles all occur and sums are exact."""
+    n = draw(st.integers(2, 7))
+    links = tuple((a, c) for a in range(n) for c in range(n) if a != c and draw(st.booleans()))
+    weights = draw(st.lists(st.integers(-1, 3), min_size=len(links), max_size=len(links)))
+    origin, destination = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return DirectedGraph(n, links), np.array(weights, dtype=float), origin, destination
+
+
 def has_negative_cycle(game, x):
     """Whether some player's marginal costs at x admit a negative-cost cycle."""
     for i in range(game.p):
@@ -122,6 +135,39 @@ def assert_structured_step_is_dense_lu_step(game, x, v, lam):
     if np.linalg.cond(jac) <= 1e6:
         dense = np.linalg.solve(jac, rhs)
         assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(weighted_digraphs())
+# a path against the canonical link order settles one link per round, in
+# n - 1 rounds, so only round n shows that no negative-cost cycle is reachable
+@example((DirectedGraph(5, ((1, 0), (2, 1), (3, 2), (4, 3))), np.array([1.0, 0.0, -1.0, 2.0]), 4, 0))
+def test_shortest_path_cost_agrees_with_scipy_bellman_ford(case):
+    graph, weights, origin, destination = case
+    matrix = csgraph(graph, weights)
+    assert matrix.nnz == graph.m  # explicit zeros stay links
+    try:
+        ref = scipy.sparse.csgraph.bellman_ford(matrix, indices=origin)[destination]
+    except scipy.sparse.csgraph.NegativeCycleError:
+        with pytest.raises(NegativeCycleError):
+            shortest_path_cost(graph, weights, origin, destination)
+        return
+    if ref == np.inf:
+        with pytest.raises(UnreachableError):
+            shortest_path_cost(graph, weights, origin, destination)
+        return
+    cost, flow = shortest_path_cost(graph, weights, origin, destination)
+    assert type(cost) is float and cost == ref
+    # the flow is one simple origin -> destination path that costs that much
+    assert set(np.unique(flow)) <= {0.0, 1.0}
+    used = [graph.links[j] for j in np.flatnonzero(flow)]
+    succ = dict(used)
+    assert len(succ) == len(used)  # at most one link out of each node
+    path = [origin]
+    while path[-1] in succ and len(path) <= len(used):
+        path.append(succ[path[-1]])
+    assert path[-1] == destination and len(path) == len(set(path)) == len(used) + 1
+    assert flow @ weights == cost
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
@@ -260,24 +306,28 @@ def test_design_regime_games_solve_certify_and_differentiate(case, seed):
                 game.nash_gap(sol.x)
         else:
             assert 0.0 <= game.nash_gap(sol.x) < np.inf
-        # the implicit derivative along a random b direction against central
+        # the implicit derivatives along a random b direction and a random
+        # admissible C direction, project_D(C + E) - C, against central
         # differences of re-solves, at the best of three steps
-        direction = rng.standard_normal(game.pm)
-        exact = float(implicit_gradients(game, sol, objective).grad_b @ direction)
-        errors = []
-        for h in (1e-3, 1e-4, 1e-5):
-            psi = [
-                objective.evaluate(
-                    solve_equilibrium(
-                        game.with_costs(b + sign * h * direction, c_mat),
-                        settings_lam,
-                        (sol.x, sol.v),
-                    ).x
-                )
-                for sign in (1.0, -1.0)
-            ]
-            errors.append(abs((psi[0] - psi[1]) / (2.0 * h) - exact))
-        assert min(errors) <= 1e-4 * abs(exact), f"lam={lam}"
+        grads = implicit_gradients(game, sol, objective)
+        db = rng.standard_normal(game.pm)
+        dc = project_D(c_mat + rng.standard_normal(c_mat.shape), 0.5, graph.m) - c_mat
+        for name, exact, costs in (
+            ("b", float(grads.grad_b @ db), lambda t: (b + t * db, c_mat)),
+            ("C", float(np.sum(grads.grad_C * dc)), lambda t: (b, c_mat + t * dc)),
+        ):
+            errors = []
+            for h in (1e-3, 1e-4, 1e-5):
+                psi = [
+                    objective.evaluate(
+                        solve_equilibrium(
+                            game.with_costs(*costs(t)), settings_lam, (sol.x, sol.v)
+                        ).x
+                    )
+                    for t in (h, -h)
+                ]
+                errors.append(abs((psi[0] - psi[1]) / (2.0 * h) - exact))
+            assert min(errors) <= 1e-4 * abs(exact), f"lam={lam}, {name} direction"
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
