@@ -36,13 +36,13 @@ from .game import (
     game_to_dict,
     load_game_file,
     membership_D,
+    path_to_target,
 )
 from .graph import (
     DirectedGraph,
     grid_graph,
     incidence_matrix,
     od_vectors,
-    path_links,
     reduced_incidence,
     shortest_path_cost,
     stranded_links,
@@ -52,7 +52,6 @@ from .sensitivity import (
     DesignObjective,
     GradientPair,
     implicit_gradients,
-    path_to_target,
     tracking_objective,
 )
 from .smooth_eq import (
@@ -107,7 +106,6 @@ __all__ = [
     "load_game_file",
     "membership_D",
     "od_vectors",
-    "path_links",
     "path_to_target",
     "project_B",
     "project_D",

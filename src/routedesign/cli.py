@@ -27,15 +27,15 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .design import DesignConfig, DesignTrace, DesignVerification, design_loop
 from .errors import NumericalError, RouteDesignError
-from .game import AtomicRoutingGame, game_to_dict, load_game_file
-from .graph import path_links
+from .game import AtomicRoutingGame, game_to_dict, load_game_file, path_to_target
 from .scenarios import SCENARIOS, build_scenario
-from .sensitivity import path_to_target, tracking_objective
+from .sensitivity import tracking_objective
 from .smooth_eq import EquilibriumSolution, SmoothEqSettings, cold_start, solve_equilibrium
 
 
@@ -107,16 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> tuple[AtomicRoutingGame, list[list[int]] | None]:
-    """Resolve the game and optional desired link paths from flags."""
+def _load(args: argparse.Namespace) -> tuple[AtomicRoutingGame, Sequence[Sequence[int]] | None]:
+    """Resolve the game and optional desired node paths (0-based) from flags."""
     if args.scenario:
         scenario = build_scenario(args.scenario)
-        return scenario.game, scenario.desired_link_paths()
-    game, desired_nodes = load_game_file(args.game)
-    desired = None
-    if desired_nodes is not None:
-        desired = [path_links(game.graph, nodes) for nodes in desired_nodes]
-    return game, desired
+        return scenario.game, scenario.desired_node_paths
+    return load_game_file(args.game)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -160,18 +156,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _desired_paths_payload(game: AtomicRoutingGame, desired: list[list[int]]) -> list[list[int]]:
-    links = game.graph.links
-    payload = []
-    for i, path in enumerate(desired):
-        nodes = [game.players[i].origin] + [links[j][1] for j in path]
-        payload.append([node + 1 for node in nodes])
-    return payload
-
-
 def _run_design(
     game: AtomicRoutingGame,
-    desired: list[list[int]] | None,
+    desired: Sequence[Sequence[int]] | None,
     config: DesignConfig,
     memo: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, DesignTrace, DesignVerification, float]:
@@ -198,7 +185,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     b, c_mat, trace, verdict, wall = _run_design(game, desired, config)
     trace.write_csv(out / "trace.csv")
     payload = game_to_dict(game.with_costs(b, c_mat, rho=config.rho))
-    payload["desired_paths"] = _desired_paths_payload(game, desired)
+    payload["desired_paths"] = [[node + 1 for node in path] for path in desired]
     _write_json(out / "designed_game.json", payload)
     print(
         f"design: psi={verdict.psi:.6f} gap={verdict.gap:.6f} "

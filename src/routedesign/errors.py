@@ -18,7 +18,7 @@ class UnreachableError(RouteDesignError):
 
 
 class BrokenPathError(RouteDesignError):
-    """A link sequence does not chain origin to destination."""
+    """A desired path is not a path from its player's origin to its destination."""
 
 
 class InfeasibleFlowError(NumericalError):

@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -237,6 +238,44 @@ class AtomicRoutingGame:
         return gap
 
 
+def path_to_target(
+    game: AtomicRoutingGame, paths: Sequence[Sequence[int]], base: int = 0
+) -> np.ndarray:
+    """Joint 0/1 flow putting each player on its desired node path.
+
+    The one check of desired paths: one per player, each of at least two
+    nodes with a link at every hop, from its player's origin to its
+    destination, using no link twice.  Messages name nodes with base added
+    to their indices, so load_game_file's are 1-based, as its files are.
+
+    Raises:
+        BrokenPathError: a path fails one of these checks, in that order.
+    """
+    if len(paths) != game.p:
+        raise BrokenPathError(f"need one desired path per player, got {len(paths)} for {game.p}")
+    index = game.graph.link_index
+    target = np.zeros(game.pm)
+    for i, (nodes, player) in enumerate(zip(paths, game.players)):
+        shown = [node + base for node in nodes]
+        if len(nodes) < 2:
+            raise BrokenPathError(f"player {i}: a desired path needs at least two nodes")
+        hops = list(zip(nodes, nodes[1:]))
+        for tail, head in hops:
+            if (tail, head) not in index:
+                raise BrokenPathError(
+                    f"player {i}: desired path {shown} has no link from node {tail + base} to node {head + base}"
+                )
+        ends = (player.origin + base, player.destination + base)
+        if (shown[0], shown[-1]) != ends:
+            raise BrokenPathError(
+                f"player {i}: desired path {shown} runs from node {shown[0]} to node {shown[-1]}, not {ends[0]} to {ends[1]}"
+            )
+        if len(set(hops)) < len(hops):
+            raise BrokenPathError(f"player {i}: desired path {shown} uses a link twice")
+        target[[i * game.m + index[hop] for hop in hops]] = 1.0
+    return target
+
+
 def membership_D(C: np.ndarray, block_size: int, rho: float, tol: float = 1e-8) -> bool:
     """Test membership in the admissible interaction set.
 
@@ -337,9 +376,7 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
         ValueError: see game_from_dict; also malformed desired_paths or an
             entry count other than one per player.
         UnreachableError: see game_from_dict.
-        BrokenPathError: a desired path has fewer than two nodes, a missing
-            link, ends other than its player's origin and destination, or a
-            repeated link; the message names nodes 1-based.
+        BrokenPathError: see path_to_target; the message names nodes 1-based.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -348,24 +385,10 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
     if desired is None:
         return game, None
     try:
-        paths = [[_integer(node, "desired_paths") for node in nodes] for nodes in desired]
+        paths = [[_integer(node, "desired_paths") - 1 for node in nodes] for nodes in desired]
     except TypeError as exc:
         raise ValueError(f"malformed desired_paths: {exc}") from exc
     if len(paths) != game.p:
         raise ValueError("desired_paths must list one node path per player")
-    for i, (nodes, player) in enumerate(zip(paths, game.players)):
-        if len(nodes) < 2:
-            raise BrokenPathError(f"player {i}: a desired path needs at least two nodes")
-        for tail, head in zip(nodes, nodes[1:]):
-            if (tail - 1, head - 1) not in game.graph.link_index:
-                raise BrokenPathError(
-                    f"player {i}: desired path {nodes} has no link from node {tail} to node {head}"
-                )
-        ends = (player.origin + 1, player.destination + 1)
-        if (nodes[0], nodes[-1]) != ends:
-            raise BrokenPathError(
-                f"player {i}: desired path {nodes} runs from node {nodes[0]} to node {nodes[-1]}, not {ends[0]} to {ends[1]}"
-            )
-        if len(set(zip(nodes, nodes[1:]))) < len(nodes) - 1:
-            raise BrokenPathError(f"player {i}: desired path {nodes} uses a link twice")
-    return game, [[node - 1 for node in nodes] for nodes in paths]
+    path_to_target(game, paths, base=1)
+    return game, paths

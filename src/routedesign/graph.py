@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BrokenPathError, NegativeCycleError, UnreachableError
+from .errors import NegativeCycleError, UnreachableError
 
 
 @dataclass(frozen=True)
@@ -233,21 +233,3 @@ def stranded_links(g: DirectedGraph, origin: int, destination: int) -> list[tupl
         and tail not in _reachable(successors, head)
     ]
 
-
-def path_links(g: DirectedGraph, nodes: list[int] | tuple[int, ...]) -> list[int]:
-    """Convert a node sequence into the link indices it traverses.
-
-    Raises:
-        BrokenPathError: consecutive nodes are not joined by a link, or the
-            sequence has fewer than two nodes.
-    """
-    if len(nodes) < 2:
-        raise BrokenPathError("a path needs at least two nodes")
-    index = g.link_index
-    out: list[int] = []
-    for tail, head in zip(nodes[:-1], nodes[1:]):
-        j = index.get((int(tail), int(head)))
-        if j is None:
-            raise BrokenPathError(f"no link from node {tail} to node {head}")
-        out.append(j)
-    return out

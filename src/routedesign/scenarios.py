@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import AtomicRoutingGame, CostParams, Player
-from .graph import grid_graph, path_links
+from .graph import grid_graph
 
 DELTA = 0.1
 RHO = 0.5
@@ -29,10 +29,9 @@ class Scenario:
     original_node_paths: tuple[tuple[int, ...], ...]
 
     def desired_link_paths(self) -> list[list[int]]:
-        return [path_links(self.game.graph, list(p)) for p in self.desired_node_paths]
-
-    def original_link_paths(self) -> list[list[int]]:
-        return [path_links(self.game.graph, list(p)) for p in self.original_node_paths]
+        """Each desired path as the indices of its links, in path order."""
+        index = self.game.graph.link_index
+        return [[index[hop] for hop in zip(p, p[1:])] for p in self.desired_node_paths]
 
 
 def _build(name, graph, players, desired, original) -> Scenario:

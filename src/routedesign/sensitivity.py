@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BrokenPathError
 from .game import AtomicRoutingGame
 from .smooth_eq import EquilibriumSolution, Linearization
 
@@ -93,43 +92,3 @@ def implicit_gradients(
     grad_b = -(lin.d * z[: game.pm]) / sol.lam
     return GradientPair(grad_b=grad_b, flow=np.array(sol.x))
 
-
-def path_to_target(game: AtomicRoutingGame, paths: list[list[int]]) -> np.ndarray:
-    """Joint 0/1 flow putting each player on a prescribed link path.
-
-    Args:
-        paths: one list of link indices per player, chaining that player's
-            origin to its destination.
-
-    Raises:
-        BrokenPathError: a path does not chain origin to destination, repeats
-            a link, or the number of paths is wrong.
-    """
-    if len(paths) != game.p:
-        raise BrokenPathError("need exactly one path per player")
-    links = game.graph.links
-    target = np.zeros(game.pm)
-    for i, path in enumerate(paths):
-        if not path:
-            raise BrokenPathError(f"player {i} path is empty")
-        if len(set(path)) != len(path):
-            raise BrokenPathError(f"player {i} path repeats a link")
-        player = game.players[i]
-        at = player.origin
-        for j in path:
-            if not 0 <= j < game.m:
-                raise BrokenPathError(f"player {i} path uses unknown link {j}")
-            tail, head = links[j]
-            if tail != at:
-                raise BrokenPathError(
-                    f"player {i} path breaks at node {at}: next link starts at {tail}"
-                )
-            at = head
-        if at != player.destination:
-            raise BrokenPathError(
-                f"player {i} path ends at node {at}, not the destination"
-            )
-        sl = game.player_slice(i)
-        for j in path:
-            target[sl.start + j] = 1.0
-    return target

@@ -9,7 +9,10 @@ which has a unique solution for lam > 0 with monotone interaction costs when
 every player has a strictly positive feasible flow.  The solver below drives
 ||F|| to tolerance with Newton's method and a backtracking line search,
 started from the exponential map at (x, v) = 0, and a continuation that
-halves lam down to a small target.
+halves lam down to a small target.  The map is exact wherever its exponent
+is at most EXP_LIMIT and overflows past it.  Iterates are not kept
+positive: the first block of F is x - exp(g), so a solution's flows are at
+least -||F||.
 
 J is a saddle-point matrix [[M, -D E^T / lam], [-E, 0]] with M = I + D C / lam
 and D the exponential-map diagonal.  Linearization owns every solve with J:
@@ -34,14 +37,8 @@ from . import numerics
 from .errors import ExponentOverflowError, NegativeCycleError, NotConvergedError
 from .game import AtomicRoutingGame
 
-# Exponent handling: entries are clamped at EXP_CLAMP to keep trial residuals
-# finite, and anything past EXP_LIMIT is treated as a hard failure.
-EXP_CLAMP = 50.0
+# An exponent past EXP_LIMIT is a hard failure; below it the map is exact.
 EXP_LIMIT = 200.0
-
-# Returned flows are floored at this value so they stay elementwise positive
-# even when the exact smoothed flow underflows to zero.
-_POSITIVE_FLOOR = 1e-300
 
 # Armijo line search: a step of length t is accepted when it cuts ||F|| by
 # at least the fraction _ARMIJO * t; t is halved at most _MAX_HALVINGS times.
@@ -113,25 +110,21 @@ def residual_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
         raise ValueError("lam must be finite and positive")
     if x.shape != (game.pm,) or v.shape != (game.dim_v,):
         raise ValueError("bad flow or multiplier length")
-    g = _exponent(game, x, v, lam)
-    _check_exponent(g, lam)
-    ex = np.exp(np.minimum(g, EXP_CLAMP))
-    return np.concatenate([x - ex, game.s - game.e_blk @ x])
+    return np.concatenate([x - _map_diag(game, x, v, lam), game.s - game.e_blk @ x])
 
 
 def _map_diag(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    # Derivative of the clamped exponential map: zero past the clamp.
+    # The exponential map, which is also its own derivative.
     g = _exponent(game, x, v, lam)
     _check_exponent(g, lam)
-    return np.where(g <= EXP_CLAMP, np.exp(np.minimum(g, EXP_CLAMP)), 0.0)
+    return np.exp(g)
 
 
 def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
     """Jacobian of residual_F with respect to (x, v).
 
     Blocks: [[I + D C / lam, -D E^T / lam], [-E, 0]] with D the diagonal of
-    exponential-map values.  Entries past the exponent clamp contribute zero
-    derivative, matching the clamped residual exactly.
+    exponential-map values.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -268,9 +261,11 @@ def _finite(z: np.ndarray) -> np.ndarray | None:
 
 
 def cold_start(game: AtomicRoutingGame, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Default start: v = 0 and x the clamped exponential map at (x, v) = 0."""
+    """Default start: v = 0 and x the exponential map at (x, v) = 0, its
+    exponent capped at EXP_LIMIT, so that an out-of-range start overflows at
+    its first residual rather than here."""
     v = np.zeros(game.dim_v)
-    return np.exp(np.minimum(_exponent(game, np.zeros(game.pm), v, lam), EXP_CLAMP)), v
+    return np.exp(np.minimum(_exponent(game, np.zeros(game.pm), v, lam), EXP_LIMIT)), v
 
 
 def solve_nls(
@@ -298,7 +293,7 @@ def solve_nls(
     """
     if warm_start is None:
         warm_start = cold_start(game, settings.lam)
-    x = np.maximum(np.array(warm_start[0], dtype=float), _POSITIVE_FLOOR)
+    x = np.array(warm_start[0], dtype=float)
     v = np.array(warm_start[1], dtype=float)
 
     resid = residual_F(game, x, v, settings.lam)
@@ -363,10 +358,10 @@ def _trial(
     step: np.ndarray,
     t: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    # The point t along step, flows floored positive, with its residual and
-    # norm; None when its exponent overflows.
+    # The point t along step with its residual and norm; None when its
+    # exponent overflows.
     pm = game.pm
-    cand_x = np.maximum(x + t * step[:pm], _POSITIVE_FLOOR)
+    cand_x = x + t * step[:pm]
     cand_v = v + t * step[pm:]
     try:
         cand_resid = residual_F(game, cand_x, cand_v, lam)

@@ -22,10 +22,10 @@ from helpers import (
     tolerant_chain,
 )
 from routedesign.design import DesignConfig, design_loop, project_B, project_D
-from routedesign.game import membership_D
+from routedesign.game import membership_D, path_to_target
 from routedesign.graph import shortest_path_cost
 from routedesign.scenarios import build_scenario
-from routedesign.sensitivity import implicit_gradients, path_to_target, tracking_objective
+from routedesign.sensitivity import implicit_gradients, tracking_objective
 from routedesign.smooth_eq import SmoothEqSettings, homotopy_solve, jacobian_F, solve_nls
 
 
@@ -36,7 +36,7 @@ def _report(index, label, ok, detail):
 
 def _scenario_objective(name):
     sc = build_scenario(name)
-    target = path_to_target(sc.game, sc.desired_link_paths())
+    target = path_to_target(sc.game, sc.desired_node_paths)
     return sc, tracking_objective(target)
 
 
@@ -222,8 +222,8 @@ def test_criterion_07_designed_costs_reroute_the_players():
     reference = tolerant_chain(designed, 1e-3, lam_start=1.0)
     assert designed.nash_gap(reference.x, feas_tol=1e-5) <= 1e-2
     weights = designed.marginal_cost(reference.x, 0)
-    desired_cost = float(weights[sc.desired_link_paths()[0]].sum())
-    original_cost = float(weights[sc.original_link_paths()[0]].sum())
+    desired_cost = float(weights @ designed.player_flow(path_to_target(designed, sc.desired_node_paths), 0))
+    original_cost = float(weights @ designed.player_flow(path_to_target(designed, sc.original_node_paths), 0))
     assert desired_cost < original_cost
     _report(
         7,

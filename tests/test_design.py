@@ -22,15 +22,15 @@ from routedesign.errors import (
     NegativeCycleError,
     NotConvergedError,
 )
-from routedesign.game import membership_D
+from routedesign.game import membership_D, path_to_target
 from routedesign.scenarios import build_scenario
-from routedesign.sensitivity import path_to_target, tracking_objective
+from routedesign.sensitivity import tracking_objective
 from routedesign.smooth_eq import SmoothEqSettings, homotopy_solve, solve_equilibrium
 
 
 def two_player_setup():
     sc = build_scenario("two_player_3x3")
-    target = path_to_target(sc.game, sc.desired_link_paths())
+    target = path_to_target(sc.game, sc.desired_node_paths)
     return sc.game, tracking_objective(target)
 
 
@@ -279,7 +279,7 @@ def test_designed_four_player_game_solves_below_the_design_weight():
     # continuation from lam = 1 passes a stage, lam = 0.0039, where damped
     # least-squares steps stall at residual 2.8e-10, short of the tolerance
     sc = build_scenario("four_player_5x5")
-    objective = tracking_objective(path_to_target(sc.game, sc.desired_link_paths()))
+    objective = tracking_objective(path_to_target(sc.game, sc.desired_node_paths))
     config = DesignConfig(alpha=0.01, lam=0.01)
     b, c_mat, _, verdict = design_loop(sc.game, objective, config)
     designed = sc.game.with_costs(b, c_mat, rho=config.rho)

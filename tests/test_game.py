@@ -20,9 +20,9 @@ from routedesign.game import (
     game_to_dict,
     load_game_file,
     membership_D,
+    path_to_target,
 )
 from routedesign.graph import DirectedGraph, grid_graph, shortest_path_cost
-from routedesign.sensitivity import path_to_target
 
 
 def line_game(b, c=None):
@@ -139,8 +139,7 @@ def test_nash_gap_on_forced_detour():
     game = AtomicRoutingGame(
         g, [Player(0, 8)], CostParams(np.ones(g.m), np.zeros((g.m, g.m)))
     )
-    detour = path_to_target(game, [[g.link_index[e] for e in
-                                    [(0, 1), (1, 2), (2, 5), (5, 4), (4, 7), (7, 8)]]])
+    detour = path_to_target(game, [[0, 1, 2, 5, 4, 7, 8]])
     # six unit-cost links against a best response of four
     assert game.nash_gap(detour) == 2.0
 
@@ -274,6 +273,7 @@ def test_load_game_file_with_desired_paths(tmp_path):
         ([2, 4], "runs from node 2 to node 4, not 1 to 4"),
         ([1, 3], "runs from node 1 to node 3, not 1 to 4"),
         ([1, 2, 1, 2, 4], "uses a link twice"),
+        ([1, 4], "has no link from node 1 to node 4"),
     ],
 )
 def test_load_game_file_checks_desired_paths_in_file_terms(tmp_path, nodes, message):

@@ -5,13 +5,12 @@ import pytest
 from helpers import csgraph
 from scipy.sparse.csgraph import bellman_ford, dijkstra
 
-from routedesign.errors import BrokenPathError, NegativeCycleError, UnreachableError
+from routedesign.errors import NegativeCycleError, UnreachableError
 from routedesign.graph import (
     DirectedGraph,
     grid_graph,
     incidence_matrix,
     od_vectors,
-    path_links,
     reduced_incidence,
     shortest_path_cost,
     stranded_links,
@@ -163,13 +162,3 @@ def test_stranded_links_cases():
         stranded_links(dead_end, 2, 0)
     with pytest.raises(ValueError):
         stranded_links(dead_end, 0, 3)
-
-
-def test_path_links_roundtrip_and_errors():
-    g = grid_graph(3, 3)
-    links = path_links(g, (3, 0, 1, 2, 5))
-    assert [g.links[j] for j in links] == [(3, 0), (0, 1), (1, 2), (2, 5)]
-    with pytest.raises(BrokenPathError):
-        path_links(g, (0, 5))  # not adjacent
-    with pytest.raises(BrokenPathError):
-        path_links(g, (4,))

@@ -1,19 +1,14 @@
-"""Implicit gradients through the smoothed equilibrium and target building."""
+"""Implicit gradients through the smoothed equilibrium, and design targets."""
 
 import numpy as np
 import pytest
 
 from helpers import random_game, solved_detached_two_cycle
 from routedesign.errors import BrokenPathError
-from routedesign.game import AtomicRoutingGame, CostParams, Player
+from routedesign.game import AtomicRoutingGame, CostParams, Player, path_to_target
 from routedesign.graph import DirectedGraph
-from routedesign.scenarios import build_scenario
-from routedesign.sensitivity import (
-    DesignObjective,
-    implicit_gradients,
-    path_to_target,
-    tracking_objective,
-)
+from routedesign.scenarios import SCENARIOS, build_scenario
+from routedesign.sensitivity import DesignObjective, implicit_gradients, tracking_objective
 from routedesign.smooth_eq import Linearization, SmoothEqSettings, solve_nls
 
 
@@ -123,29 +118,44 @@ def test_objective_gradient_shape_is_validated():
 def test_path_to_target_marks_desired_links():
     sc = build_scenario("two_player_3x3")
     game = sc.game
-    paths = sc.desired_link_paths()
-    target = path_to_target(game, paths)
+    target = path_to_target(game, sc.desired_node_paths)
     assert target.shape == (game.pm,)
     assert set(np.unique(target)) == {0.0, 1.0}
     assert target.sum() == 8.0  # two four-link detours
-    for i, path in enumerate(paths):
-        sl = game.player_slice(i)
-        assert np.flatnonzero(target[sl]).tolist() == sorted(path)
-    # a valid target is itself a feasible joint flow
-    assert game.conservation_violation(target) == 0.0
+    # the link paths the benchmark's set-up builds name exactly these links
+    for i, links in enumerate(sc.desired_link_paths()):
+        assert np.flatnonzero(target[game.player_slice(i)]).tolist() == sorted(links)
+        hops = list(zip(sc.desired_node_paths[i], sc.desired_node_paths[i][1:]))
+        assert [game.graph.links[j] for j in links] == hops
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_paths_are_feasible_unit_flows(name):
+    sc = build_scenario(name)
+    for paths in (sc.desired_node_paths, sc.original_node_paths):
+        target = path_to_target(sc.game, paths)
+        assert set(np.unique(target)) == {0.0, 1.0}
+        assert target.sum() == sum(len(path) - 1 for path in paths)
+        assert sc.game.conservation_violation(target) == 0.0
 
 
 def test_path_to_target_error_cases():
-    sc = build_scenario("two_player_3x3")
-    game = sc.game
-    good = sc.desired_link_paths()
-    with pytest.raises(BrokenPathError):
-        path_to_target(game, good[:1])  # one path missing
-    with pytest.raises(BrokenPathError):
-        path_to_target(game, [good[0], []])
-    with pytest.raises(BrokenPathError):
-        path_to_target(game, [good[0], good[0]])  # wrong endpoints for player 1
-    with pytest.raises(BrokenPathError):
-        path_to_target(game, [good[0] + good[0], good[1]])  # repeated links
-    with pytest.raises(BrokenPathError):
-        path_to_target(game, [[999] + good[0], good[1]])
+    # the library's messages name nodes 0-based, as its paths do
+    game = build_scenario("two_player_3x3").game
+    detour_1 = (5, 8, 7, 6, 3)
+    for paths, message in (
+        ([(3, 0, 1, 2, 5)], "need one desired path per player, got 1 for 2"),
+        ([(3, 0, 1, 2, 5), (5,)], "player 1: a desired path needs at least two nodes"),
+        (
+            [(3, 0, 2, 5), detour_1],
+            "player 0: desired path [3, 0, 2, 5] has no link from node 0 to node 2",
+        ),
+        (
+            [(3, 0, 1, 2, 5), (3, 0, 1, 2, 5)],
+            "player 1: desired path [3, 0, 1, 2, 5] runs from node 3 to node 5, not 5 to 3",
+        ),
+        ([(3, 4, 3, 4, 5), detour_1], "player 0: desired path [3, 4, 3, 4, 5] uses a link twice"),
+    ):
+        with pytest.raises(BrokenPathError) as info:
+            path_to_target(game, paths)
+        assert str(info.value) == message

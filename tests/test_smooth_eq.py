@@ -361,6 +361,16 @@ def test_overflowing_start_raises():
         residual_F(game, np.array([1.1, 0.1]), np.zeros(1), 1.0)
 
 
+def test_residual_and_jacobian_are_exact_up_to_the_exponent_limit():
+    # exponents 99 and 149 at lam = 1, (x, v) = (x, 0): far past where the
+    # map's value stays near the flows, but within EXP_LIMIT
+    game = two_node_game(-100.0, -150.0)
+    x, v = np.array([1.1, 0.1]), np.zeros(1)
+    ex = np.exp([99.0, 149.0])
+    assert np.array_equal(residual_F(game, x, v, 1.0)[:2], x - ex)
+    assert np.array_equal(jacobian_F(game, x, v, 1.0)[:2, 2], -ex * game.e_blk[0])
+
+
 def test_unconverged_solution_is_flagged():
     game = two_node_game(0.3, 0.7)
     sol = solve_nls(game, SmoothEqSettings(lam=0.01, max_iters=1))
