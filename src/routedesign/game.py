@@ -9,7 +9,6 @@ m entries.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -19,7 +18,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BrokenPathError, InfeasibleFlowError, UnreachableError
-from .graph import DirectedGraph, od_vectors, reduced_incidence, shortest_path_cost, stranded_links
+from .graph import (
+    DirectedGraph,
+    _integer,
+    od_vectors,
+    reduced_incidence,
+    shortest_path_cost,
+    stranded_links,
+)
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,8 @@ class AtomicRoutingGame:
         if not players:
             raise ValueError("a game needs at least one player")
         for player in players:
+            _integer(player.origin, "origin")
+            _integer(player.destination, "destination")
             if not (0 <= player.origin < graph.n and 0 <= player.destination < graph.n):
                 raise ValueError("player origin or destination out of range")
             if player.origin == player.destination:
@@ -322,13 +330,6 @@ def game_to_dict(game: AtomicRoutingGame) -> dict:
     }
 
 
-def _integer(value, field: str) -> int:
-    """A node index or count from a game document: no float, string or bool."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{field}: expected an integer, got {value!r}")
-    return operator.index(value)
-
-
 def game_from_dict(data: dict) -> AtomicRoutingGame:
     """Build a game from the JSON wire schema.
 
@@ -336,8 +337,9 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
     desired paths.
 
     Raises:
-        ValueError: missing keys, malformed shapes, or node indices that are
-            not integers or lie out of range.
+        ValueError: missing keys, malformed shapes, node indices that are
+            not integers or lie out of range, or links out of sorted order
+            or repeated.
         UnreachableError: some player has no strictly positive feasible flow;
             the message names nodes and links 1-based, as the document does.
     """
@@ -360,7 +362,7 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
     for tail, head in file_links:
         if not (1 <= tail <= n and 1 <= head <= n):
             raise ValueError(f"link [{tail}, {head}] out of node range 1..{n}")
-    graph = DirectedGraph(n, tuple(sorted((t - 1, h - 1) for t, h in file_links)))
+    graph = DirectedGraph(n, tuple((t - 1, h - 1) for t, h in file_links))
     try:
         return AtomicRoutingGame(graph, players, CostParams(b, c), rho)
     except UnreachableError:

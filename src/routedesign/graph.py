@@ -7,12 +7,20 @@ uses 1-based indices and is converted at the (de)serialization boundary.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NegativeCycleError, UnreachableError
+
+
+def _integer(value, field: str) -> int:
+    """A node index or count: an int or NumPy integer, not a float, string or bool."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -26,15 +34,21 @@ class DirectedGraph:
     Attributes:
         n: number of nodes, indexed 0..n-1.
         links: sorted tuple of (tail, head) pairs, no self-loops, no duplicates.
+
+    Raises:
+        ValueError: n or a link end is not an int or NumPy integer, or the
+            links break the rules above.
     """
 
     n: int
     links: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = _integer(self.n, "n")
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        canonical = tuple((int(t), int(h)) for t, h in self.links)
+        canonical = tuple((_integer(t, "links"), _integer(h, "links")) for t, h in self.links)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "links", canonical)
         prev = None
         for tail, head in canonical:

@@ -376,25 +376,21 @@ def homotopy_solve(
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
     *,
     lam_start: float = 1.0,
-    strict: bool = True,
 ) -> list[EquilibriumSolution]:
     """Continuation in the entropy weight, warm-starting every re-solve.
 
     Solves at max(lam_start, settings.lam) (from warm_start, else the cold
     start), then repeatedly halves the weight, clamping the final stage to
     exactly settings.lam, and re-solves from the previous stage's solution.
-    Every stage uses settings with its own weight in place of settings.lam.
-    Returns every stage's solution, final stage last.  With strict=False a
-    stage that stalls is kept unconverged and its best iterate warm starts
-    the next stage; the caller then judges the endpoint by other means, such
-    as its optimality gap.
+    Every stage uses settings with its own weight in place of settings.lam
+    and must converge.  Returns every stage's solution, final stage last.
 
     Raises:
         ValueError: lam_start is not finite and positive.
-        NegativeCycleError: strict, some stage failed, and some player's
-            marginal costs there admit a negative-cost cycle.
-        NotConvergedError: strict and some stage failed otherwise; the
-            message names its weight.
+        NegativeCycleError: some stage stalled, and some player's marginal
+            costs there admit a negative-cost cycle.
+        NotConvergedError: some stage stalled otherwise; the message names
+            its weight.
         ExponentOverflowError: a stage started out of range.
     """
     if not 0.0 < lam_start < np.inf:
@@ -404,7 +400,7 @@ def homotopy_solve(
     lam = max(lam_start, settings.lam)
     while True:
         sol = solve_nls(game, replace(settings, lam=lam), warm_start=carry)
-        if strict and not sol.converged:
+        if not sol.converged:
             stall = NotConvergedError(
                 f"continuation stage at lam={lam:g} stalled with residual {sol.residual_norm:.3e}"
             )
@@ -433,8 +429,7 @@ def solve_equilibrium(
 
     Given a warm start, first solves directly from it.  When there is no
     warm start, it overflows, or the direct solve does not converge, runs
-    strict continuation from max(1, lam) down to lam and returns its final
-    stage.
+    continuation from max(1, lam) down to lam and returns its final stage.
 
     Raises:
         NegativeCycleError: a continuation stage stalled where some player's

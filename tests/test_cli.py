@@ -443,3 +443,14 @@ def test_solve_names_a_negative_cost_cycle(tmp_path, capsys):
     proc = run_main(capsys, "solve", "--game", str(game_file), "--lambda", "0.01", "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "negative-cost cycle" in proc.stderr
+
+
+def test_solve_rejects_a_game_file_with_unsorted_links(tmp_path, capsys):
+    # b follows the file's link order; sorting the links alone would put
+    # the 9 on link 1 -> 2 and route the player straight over it
+    links = [[1, 3], [1, 2], [2, 1], [2, 3], [3, 1], [3, 2]]
+    game_file = _one_player_game(tmp_path / "game.json", 3, links, [9.0] + [0.1] * 5)
+    proc = run_main(capsys, "solve", "--game", str(game_file), "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "links must be sorted lexicographically with no duplicates" in proc.stderr
+    assert not (tmp_path / "equilibrium.json").exists()

@@ -22,7 +22,8 @@ from routedesign.errors import (
     NegativeCycleError,
     NotConvergedError,
 )
-from routedesign.game import membership_D, path_to_target
+from routedesign.game import AtomicRoutingGame, CostParams, Player, membership_D, path_to_target
+from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import tracking_objective
 from routedesign.smooth_eq import SmoothEqSettings, homotopy_solve, solve_equilibrium
@@ -324,6 +325,38 @@ def test_a_numerical_failure_names_its_design_iteration(monkeypatch, where, erro
         design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
     assert type(info.value) is error
     assert type(info.value.__cause__) is error
+
+
+def test_a_stalled_certification_stage_fails_its_design_iteration(monkeypatch):
+    game, objective = two_player_setup()
+    # no stage of the certifying continuation can reach this residual
+    monkeypatch.setattr(design_mod, "REFERENCE_RESIDUAL_TOL", 1e-300)
+    with pytest.raises(
+        NotConvergedError, match="^design iteration 1: continuation stage at lam=0.01 stalled"
+    ):
+        design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
+
+
+def test_a_reference_gap_above_tolerance_fails_its_design_iteration(monkeypatch):
+    game, objective = two_player_setup()
+    # at this entropy weight the smoothed equilibrium is far from a Nash one
+    monkeypatch.setattr(design_mod, "REFERENCE_LAMBDA", 0.5)
+    with pytest.raises(
+        NotConvergedError,
+        match=r"^design iteration 1: reference equilibrium gap \S+ exceeds 0.01$",
+    ):
+        design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
+
+
+def test_paths_do_not_match_under_a_negative_cost_cycle():
+    # the two-link cycle 0 -> 1 -> 0 costs -3 + 0.5 < 0
+    graph = DirectedGraph(2, ((0, 1), (1, 0)))
+    costs = CostParams(np.array([-3.0, 0.5]), np.zeros((2, 2)))
+    game = AtomicRoutingGame(graph, [Player(0, 1)], costs)
+    x = np.array([1.5, 0.5])
+    with pytest.raises(NegativeCycleError):
+        game.best_response_path(x, 0)
+    assert not design_mod._paths_match(game, x, np.array([1.0, 0.0]))
 
 
 def test_design_loop_rejects_a_bad_target_before_solving(monkeypatch):

@@ -251,6 +251,27 @@ def test_game_files_reject_node_indices_that_are_not_integers(tmp_path, where, f
         load_game_file(path)
 
 
+def test_game_files_reject_links_out_of_sorted_order(tmp_path):
+    # b and C follow the file's link order, so sorting the links would
+    # give each cost to another link
+    doc = _line_document()
+    doc["graph"]["links"] = [[2, 1], [1, 2]]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="links must be sorted lexicographically"):
+        load_game_file(path)
+
+
+@pytest.mark.parametrize(
+    ("player", "field", "value"),
+    [(Player(0.5, 1), "origin", 0.5), (Player(0, True), "destination", True)],
+)
+def test_game_rejects_player_ends_that_are_not_integers(player, field, value):
+    costs = CostParams(np.zeros(2), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer, got {value!r}$"):
+        AtomicRoutingGame(DirectedGraph(2, ((0, 1), (1, 0))), [player], costs)
+
+
 def test_load_game_file_with_desired_paths(tmp_path):
     game = random_game(np.random.default_rng(9), (1, 3), 1)
     doc = game_to_dict(game)

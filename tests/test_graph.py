@@ -1,5 +1,7 @@
 """Graph construction, incidence algebra, and path routines."""
 
+import re
+
 import numpy as np
 import pytest
 from helpers import csgraph
@@ -51,6 +53,28 @@ def test_link_validation():
         DirectedGraph(3, ((0, 0),))  # self-loop
     with pytest.raises(ValueError):
         DirectedGraph(2, ((0, 5),))  # head out of range
+
+
+@pytest.mark.parametrize(
+    ("n", "links", "field", "value"),
+    [
+        (3, ((0.7, 1.9),), "links", 0.7),
+        (3, ((0, np.float64(2.0)),), "links", np.float64(2.0)),
+        (2.5, ((0, 1),), "n", 2.5),
+        (True, (), "n", True),
+    ],
+)
+def test_node_indices_must_be_integers(n, links, field, value):
+    # int() would truncate the floats and convert the bool
+    got = re.escape(repr(value))
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer, got {got}$"):
+        DirectedGraph(n, links)
+
+
+def test_numpy_integer_node_indices_become_ints():
+    g = DirectedGraph(np.int64(3), ((np.int64(0), np.int32(2)),))
+    assert g.n == 3 and g.links == ((0, 2),)
+    assert type(g.n) is int and all(type(end) is int for end in g.links[0])
 
 
 def test_incidence_columns_sum_to_zero():

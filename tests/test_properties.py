@@ -365,6 +365,7 @@ def test_short_designs_stay_admissible_and_log_finite_values(case, seed):
 
     def spy_certify(game, start):
         reference, gap = real_certify(game, start)
+        assert reference.converged
         # an unbounded gap only ever comes from a negative-cost cycle
         assert np.isfinite(gap) or (gap == np.inf and has_negative_cycle(game, reference.x))
         return reference, gap
