@@ -62,7 +62,6 @@ from .smooth_eq import (
     homotopy_solve,
     jacobian_F,
     residual_F,
-    solve_equilibrium,
     solve_nls,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "reduced_incidence",
     "residual_F",
     "shortest_path_cost",
-    "solve_equilibrium",
     "solve_nls",
     "stranded_links",
     "tracking_objective",

@@ -9,9 +9,9 @@ Commands:
 
 solve and gap share one handler and write the same equilibrium.json; they
 differ in the summary line and in gap's fixed budget of 200 iterations.
-Without --homotopy both try a direct solve from the solver's cold start
-and fall back to continuation from max(1, lambda) when it overflows or
-stalls; with --homotopy they run continuation alone.
+Without --homotopy both solve directly at lambda from the solver's cold
+start and fall back to continuation from max(1, lambda) when that fails;
+with --homotopy they run that continuation alone.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags, malformed game
 files), 2 on numerical failures (solver stalls, negative-cost cycles).
@@ -36,7 +36,7 @@ from .errors import NumericalError, RouteDesignError
 from .game import AtomicRoutingGame, game_to_dict, load_game_file, path_to_target
 from .scenarios import SCENARIOS, build_scenario
 from .sensitivity import tracking_objective
-from .smooth_eq import EquilibriumSolution, SmoothEqSettings, cold_start, solve_equilibrium
+from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve
 
 
 class _UsageError(Exception):
@@ -140,9 +140,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     default_lam = 1e-3 if args.homotopy else 0.01
     lam = args.lam if args.lam is not None else default_lam
     settings = SmoothEqSettings(lam=lam, max_iters=args.max_iters)
-    # the cold start as a warm start makes solve_equilibrium try a direct solve first
-    warm = None if args.homotopy else cold_start(game, lam)
-    sol = solve_equilibrium(game, settings, warm)
+    sol = homotopy_solve(game, settings, lam_start=1.0 if args.homotopy else lam)[-1]
     gap = game.nash_gap(sol.x)
     _write_json(out / "equilibrium.json", _equilibrium_payload(sol, gap))
     if args.command == "gap":

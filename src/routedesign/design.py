@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NegativeCycleError, NotConvergedError, NumericalError
 from .game import AtomicRoutingGame
 from .sensitivity import DesignObjective, implicit_gradients
-from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve, solve_equilibrium
+from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve
 
 TRACE_COLUMNS = ("iter", "psi_bar", "psi_lambda", "db_norm", "dC_norm", "residual", "gap")
 
@@ -157,14 +157,15 @@ def _certified_reference(
 
     Runs continuation from max(start.lam, REFERENCE_LAMBDA) down to
     REFERENCE_LAMBDA, warm-started from start, a solution of the same game;
-    every stage must converge.  The endpoint's optimality gap must not
+    every stage must converge, or the cold chain from 1 is tried once
+    (homotopy_solve).  The endpoint's optimality gap must not
     exceed REFERENCE_GAP_TOL.  When the marginal costs there admit a
     negative-cost cycle the first-order gap is unbounded (the flow polytope
     has circulation rays), and it is reported as inf.
 
     Raises:
         NotConvergedError: the gap exceeds REFERENCE_GAP_TOL.
-        NumericalError: a continuation stage failed; see homotopy_solve.
+        NumericalError: the cold retry failed too; see homotopy_solve.
     """
     settings = SmoothEqSettings(lam=REFERENCE_LAMBDA, residual_tol=REFERENCE_RESIDUAL_TOL)
     sol = homotopy_solve(game, settings, (start.x, start.v), lam_start=start.lam)[-1]
@@ -207,14 +208,15 @@ def design_loop(
     """Approximate projected gradient descent on the cost parameters.
 
     Starts from b = delta * 1 and C = 0 and repeats: solve the smoothed game
-    at config.lam (continuation on the first pass, warm starts afterwards),
-    take implicit gradients, and project the stepped parameters back onto
-    their sets.  Stops when the combined parameter change drops below
-    config.epsilon or the iteration cap is reached.  Every iteration logs the
-    objective both at the inner solution and at a certified small-entropy
-    reference equilibrium, reached by continuation down from that inner
-    solution, alongside that reference's optimality gap.  A certification
-    stage that stalls fails its iteration, as a stalled inner solve does.
+    directly at config.lam (from the cold start, then from the previous
+    inner solution), take implicit gradients, and project the stepped
+    parameters back onto their sets.  Stops when the combined parameter
+    change drops below config.epsilon or the iteration cap is reached.
+    Every iteration logs the objective both at the inner solution and at a
+    certified small-entropy reference equilibrium, reached by continuation
+    down from that inner solution, alongside that reference's optimality
+    gap.  A failed inner solve or certification is retried by the cold
+    chain from 1 (homotopy_solve), and fails its iteration if that fails.
 
     One more iteration, not logged, verifies the designed game: its reference
     gives the verdict's objective and gap, and path_match holds when every
@@ -259,7 +261,7 @@ def design_loop(
         else:
             current = game.with_costs(b, c_mat, rho=config.rho)
             try:
-                sol = solve_equilibrium(current, settings, inner_warm)
+                sol = homotopy_solve(current, settings, inner_warm, lam_start=config.lam)[-1]
                 reference, gap = _certified_reference(current, sol)
             except NumericalError as exc:
                 raise type(exc)(f"design iteration {outer}: {exc}") from exc

@@ -337,9 +337,10 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
     desired paths.
 
     Raises:
-        ValueError: missing keys, malformed shapes, node indices that are
-            not integers or lie out of range, or links out of sorted order
-            or repeated.
+        ValueError: missing keys, malformed shapes or link entries, values
+            of b, C or rho that are not numbers, node indices that are not
+            integers or lie out of range, or links out of sorted order or
+            repeated.
         UnreachableError: some player has no strictly positive feasible flow;
             the message names nodes and links 1-based, as the document does.
     """
@@ -348,16 +349,15 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
     try:
         graph_block = data["graph"]
         n = _integer(graph_block["n"], "n")
-        file_links = [(_integer(t, "links"), _integer(h, "links")) for t, h in graph_block["links"]]
+        file_links = [_link_entry(entry) for entry in graph_block["links"]]
         players = [
             Player(_integer(p["origin"], "origin") - 1, _integer(p["destination"], "destination") - 1)
             for p in data["players"]
         ]
-        b = np.asarray(data["b"], dtype=float)
-        c = np.asarray(data["C"], dtype=float)
-        rho = float(data["rho"])
-    except (KeyError, TypeError, OverflowError) as exc:
-        # OverflowError: float() of an integer beyond the float range
+        b = _numbers(data, "b")
+        c = _numbers(data, "C")
+        rho = _numbers(data, "rho", float)
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed game document: {exc}") from exc
     for tail, head in file_links:
         if not (1 <= tail <= n and 1 <= head <= n):
@@ -369,6 +369,21 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
         # the constructor's message is 0-based; name the document's indices
         _require_positive_flow(graph, players, base=1)
         raise
+
+
+def _link_entry(entry) -> tuple[int, int]:
+    """A document's link entry [tail, head] as a pair of integers."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise ValueError(f"malformed game document: link entry {entry!r} is not a [tail, head] pair")
+    return _integer(entry[0], "links"), _integer(entry[1], "links")
+
+
+def _numbers(data: dict, key: str, convert=lambda value: np.asarray(value, dtype=float)):
+    """convert(data[key]), by default a float array; a failure names the key."""
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed game document: {key}: {exc}") from exc
 
 
 def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]] | None]:

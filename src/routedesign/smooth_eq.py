@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg.lapack
 
 from . import numerics
-from .errors import ExponentOverflowError, NegativeCycleError, NotConvergedError
+from .errors import ExponentOverflowError, NegativeCycleError, NotConvergedError, NumericalError
 from .game import AtomicRoutingGame
 
 # An exponent past EXP_LIMIT is a hard failure; below it the map is exact.
@@ -377,72 +377,53 @@ def homotopy_solve(
     *,
     lam_start: float = 1.0,
 ) -> list[EquilibriumSolution]:
-    """Continuation in the entropy weight, warm-starting every re-solve.
+    """Smoothed equilibrium at settings.lam by continuation in the entropy weight.
 
-    Solves at max(lam_start, settings.lam) (from warm_start, else the cold
-    start), then repeatedly halves the weight, clamping the final stage to
-    exactly settings.lam, and re-solves from the previous stage's solution.
+    The chain solves at max(lam_start, settings.lam), from warm_start, else
+    the cold start, then repeatedly halves the weight, clamping the final
+    stage to exactly settings.lam, and re-solves from the previous stage's
+    solution; with lam_start <= settings.lam it is a single direct solve.
     Every stage uses settings with its own weight in place of settings.lam
-    and must converge.  Returns every stage's solution, final stage last.
+    and must converge.  When the chain fails with a NumericalError, the
+    cold chain from max(1, settings.lam) runs once in its place, unless the
+    chain was already that one (no warm start and lam_start >= 1).  Returns
+    every stage's solution, final stage last.
 
     Raises:
         ValueError: lam_start is not finite and positive.
-        NegativeCycleError: some stage stalled, and some player's marginal
-            costs there admit a negative-cost cycle.
-        NotConvergedError: some stage stalled otherwise; the message names
-            its weight.
-        ExponentOverflowError: a stage started out of range.
+        NegativeCycleError: some stage of the last chain stalled, and some
+            player's marginal costs there admit a negative-cost cycle.
+        NotConvergedError: some stage of the last chain stalled otherwise;
+            the message names its weight.
+        ExponentOverflowError: a stage of the last chain started out of range.
     """
     if not 0.0 < lam_start < np.inf:
         raise ValueError("lam_start must be finite and positive")
     stages: list[EquilibriumSolution] = []
     carry = warm_start
     lam = max(lam_start, settings.lam)
-    while True:
-        sol = solve_nls(game, replace(settings, lam=lam), warm_start=carry)
-        if not sol.converged:
-            stall = NotConvergedError(
-                f"continuation stage at lam={lam:g} stalled with residual {sol.residual_norm:.3e}"
-            )
-            for i in range(game.p):
-                try:
-                    game.best_response_path(sol.x, i)
-                except NegativeCycleError:
-                    raise NegativeCycleError(
-                        f"continuation stage at lam={lam:g} stalled: player {i}'s "
-                        "marginal costs admit a negative-cost cycle"
-                    ) from stall
-            raise stall
-        stages.append(sol)
-        if lam <= settings.lam:
-            return stages
-        carry = (sol.x, sol.v)
-        lam = max(0.5 * lam, settings.lam)
-
-
-def solve_equilibrium(
-    game: AtomicRoutingGame,
-    settings: SmoothEqSettings,
-    warm: tuple[np.ndarray, np.ndarray] | None = None,
-) -> EquilibriumSolution:
-    """Smoothed equilibrium at settings.lam: a direct solve, else continuation.
-
-    Given a warm start, first solves directly from it.  When there is no
-    warm start, it overflows, or the direct solve does not converge, runs
-    continuation from max(1, lam) down to lam and returns its final stage.
-
-    Raises:
-        NegativeCycleError: a continuation stage stalled where some player's
-            marginal costs admit a negative-cost cycle.
-        NotConvergedError: a continuation stage stalled otherwise.
-        ExponentOverflowError: a continuation stage started out of range.
-    """
-    if warm is not None:
-        try:
-            sol = solve_nls(game, settings, warm_start=warm)
-        except ExponentOverflowError:
-            # the warm start lies too far from this game's solution
-            sol = None
-        if sol is not None and sol.converged:
-            return sol
-    return homotopy_solve(game, settings)[-1]
+    try:
+        while True:
+            sol = solve_nls(game, replace(settings, lam=lam), warm_start=carry)
+            if not sol.converged:
+                stall = NotConvergedError(
+                    f"continuation stage at lam={lam:g} stalled with residual {sol.residual_norm:.3e}"
+                )
+                for i in range(game.p):
+                    try:
+                        game.best_response_path(sol.x, i)
+                    except NegativeCycleError:
+                        raise NegativeCycleError(
+                            f"continuation stage at lam={lam:g} stalled: player {i}'s "
+                            "marginal costs admit a negative-cost cycle"
+                        ) from stall
+                raise stall
+            stages.append(sol)
+            if lam <= settings.lam:
+                return stages
+            carry = (sol.x, sol.v)
+            lam = max(0.5 * lam, settings.lam)
+    except NumericalError:
+        if warm_start is None and lam_start >= 1.0:
+            raise
+        return homotopy_solve(game, settings)

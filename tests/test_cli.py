@@ -172,14 +172,16 @@ def test_rho_sweep_without_interaction_budget_tracks_worst(tmp_path, capsys):
 
 
 def _count_inner_solves(monkeypatch):
+    # the inner solves run at the design weight, certification at REFERENCE_LAMBDA
     solves = []
-    real_solve = design_mod.solve_equilibrium
+    real_solve = design_mod.homotopy_solve
 
-    def spy_solve(*args):
-        solves.append(args)
-        return real_solve(*args)
+    def spy_solve(game, settings, *args, **kwargs):
+        if settings.lam != design_mod.REFERENCE_LAMBDA:
+            solves.append(args)
+        return real_solve(game, settings, *args, **kwargs)
 
-    monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
+    monkeypatch.setattr(design_mod, "homotopy_solve", spy_solve)
     return solves
 
 
@@ -330,6 +332,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         proc = run_main(capsys, "solve", "--game", str(malformed))
         assert proc.returncode == 1, doc
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    # a link entry that is not a pair, and offsets or a radius that are not
+    # numbers: the message names the entry or the key
+    for edit, message in (
+        (
+            lambda d: d["graph"]["links"].__setitem__(0, [1, 2, 9]),
+            "link entry [1, 2, 9] is not a [tail, head] pair",
+        ),
+        (lambda d: d.__setitem__("b", "abc"), "b: could not convert string to float: 'abc'"),
+        (lambda d: d.__setitem__("rho", "x"), "rho: could not convert string to float: 'x'"),
+    ):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        malformed.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_main(capsys, "solve", "--game", str(malformed))
+        assert proc.returncode == 1, doc
+        assert proc.stderr == f"error: malformed game document: {message}\n"
     # indices written as 1e999, which JSON readers parse as inf: a node
     # count, a player's origin and destination, a link end and a desired-path node
     for edit in (

@@ -1,5 +1,6 @@
 """Parameter projections, the outer design loop, and its final verdict."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from routedesign.game import AtomicRoutingGame, CostParams, Player, membership_D
 from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import tracking_objective
-from routedesign.smooth_eq import SmoothEqSettings, homotopy_solve, solve_equilibrium
+from routedesign.smooth_eq import SmoothEqSettings, homotopy_solve
 
 
 def two_player_setup():
@@ -190,19 +191,17 @@ def test_iteration_cap_is_honored():
 def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     game, objective = two_player_setup()
     inner, chains = [], []
-    real_solve, real_chain = design_mod.solve_equilibrium, design_mod.homotopy_solve
+    real_chain = design_mod.homotopy_solve
 
-    def spy_solve(*args):
-        sol = real_solve(*args)
-        inner.append((sol, args[2]))
-        return sol
-
+    # the inner solves run at the design weight, certification at REFERENCE_LAMBDA
     def spy_chain(game, settings, warm_start=None, **kwargs):
         stages = real_chain(game, settings, warm_start, **kwargs)
-        chains.append(([s.lam for s in stages], warm_start))
+        if settings.lam == design_mod.REFERENCE_LAMBDA:
+            chains.append(([s.lam for s in stages], warm_start))
+        else:
+            inner.append((stages, warm_start))
         return stages
 
-    monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
     monkeypatch.setattr(design_mod, "homotopy_solve", spy_chain)
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=3, epsilon=0.0)
     _, _, trace, _ = design_loop(game, objective, cfg)
@@ -211,9 +210,12 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     assert len(trace.records) == 3
     assert len(inner) == 4 and len(chains) == 4
     assert inner[0][1] is None
+    # every inner solve converges in one direct stage, the first from the cold start
+    assert [[s.lam for s in stages] for stages, _ in inner] == [[0.01]] * 4
     for (before, _), (_, warm) in zip(inner, inner[1:]):
-        assert np.array_equal(warm[0], before.x) and np.array_equal(warm[1], before.v)
-    for (sol, _), (stages, warm) in zip(inner, chains):
+        assert np.array_equal(warm[0], before[-1].x) and np.array_equal(warm[1], before[-1].v)
+    for (solved, _), (stages, warm) in zip(inner, chains):
+        sol = solved[-1]
         assert stages == [0.01, 0.005, 0.0025, 0.00125, 0.001]
         assert np.array_equal(warm[0], sol.x) and np.array_equal(warm[1], sol.v)
 
@@ -221,6 +223,21 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     chains.clear()
     design_loop(game, objective, DesignConfig(alpha=0.01, lam=5e-4, max_outer_iters=1))
     assert [stages for stages, _ in chains] == [[1e-3], [1e-3]]
+
+
+def test_a_design_first_solves_directly_from_the_cold_start(monkeypatch):
+    game, objective = two_player_setup()
+    calls = []
+    real_chain = design_mod.homotopy_solve
+
+    def spy_chain(game, settings, warm_start=None, **kwargs):
+        calls.append((settings.lam, warm_start, kwargs))
+        return real_chain(game, settings, warm_start, **kwargs)
+
+    monkeypatch.setattr(design_mod, "homotopy_solve", spy_chain)
+    cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=1)
+    design_loop(game, objective, cfg)
+    assert calls[0] == (cfg.lam, None, {"lam_start": cfg.lam})
 
 
 @pytest.mark.parametrize(
@@ -235,7 +252,7 @@ def test_a_design_solves_certifies_and_differentiates_once_past_its_trace(
     monkeypatch, cfg, rows
 ):
     game, objective = two_player_setup()
-    calls = {"solve_equilibrium": 0, "_certified_reference": 0, "implicit_gradients": 0}
+    calls = {"homotopy_solve": 0, "_certified_reference": 0, "implicit_gradients": 0}
 
     def counted(name):
         real = getattr(design_mod, name)
@@ -250,7 +267,12 @@ def test_a_design_solves_certifies_and_differentiates_once_past_its_trace(
         monkeypatch.setattr(design_mod, name, counted(name))
     _, _, trace, verdict = design_loop(game, objective, cfg)
     assert len(trace.records) == rows
-    assert calls == dict.fromkeys(calls, rows + 1)
+    # homotopy_solve runs both the inner solve and the certification
+    assert calls == {
+        "homotopy_solve": 2 * (rows + 1),
+        "_certified_reference": rows + 1,
+        "implicit_gradients": rows + 1,
+    }
     assert verdict.path_match
 
 
@@ -262,13 +284,13 @@ def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
     # the five logged iterations and the final, verifying one
     assert len(memo) == 6
     solves = []
-    real_solve = design_mod.solve_equilibrium
+    real_solve = design_mod.homotopy_solve
 
-    def spy_solve(*args):
+    def spy_solve(*args, **kwargs):
         solves.append(args)
-        return real_solve(*args)
+        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(design_mod, "solve_equilibrium", spy_solve)
+    monkeypatch.setattr(design_mod, "homotopy_solve", spy_solve)
     b_again, c_again, again, verdict_again = design_loop(game, objective, cfg, memo=memo)
     assert solves == []
     assert again.records == first.records
@@ -284,7 +306,7 @@ def test_designed_four_player_game_solves_below_the_design_weight():
     config = DesignConfig(alpha=0.01, lam=0.01)
     b, c_mat, _, verdict = design_loop(sc.game, objective, config)
     designed = sc.game.with_costs(b, c_mat, rho=config.rho)
-    sol = solve_equilibrium(designed, SmoothEqSettings(lam=1e-3))
+    sol = homotopy_solve(designed, SmoothEqSettings(lam=1e-3))[-1]
     assert sol.converged
     assert designed.nash_gap(sol.x) <= 1e-8
     # the design's final, certified iteration reaches the same point
@@ -308,8 +330,8 @@ def test_a_design_that_cannot_move_reports_the_undesigned_game_off_target():
 @pytest.mark.parametrize(
     ("where", "error"),
     [
-        ("solve_equilibrium", NegativeCycleError),
-        ("solve_equilibrium", ExponentOverflowError),
+        ("homotopy_solve", NegativeCycleError),
+        ("homotopy_solve", ExponentOverflowError),
         ("_certified_reference", InfeasibleFlowError),
         ("_certified_reference", NotConvergedError),
     ],
@@ -329,12 +351,24 @@ def test_a_numerical_failure_names_its_design_iteration(monkeypatch, where, erro
 
 def test_a_stalled_certification_stage_fails_its_design_iteration(monkeypatch):
     game, objective = two_player_setup()
-    # no stage of the certifying continuation can reach this residual
+    # no stage of the certifying continuation can reach this residual: the
+    # chain down from the inner solution stalls, then its cold retry from 1
     monkeypatch.setattr(design_mod, "REFERENCE_RESIDUAL_TOL", 1e-300)
     with pytest.raises(
-        NotConvergedError, match="^design iteration 1: continuation stage at lam=0.01 stalled"
+        NotConvergedError, match="^design iteration 1: continuation stage at lam=1 stalled"
     ):
         design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
+
+
+def test_a_certification_whose_warm_start_overflows_is_retried_cold():
+    game, _ = two_player_setup()
+    sol = homotopy_solve(game, SmoothEqSettings(lam=0.01))[-1]
+    reference, gap = design_mod._certified_reference(game, sol)
+    # multipliers 500 too high overflow the map at the chain's first stage
+    retried, retried_gap = design_mod._certified_reference(game, replace(sol, v=sol.v + 500.0))
+    assert retried.lam == reference.lam == design_mod.REFERENCE_LAMBDA
+    assert np.allclose(retried.x, reference.x, rtol=0.0, atol=1e-8)
+    assert retried_gap == pytest.approx(gap, rel=0.0, abs=1e-8)
 
 
 def test_a_reference_gap_above_tolerance_fails_its_design_iteration(monkeypatch):
@@ -365,7 +399,6 @@ def test_design_loop_rejects_a_bad_target_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating the target")
 
-    monkeypatch.setattr(design_mod, "solve_equilibrium", no_solve)
     monkeypatch.setattr(design_mod, "homotopy_solve", no_solve)
     with pytest.raises(ValueError, match="length p\\*m"):
         design_loop(game, tracking_objective(np.ones(game.pm - 1)), DesignConfig())

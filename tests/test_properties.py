@@ -37,9 +37,9 @@ from routedesign.smooth_eq import (
     Linearization,
     SmoothEqSettings,
     cold_start,
+    homotopy_solve,
     jacobian_F,
     residual_F,
-    solve_equilibrium,
     solve_nls,
 )
 
@@ -186,7 +186,7 @@ def test_random_digraph_games_solve_or_are_rejected(case, rho, seed):
     solutions = {}
     for lam in (0.1, 0.01):
         settings_lam = SmoothEqSettings(lam=lam)
-        sol = solve_equilibrium(game, settings_lam)
+        sol = homotopy_solve(game, settings_lam)[-1]
         assert sol.converged, f"lam={lam}"
         # flows are not floored: x - exp(g) is F's first block
         assert sol.x.min() >= -sol.residual_norm, f"lam={lam}"
@@ -272,7 +272,7 @@ def test_chord_steps_reach_the_newton_solution_on_dense_interactions(case, rho, 
         for rate in (smooth_eq._CHORD_RATE, 0.0):  # 0: refactor every iteration
             with mock.patch.object(smooth_eq, "_CHORD_RATE", rate):
                 try:
-                    outcomes.append(solve_equilibrium(game, settings_lam))
+                    outcomes.append(homotopy_solve(game, settings_lam)[-1])
                 except NumericalError as exc:
                     outcomes.append(type(exc))
         chord, newton = outcomes
@@ -302,7 +302,7 @@ def test_design_regime_games_solve_certify_and_differentiate(case, seed):
         # rather than the solver's stopping point
         settings_lam = SmoothEqSettings(lam=lam, residual_tol=1e-13)
         try:
-            sol = solve_equilibrium(game, settings_lam)
+            sol = homotopy_solve(game, settings_lam)[-1]
         except NumericalError:
             continue  # a typed failure is an allowed outcome
         assert sol.converged and sol.residual_norm <= settings_lam.residual_tol
@@ -330,9 +330,12 @@ def test_design_regime_games_solve_certify_and_differentiate(case, seed):
             for h in (1e-3, 1e-4, 1e-5):
                 psi = [
                     objective.evaluate(
-                        solve_equilibrium(
-                            game.with_costs(*costs(t)), settings_lam, (sol.x, sol.v)
-                        ).x
+                        homotopy_solve(
+                            game.with_costs(*costs(t)),
+                            settings_lam,
+                            (sol.x, sol.v),
+                            lam_start=settings_lam.lam,
+                        )[-1].x
                     )
                     for t in (h, -h)
                 ]

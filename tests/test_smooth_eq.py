@@ -29,7 +29,6 @@ from routedesign.smooth_eq import (
     homotopy_solve,
     jacobian_F,
     residual_F,
-    solve_equilibrium,
     solve_nls,
 )
 
@@ -144,7 +143,7 @@ def test_default_start_solves_one_way_games():
         assert sol.converged
         share = logit_split(b[0] + b[2], b[1] + b[3], lam)
         assert np.allclose(sol.x, [share, 1.0 - share, share, 1.0 - share], atol=1e-9)
-    sol = solve_equilibrium(game, SmoothEqSettings(lam=0.01))
+    sol = homotopy_solve(game, SmoothEqSettings(lam=0.01))[-1]
     assert sol.converged
     assert game.nash_gap(sol.x) < 1e-5
 
@@ -289,7 +288,7 @@ def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
 def _four_player_solution(c_mat, lam=0.05):
     base = build_scenario("four_player_5x5").game
     game = base.with_costs(base.costs.b, c_mat)
-    sol = solve_equilibrium(game, SmoothEqSettings(lam=lam))
+    sol = homotopy_solve(game, SmoothEqSettings(lam=lam))[-1]
     assert sol.converged
     return game, sol
 
@@ -378,11 +377,26 @@ def test_unconverged_solution_is_flagged():
     assert sol.iterations == 1
 
 
-def test_strict_continuation_names_the_stalled_stage():
+def test_strict_continuation_names_the_stalled_stage(monkeypatch):
     game = two_node_game(0.3, 0.7)
     settings = SmoothEqSettings(lam=0.5, residual_tol=1e-15, max_iters=1)
-    with pytest.raises(NotConvergedError, match="lam=1"):
+    calls = []
+    real_solve = smooth_eq.solve_nls
+
+    def spy_solve(game, settings, warm_start=None):
+        calls.append((settings.lam, warm_start is None))
+        return real_solve(game, settings, warm_start)
+
+    monkeypatch.setattr(smooth_eq, "solve_nls", spy_solve)
+    # the cold chain from max(1, lam) stalls at its first stage and is not retried
+    with pytest.raises(NotConvergedError, match="lam=1 "):
         homotopy_solve(game, settings)
+    assert calls == [(1.0, True)]
+    # a direct solve that stalls is retried once by that cold chain
+    calls.clear()
+    with pytest.raises(NotConvergedError, match="lam=1 "):
+        homotopy_solve(game, settings, lam_start=settings.lam)
+    assert calls == [(0.5, True), (1.0, True)]
 
 
 def test_continuation_returns_stage_list():
@@ -399,7 +413,8 @@ def test_overflowing_warm_start_falls_back_to_continuation():
     warm = (np.array([1.1, 0.1]), np.array([500.0]))  # exponent ~ +499 at lam=1
     with pytest.raises(ExponentOverflowError):
         solve_nls(game, SmoothEqSettings(lam=1.0), warm_start=warm)
-    sol = solve_equilibrium(game, SmoothEqSettings(lam=1.0), warm)
+    settings = SmoothEqSettings(lam=1.0)
+    sol = homotopy_solve(game, settings, warm, lam_start=settings.lam)[-1]
     assert sol.converged
     assert sol.lam == 1.0
     x_ref, v_ref = two_node_oracle(b1, b2, 1.0)
@@ -415,7 +430,7 @@ def test_stalled_warm_start_falls_back_to_continuation():
     # neither direction's line search gets anywhere from this start
     assert not stalled.converged
     assert stalled.iterations == 1
-    sol = solve_equilibrium(game, settings, warm)
+    sol = homotopy_solve(game, settings, warm, lam_start=settings.lam)[-1]
     assert sol.converged
     assert sol.lam == 0.003
     chain = homotopy_solve(game, settings)
@@ -428,7 +443,7 @@ def test_one_way_game_with_starved_nodes_solves():
     game = AtomicRoutingGame(
         DirectedGraph(6, links), [Player(3, 0)], CostParams(b, np.zeros((10, 10)))
     )
-    sol = solve_equilibrium(game, SmoothEqSettings(lam=0.1))
+    sol = homotopy_solve(game, SmoothEqSettings(lam=0.1))[-1]
     assert sol.converged
     assert np.linalg.norm(game.s - game.e_blk @ sol.x) <= 1e-8
 
