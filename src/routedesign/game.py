@@ -89,9 +89,9 @@ LOW_RANK_SHARE = 0.5
 class AtomicRoutingGame:
     """A p-player atomic routing game on a shared directed graph.
 
-    Precomputes the per-player reduced incidence matrices, their block
-    diagonal, and the stacked demand vector, which every residual and solver
-    in the package reuses.
+    Precomputes the per-player reduced incidence matrices, stacked as one
+    (p, n - 1, m) array, their block diagonal, and the stacked demand
+    vector, which every residual and solver in the package reuses.
 
     Raises:
         UnreachableError: some player has no strictly positive feasible flow.
@@ -125,15 +125,15 @@ class AtomicRoutingGame:
         self.rho = float(rho)
 
         n_red = graph.n - 1
-        self.reduced = [reduced_incidence(graph, p.destination) for p in self.players]
+        self.reduced = np.stack([reduced_incidence(graph, p.destination) for p in self.players])
         s_parts = [od_vectors(graph, p.origin, p.destination)[1] for p in self.players]
         self.s = np.concatenate(s_parts)
         e_blk = np.zeros((len(players) * n_red, pm))
         for i, e_i in enumerate(self.reduced):
             e_blk[i * n_red : (i + 1) * n_red, i * graph.m : (i + 1) * graph.m] = e_i
         self.e_blk = e_blk
-        self.s.setflags(write=False)
-        self.e_blk.setflags(write=False)
+        for array in (self.reduced, self.s, self.e_blk):
+            array.setflags(write=False)
 
     @property
     def n(self) -> int:

@@ -1,13 +1,16 @@
 """Implicit differentiation of the smoothed equilibrium in the cost parameters.
 
-At a solution of the smoothed system, the equilibrium flow is an implicit
-function of (b, C).  Differentiating through the system gives objective
-gradients without unrolling the solver: one solve against the transpose of
-the Jacobian the equilibrium solver linearizes, scaled by the
-exponential-map diagonal.  Both come from the solver's own linearization
-(smooth_eq.Linearization), which also answers where J is singular, as it is
-exactly on some games the load-time check accepts (a two-cycle cut off from
-the players' nodes, whose two multipliers can shift together).
+At a solution of the smoothed system F(x, v) = 0, the equilibrium flow is an
+implicit function of (b, C).  Differentiating through F gives objective
+gradients without unrolling the solver: one solve against J^T, the
+transpose of F's Jacobian in (x, v), scaled by the exponential-map diagonal
+D.  smooth_eq.Linearization, built at the solution, factors J the way the
+solver factors it for its log-flow Newton steps (per player, with a
+Woodbury update through C's low-rank factor, or densely), here with D the
+map's values there, which equal the flows up to the solve tolerance.  It
+also answers where J is singular, as it is exactly on some games the
+load-time check accepts (a two-cycle cut off from the players' nodes, whose
+two multipliers can shift together).
 """
 
 from __future__ import annotations

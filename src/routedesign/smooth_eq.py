@@ -3,32 +3,44 @@
 Adding an entropy term (weight lam) to every player's objective replaces the
 piecewise-linear equilibrium conditions with a smooth square system
 
-    F(x, v) = [x - exp((E^T v - b - C x) / lam - 1);  s - E x] = 0,
+    F(x, v) = [x - exp(g);  s - E x] = 0,  g = (E^T v - b - C x) / lam - 1,
 
 which has a unique solution for lam > 0 with monotone interaction costs when
-every player has a strictly positive feasible flow.  The solver below drives
-||F|| to tolerance with Newton's method and a backtracking line search,
-started from the exponential map at (x, v) = 0, and a continuation that
-halves lam down to a small target.  The map is exact wherever its exponent
-is at most EXP_LIMIT and overflows past it.  Iterates are not kept
-positive: the first block of F is x - exp(g), so a solution's flows are at
-least -||F||.
+every player has a strictly positive feasible flow.  residual_F and
+jacobian_F are F and its Jacobian J in (x, v).  The map is exact wherever
+its exponent g is at most EXP_LIMIT and overflows past it.
 
-J is a saddle-point matrix [[M, -D E^T / lam], [-E, 0]] with M = I + D C / lam
-and D the exponential-map diagonal.  Linearization owns every solve with J:
-by that structure (Woodbury through the game's rank-revealing factor
-C = U W^T for M, then a Schur complement on the multipliers), by the LU of
-J^T for C of rank above pm / 2, and where J is singular by the minimum-norm
-least-squares solution from a rank-revealing QR.  The Newton step, the QR
-fallback direction and the implicit gradient all go through it.  The
-structured factor is rebuilt at every iterate; the dense LU is kept for
-chord steps while they contract ||F|| by _CHORD_RATE.
+The solver works in log flows y, x = e^y, on the system with the same
+solutions
+
+    F~(y, v) = [lam (y - g(e^y, v));  s - E e^y] = 0,
+
+where a step that moves the exponent by one unit moves F~ by about lam, not
+the O(1) jump it makes in x - exp(g).  It runs Newton's method with a
+backtracking line search on ||F~||, started from the exponent of the map at
+(x, v) = 0, and stops when ||F(e^y, v)|| meets the tolerance.  Flows e^y
+are never negative, and the flow on a route that costs far more than lam
+above the cheapest underflows to exactly 0.  A continuation halves lam down
+to a small target.
+
+J is a saddle-point matrix [[I + D C / lam, -D E^T / lam], [-E, 0]] with D
+a diagonal, the exponential map's values, and the log system's Jacobian is
+J~ = diag(lam / X, I) J diag(X, I) at D = X = diag(e^y), so one
+Linearization of J serves both.  It owns every solve with J: per player
+through the block-diagonal part of J without C, then a Woodbury update
+through the game's low-rank factor C = U W^T; by the LU of J^T for C of rank
+above pm / 2; and where J is singular by the minimum-norm least-squares
+solution from a rank-revealing QR.  The Newton step, the QR fallback
+direction and the implicit gradient all go through it.  The structured
+factor is rebuilt at every iterate; the dense LU is kept for chord steps
+while they contract ||F~|| by _CHORD_RATE.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -40,16 +52,17 @@ from .game import AtomicRoutingGame
 # An exponent past EXP_LIMIT is a hard failure; below it the map is exact.
 EXP_LIMIT = 200.0
 
-# Armijo line search: a step of length t is accepted when it cuts ||F|| by
+# Armijo line search: a step of length t is accepted when it cuts ||F~|| by
 # at least the fraction _ARMIJO * t; t is halved at most _MAX_HALVINGS times.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 
-# Chord steps on the dense route: after an iteration that cut ||F|| by at
+# Chord steps on the dense route: after an iteration that cut ||F~|| by at
 # least this factor, the next one first takes the full step from the same
-# LU and keeps it only if it cuts ||F|| by the factor again.  On the games of
-# bench/coupled_game.py 0.5 took less time than 0.25, which refactors more
-# often, and than 0.75, which takes many more chord steps that each gain less.
+# LU and keeps it only if it cuts ||F~|| by the factor again.  On the games
+# of bench/coupled_game.py 0.5 took less time than 0.25, which refactors
+# more often, and than 0.75, which takes many more chord steps that each
+# gain less.
 _CHORD_RATE = 0.5
 
 
@@ -88,7 +101,7 @@ def _exponent(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float)
 
 
 def _check_exponent(g: np.ndarray, lam: float) -> None:
-    top = float(np.max(g))
+    top = float(g.max())
     if top > EXP_LIMIT:
         raise ExponentOverflowError(
             f"smoothed-map exponent {top:.1f} exceeds {EXP_LIMIT:.0f} at lam={lam:g}"
@@ -149,43 +162,76 @@ def _assemble_jacobian(game: AtomicRoutingGame, d: np.ndarray, lam: float) -> np
 
 
 class Linearization:
-    """J = dF/d(x, v) at one point, factored once by its structure.
+    """J = dF/d(x, v) at one map diagonal d, factored once by its structure.
 
-    With C = U W^T (game.cost_factor, rank r), A = D U and K = lam I + W^T A,
-    Woodbury gives M^-1 y = y - A K^-1 W^T y.  Eliminating x leaves the Schur
-    complement S = E M^-1 B on the multipliers, B = D E^T / lam, of size
-    p (n - 1); at C = 0 it is the per-player weighted Laplacian E B.  Both
-    K and S are factored by LU, and J^T reuses them transposed, since the
-    Schur complement of J^T is S^T.  When C has no such factor (rank above
-    pm / 2) the LU of the dense J^T is held instead: J's C-order buffer is
-    J^T in Fortran order, so LAPACK factors it without a copy, and partial
-    pivoting on J^T picks its pivots along the rows of J, a choice that
-    their scale, set mostly by D, does not change.
+    J = [[I + D C / lam, -D E^T / lam], [-E, 0]] with D = diag(d).  Its part
+    without C, J0 = [[I, -D E^T / lam], [-E, 0]], is block diagonal by
+    player: eliminating player i's flows leaves the weighted Laplacian
+    L_i = E_i D_i E_i^T / lam on its n - 1 multipliers, inverted from its LU
+    (at these sizes one LAPACK solve with many right-hand sides costs more
+    than the inverse).  The game's low-rank factor C = U W^T
+    (game.cost_factor, rank r) makes J a rank-r update of J0.  With
+    Z = J0^-1 [D U / lam; 0], p block solves with r right-hand sides, and
+    the r x r capacitance K = I + W^T Z_x, factored by LU, Woodbury gives
+
+        J^-1 rhs = z0 - Z K^-1 W^T z0_x,  z0 = J0^-1 rhs,
+        J^-T rhs = J0^-T (rhs - [W a; 0]),  a = K^-T Z^T rhs,
+
+    where J0^-T reuses the L_i, which are symmetric.  When C has no such
+    factor (rank above pm / 2) the LU of the dense J^T is held instead: J's
+    C-order buffer is J^T in Fortran order, so LAPACK factors it without a
+    copy, and partial pivoting on J^T picks its pivots along the rows of J,
+    a choice that their scale, set mostly by D, does not change.
 
     Where a factor met a zero pivot or a result is not finite, J is
     singular, and solves return numerics.lstsq on the dense J assembled
-    from d, the kept map diagonal; a dense LU is released for good first.
+    from d; a dense LU is released for good first.
+
+    Linearization(game, x, v, lam) is J at (x, v), d the exponential map
+    there, as the implicit gradient takes it; the solver factors J at the
+    diagonal of its own flows (see solve_nls).
 
     Raises:
         ExponentOverflowError: the exponent at (x, v) is out of range.
     """
 
     def __init__(self, game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> None:
+        self._factor(game, _map_diag(game, x, v, lam), lam)
+
+    @classmethod
+    def _at(cls, game: AtomicRoutingGame, d: np.ndarray, lam: float) -> Linearization:
+        # J with the map diagonal replaced by d
+        lin = cls.__new__(cls)
+        lin._factor(game, d, lam)
+        return lin
+
+    def _factor(self, game: AtomicRoutingGame, d: np.ndarray, lam: float) -> None:
         self._game = game
         self._lam = lam
-        self.d = d = _map_diag(game, x, v, lam)
-        self._dense = self._schur = None
+        self.d = d
+        self._dense = self._l_inv = self._woodbury = None
         factor = game.cost_factor
         if factor is None:
             self._dense = _lu(_assemble_jacobian(game, d, lam).T)
             return
+        e = game.reduced
+        p, _, m = e.shape
+        self._ed = ed = e * (d / lam).reshape(p, 1, m)  # E_i D_i / lam
+        self._l_inv = ed @ e.transpose(0, 2, 1)
+        for i, l_i in enumerate(self._l_inv):
+            lu, piv, info = _lu(l_i)
+            if info != 0:
+                self._l_inv = None  # singular: solves go to least squares
+                return
+            self._l_inv[i] = scipy.linalg.lapack.dgetri(lu, piv, overwrite_lu=True)[0]
         u, w = factor
-        self._woodbury = None
         if u.shape[1] > 0:
-            a = d[:, None] * u
-            self._woodbury = (a, w, _lu(lam * np.eye(u.shape[1]) + w.T @ a))
-        self._m_inv_b = self._m_inv(game.e_blk.T * (d / lam)[:, None])
-        self._schur = _lu(game.e_blk @ self._m_inv_b)
+            z = self._j0_solve(u * (d / lam)[:, None], None, trans=0)
+            lu, piv, info = _lu(np.eye(u.shape[1]) + w.T @ z[: p * m])
+            if info != 0:
+                self._l_inv = None
+                return
+            self._woodbury = (z, w, lu, piv)
 
     @property
     def holds_dense_lu(self) -> bool:
@@ -211,34 +257,45 @@ class Linearization:
 
     def _factored_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray | None:
         # None where J is singular
-        if self._schur is None:  # the dense route; no LU once released
-            return None if self._dense is None else _lu_solve(self._dense, rhs, trans=1 - trans)
-        pm, e = self._game.pm, self._game.e_blk
-        if trans == 0:
-            y = self._m_inv(rhs[:pm])
-            dv = _lu_solve(self._schur, -(rhs[pm:] + e @ y))
-            if dv is None:
-                return None
-            return _finite(np.concatenate([y + self._m_inv_b @ dv, dv]))
-        zv = _lu_solve(self._schur, -(rhs[pm:] + self._m_inv_b.T @ rhs[:pm]), trans=1)
-        if zv is None:
+        if self._dense is not None:
+            return _lu_solve(self._dense, rhs, trans=1 - trans)
+        if self._l_inv is None:  # singular, or a dense LU released
             return None
-        return _finite(np.concatenate([self._m_inv(rhs[:pm] + e.T @ zv, trans=1), zv]))
+        pm = self.d.size
+        rhs = rhs[:, None]
+        if self._woodbury is None:
+            z = self._j0_solve(rhs[:pm], rhs[pm:], trans)
+        elif trans == 0:
+            big_z, w, lu, piv = self._woodbury
+            z = self._j0_solve(rhs[:pm], rhs[pm:], trans=0)
+            z -= big_z @ scipy.linalg.lapack.dgetrs(lu, piv, w.T @ z[:pm])[0]
+        else:
+            big_z, w, lu, piv = self._woodbury
+            a = scipy.linalg.lapack.dgetrs(lu, piv, big_z.T @ rhs, trans=1)[0]
+            z = self._j0_solve(rhs[:pm] - w @ a, rhs[pm:], trans=1)
+        return _finite(z[:, 0])
+
+    def _j0_solve(self, r1: np.ndarray, r2: np.ndarray | None, trans: int) -> np.ndarray:
+        # J0^-1 [r1; r2], or J0^-T [r1; r2] with trans=1, for r1 of shape
+        # (pm, k) and r2 of shape (p (n - 1), k) or None for 0, player by
+        # player: with (left, right) = (E, E D / lam) for J0 and swapped for
+        # J0^T, b_i = L_i^-1 (r2_i + left_i r1_i) and the solution is
+        # [r1_i - right_i^T b_i; -b_i].  Non-finite values propagate.
+        e = self._game.reduced
+        p, n1, m = e.shape
+        left, right = (e, self._ed) if trans == 0 else (self._ed, e)
+        r1 = r1.reshape(p, m, -1)
+        b = left @ r1
+        if r2 is not None:
+            b += r2.reshape(b.shape)
+        b = self._l_inv @ b
+        x = r1 - right.transpose(0, 2, 1) @ b
+        return np.concatenate([x.reshape(p * m, -1), -b.reshape(p * n1, -1)])
 
     def _least_squares(self, rhs: np.ndarray, trans: int) -> np.ndarray:
         self._dense = None  # free the LU before assembling the dense J
         jac = _assemble_jacobian(self._game, self.d, self._lam)
         return numerics.lstsq(jac.T if trans else jac, rhs)
-
-    def _m_inv(self, y: np.ndarray, trans: int = 0) -> np.ndarray:
-        # M^-1 y, or M^-T y = y - W K^-T A^T y with trans=1; y may be a
-        # matrix.  A singular K leaves non-finite values, which send the
-        # solves to least squares.
-        if self._woodbury is None:
-            return y
-        a, w, (lu, piv, _) = self._woodbury
-        left, right = (a, w) if trans == 0 else (w, a)
-        return y - left @ scipy.linalg.lapack.dgetrs(lu, piv, right.T @ y, trans=trans)[0]
 
 
 def _lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -260,12 +317,45 @@ def _finite(z: np.ndarray) -> np.ndarray | None:
     return z if np.all(np.isfinite(z)) else None
 
 
+def _cold_exponent(game: AtomicRoutingGame, lam: float) -> np.ndarray:
+    # the map's exponent at (x, v) = 0, capped at EXP_LIMIT
+    zero = np.zeros(game.pm)
+    return np.minimum(_exponent(game, zero, np.zeros(game.dim_v), lam), EXP_LIMIT)
+
+
 def cold_start(game: AtomicRoutingGame, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Default start: v = 0 and x the exponential map at (x, v) = 0, its
     exponent capped at EXP_LIMIT, so that an out-of-range start overflows at
-    its first residual rather than here."""
-    v = np.zeros(game.dim_v)
-    return np.exp(np.minimum(_exponent(game, np.zeros(game.pm), v, lam), EXP_LIMIT)), v
+    its first residual rather than here.  solve_nls starts from its log
+    flows, that capped exponent."""
+    return np.exp(_cold_exponent(game, lam)), np.zeros(game.dim_v)
+
+
+class _State(NamedTuple):
+    """A point (y, v) of the log system with x = e^y, the map's exponent g
+    at (x, v), F~ there and ||F~||."""
+
+    y: np.ndarray
+    v: np.ndarray
+    x: np.ndarray
+    g: np.ndarray
+    f: np.ndarray
+    norm: float
+
+    def x_norm(self) -> float:
+        """||residual_F(x, v)||, whose first block is e^y - e^g."""
+        first, conservation = self.x - np.exp(self.g), self.f[self.y.size :]
+        return math.sqrt(first @ first + conservation @ conservation)
+
+
+def _state(game: AtomicRoutingGame, y: np.ndarray, v: np.ndarray, lam: float) -> _State:
+    # Raises ExponentOverflowError where y or g passes EXP_LIMIT.
+    _check_exponent(y, lam)
+    x = np.exp(y)
+    g = _exponent(game, x, v, lam)
+    _check_exponent(g, lam)
+    f = np.concatenate([lam * (y - g), game.s - game.e_blk @ x])
+    return _State(y, v, x, g, f, math.sqrt(f @ f))
 
 
 def solve_nls(
@@ -273,101 +363,114 @@ def solve_nls(
     settings: SmoothEqSettings,
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EquilibriumSolution:
-    """Solve the smoothed system by Newton's method with backtracking.
+    """Solve the smoothed system by Newton's method in log flows.
 
-    Starts from the given warm start, else from cold_start(game, lam).  An
-    iteration whose linearization holds a dense LU and cut ||F|| by at least
-    the factor _CHORD_RATE keeps it, and the next iteration first takes the
-    full chord step from it with the new residual; it accepts that step
-    only if ||F|| falls by the factor again.  Any other iteration factors J
-    afresh (Linearization) and tries its directions in turn, each with an
-    Armijo line search on ||F||: the Newton step J d = -F, and, when J is
-    singular or that search fails, the minimum-norm least-squares step.
-    Trial points whose exponent overflows count as failed steps.
-    iterations counts chord steps too.  Returns the incumbent with
-    converged=False when every search fails or the iteration budget runs
-    out.
+    The state is (y, v) with flows x = e^y, so flows are never negative, and
+    Newton drives F~(y, v) = [lam (y - g(e^y, v)); s - E e^y] to zero, whose
+    Jacobian is J~ = [[lam I + C X, -E^T], [-E X, 0]] with X = diag(e^y).  A
+    warm start (x0, v0) starts from y = log x0 where x0 > 0, else from the
+    map's exponent g(x0, v0); without one, from the log of cold_start.
+
+    J~ = diag(lam / X, I) J diag(X, I) with J = dF/d(x, v) at map diagonal
+    X, so each step solves J [dx; dv] = [-X F~_1 / lam; -F~_2] through
+    Linearization and takes dy = (-F~_1 - C dx + E^T dv) / lam, J~'s first
+    row, which needs no division by a flow that underflowed to 0.  An
+    iteration whose linearization holds a dense LU and cut ||F~|| by at
+    least the factor _CHORD_RATE keeps it, and the next iteration first
+    takes the full chord step from it with the new residual; it accepts that
+    step only if ||F~|| falls by the factor again.  Any other iteration
+    factors J afresh and tries its directions in turn, each with an Armijo
+    line search on ||F~||: the Newton step, and, when J is singular or that
+    search fails, the one from the minimum-norm least-squares solution.
+    Trial points where y or g passes EXP_LIMIT count as failed steps.
+
+    Convergence is judged on ||residual_F(x, v)|| <= settings.residual_tol,
+    which residual_norm reports.  iterations counts chord steps too.
+    Returns the incumbent with converged=False when every search fails or
+    the iteration budget runs out.
 
     Raises:
         ExponentOverflowError: the starting point itself overflows.
     """
+    lam = settings.lam
     if warm_start is None:
-        warm_start = cold_start(game, settings.lam)
-    x = np.array(warm_start[0], dtype=float)
-    v = np.array(warm_start[1], dtype=float)
-
-    resid = residual_F(game, x, v, settings.lam)
-    norm = float(np.linalg.norm(resid))
+        y, v = _cold_exponent(game, lam), np.zeros(game.dim_v)
+    else:
+        x0 = np.array(warm_start[0], dtype=float)
+        v = np.array(warm_start[1], dtype=float)
+        if x0.shape != (game.pm,) or v.shape != (game.dim_v,):
+            raise ValueError("bad flow or multiplier length")
+        y = np.log(x0, out=_exponent(game, x0, v, lam), where=x0 > 0.0)
+    state = _state(game, y, v, lam)
+    x_norm = state.x_norm()
     iterations = 0
 
     lin = None  # a dense LU kept while its steps contract
-    while norm > settings.residual_tol and iterations < settings.max_iters:
+    while x_norm > settings.residual_tol and iterations < settings.max_iters:
         iterations += 1
         found = None
         if lin is not None:
-            found = _trial(game, settings.lam, x, v, lin.solve(-resid), 1.0)
-            if found is not None and found[3] > _CHORD_RATE * norm:
+            found = _trial(game, lam, state, next(_log_steps(game, lin, state.f, lam)), 1.0)
+            if found is not None and found.norm > _CHORD_RATE * state.norm:
                 found = None
         if found is None:
             lin = None  # release the stale LU before factoring afresh
-            lin = Linearization(game, x, v, settings.lam)
-            for step in lin.directions(-resid):
-                found = _line_search(game, settings.lam, x, v, norm, step)
+            lin = Linearization._at(game, state.x, lam)
+            for step in _log_steps(game, lin, state.f, lam):
+                found = _line_search(game, lam, state, step)
                 if found is not None:
                     break
         if found is None:
             break
-        if found[3] > _CHORD_RATE * norm or not lin.holds_dense_lu:
+        if found.norm > _CHORD_RATE * state.norm or not lin.holds_dense_lu:
             lin = None
-        x, v, resid, norm = found
+        state = found
+        x_norm = state.x_norm()
 
     return EquilibriumSolution(
-        x=x,
-        v=v,
-        residual_norm=norm,
-        lam=settings.lam,
+        x=state.x,
+        v=state.v,
+        residual_norm=x_norm,
+        lam=lam,
         iterations=iterations,
-        converged=norm <= settings.residual_tol,
+        converged=x_norm <= settings.residual_tol,
     )
 
 
+def _log_steps(
+    game: AtomicRoutingGame, lin: Linearization, f: np.ndarray, lam: float
+) -> Iterator[np.ndarray]:
+    # lin's directions for J~ [dy; dv] = -f at X = diag(lin.d), as stacked
+    # (dy, dv)
+    pm = lin.d.size
+    for step in lin.directions(np.concatenate([-lin.d * f[:pm] / lam, -f[pm:]])):
+        dx, dv = step[:pm], step[pm:]
+        yield np.concatenate([(game.e_blk.T @ dv - game.costs.C @ dx - f[:pm]) / lam, dv])
+
+
 def _line_search(
-    game: AtomicRoutingGame,
-    lam: float,
-    x: np.ndarray,
-    v: np.ndarray,
-    norm: float,
-    step: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    # The first point along step with ||F|| <= (1 - _ARMIJO t) ||F(x, v)||,
+    game: AtomicRoutingGame, lam: float, state: _State, step: np.ndarray
+) -> _State | None:
+    # The first point along step with ||F~|| <= (1 - _ARMIJO t) ||F~(state)||,
     # halving t from 1; None when every trial fails or overflows.
     t = 1.0
     for _ in range(_MAX_HALVINGS + 1):
-        found = _trial(game, lam, x, v, step, t)
-        if found is not None and found[3] <= (1.0 - _ARMIJO * t) * norm:
+        found = _trial(game, lam, state, step, t)
+        if found is not None and found.norm <= (1.0 - _ARMIJO * t) * state.norm:
             return found
         t /= 2.0
     return None
 
 
 def _trial(
-    game: AtomicRoutingGame,
-    lam: float,
-    x: np.ndarray,
-    v: np.ndarray,
-    step: np.ndarray,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    # The point t along step with its residual and norm; None when its
-    # exponent overflows.
-    pm = game.pm
-    cand_x = x + t * step[:pm]
-    cand_v = v + t * step[pm:]
+    game: AtomicRoutingGame, lam: float, state: _State, step: np.ndarray, t: float
+) -> _State | None:
+    # The state t along step; None when it overflows.
+    pm = state.y.size
     try:
-        cand_resid = residual_F(game, cand_x, cand_v, lam)
+        return _state(game, state.y + t * step[:pm], state.v + t * step[pm:], lam)
     except ExponentOverflowError:
         return None
-    return cand_x, cand_v, cand_resid, float(np.linalg.norm(cand_resid))
 
 
 def homotopy_solve(

@@ -3,9 +3,11 @@
 Everything here recomputes equilibria by routes independent of the production
 solver: the first-order (KKT) and piecewise-linear equilibrium residuals, an
 active-set polish that pivots on sign violations, a stall-tolerant
-continuation used only to seed that polish, and a central-difference Jacobian.
-Dykstra's alternating scheme recomputes the admissible-set projection.
-Tests compare solver output against these, never against the solver itself.
+continuation used only to seed that polish, a central-difference Jacobian,
+and Newton's method on the smoothed system in the flows themselves, where the
+production solver works in log flows.  Dykstra's alternating scheme
+recomputes the admissible-set projection.  Tests compare solver output
+against these, never against the solver itself.
 """
 
 from __future__ import annotations
@@ -16,16 +18,25 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse
 
+from routedesign import smooth_eq
 from routedesign.design import (
     _project_ball,
     _project_diag_blocks,
     _project_monotone,
     project_D,
 )
+from routedesign.errors import ExponentOverflowError
 from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph, grid_graph
 from routedesign.numerics import lstsq
-from routedesign.smooth_eq import SmoothEqSettings, residual_F, solve_nls
+from routedesign.smooth_eq import (
+    EquilibriumSolution,
+    Linearization,
+    SmoothEqSettings,
+    cold_start,
+    residual_F,
+    solve_nls,
+)
 
 
 def csgraph(g, weights):
@@ -216,6 +227,67 @@ def certified_vertex(game):
     if pair is None:
         pair = pivot_polish(game, tolerant_chain(game, 1e-3).x, cutoff=1e-6)
     return pair
+
+
+def x_space_solve_nls(game, settings, warm_start=None):
+    """smooth_eq.solve_nls's interface and rules, with Newton on
+    F(x, v) = residual_F itself rather than on the log system.
+
+    Starts from warm_start, else cold_start.  Each iteration solves
+    J [dx; dv] = -F through Linearization at (x, v) and tries its directions
+    with the Armijo line search on ||F||; on the dense route an iteration
+    that cut ||F|| by smooth_eq._CHORD_RATE keeps its LU for a chord step.
+    Trial points whose exponent overflows fail.  Flows are not kept
+    positive: x - exp(g) is F's first block.
+
+    Raises:
+        ExponentOverflowError: the starting point itself overflows.
+    """
+    lam = settings.lam
+    x, v = (np.array(part, dtype=float) for part in warm_start or cold_start(game, lam))
+    resid = residual_F(game, x, v, lam)
+    norm = float(np.linalg.norm(resid))
+    iterations = 0
+    lin = None
+    while norm > settings.residual_tol and iterations < settings.max_iters:
+        iterations += 1
+        found = None
+        if lin is not None:
+            found = _x_trial(game, lam, x, v, lin.solve(-resid), 1.0)
+            if found is not None and found[3] > smooth_eq._CHORD_RATE * norm:
+                found = None
+        if found is None:
+            lin = None  # release the stale LU before factoring afresh
+            lin = Linearization(game, x, v, lam)
+            for step in lin.directions(-resid):
+                found = _x_line_search(game, lam, x, v, norm, step)
+                if found is not None:
+                    break
+        if found is None:
+            break
+        if found[3] > smooth_eq._CHORD_RATE * norm or not lin.holds_dense_lu:
+            lin = None
+        x, v, resid, norm = found
+    return EquilibriumSolution(x, v, norm, lam, iterations, norm <= settings.residual_tol)
+
+
+def _x_line_search(game, lam, x, v, norm, step):
+    t = 1.0
+    for _ in range(smooth_eq._MAX_HALVINGS + 1):
+        found = _x_trial(game, lam, x, v, step, t)
+        if found is not None and found[3] <= (1.0 - smooth_eq._ARMIJO * t) * norm:
+            return found
+        t /= 2.0
+    return None
+
+
+def _x_trial(game, lam, x, v, step, t):
+    cand_x, cand_v = x + t * step[: game.pm], v + t * step[game.pm :]
+    try:
+        resid = residual_F(game, cand_x, cand_v, lam)
+    except ExponentOverflowError:
+        return None
+    return cand_x, cand_v, resid, float(np.linalg.norm(resid))
 
 
 def fd_jacobian(game, x, v, lam, h=1e-6):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse.csgraph
-from helpers import csgraph, dykstra_project_D, equals
+from helpers import csgraph, dykstra_project_D, equals, x_space_solve_nls
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -188,8 +188,8 @@ def test_random_digraph_games_solve_or_are_rejected(case, rho, seed):
         settings_lam = SmoothEqSettings(lam=lam)
         sol = homotopy_solve(game, settings_lam)[-1]
         assert sol.converged, f"lam={lam}"
-        # flows are not floored: x - exp(g) is F's first block
-        assert sol.x.min() >= -sol.residual_norm, f"lam={lam}"
+        # the solver's flows are e^y, never negative
+        assert sol.x.min() >= 0.0, f"lam={lam}"
         assert game.conservation_violation(sol.x) <= 1e-8
         assert game.nash_gap(sol.x) >= 0.0
         solutions[lam] = sol
@@ -306,7 +306,7 @@ def test_design_regime_games_solve_certify_and_differentiate(case, seed):
         except NumericalError:
             continue  # a typed failure is an allowed outcome
         assert sol.converged and sol.residual_norm <= settings_lam.residual_tol
-        assert sol.x.min() >= -sol.residual_norm
+        assert sol.x.min() >= 0.0
         if has_negative_cycle(game, sol.x):
             with pytest.raises(NegativeCycleError):
                 game.nash_gap(sol.x)
@@ -388,3 +388,49 @@ def test_short_designs_stay_admissible_and_log_finite_values(case, seed):
         assert np.all(np.isfinite(logged)) and record.gap >= 0.0
     assert np.isfinite(verdict.psi)
     assert np.isfinite(verdict.gap) or not verdict.path_match
+
+
+def _gap(game, x):
+    try:
+        return game.nash_gap(x)
+    except NegativeCycleError:
+        return np.inf
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.one_of(random_games(), design_regime_games()), st.integers(0, 2**32 - 1))
+def test_log_flow_solver_agrees_with_the_x_space_oracle(case, seed):
+    # the same continuation, every stage solved by the production solver in
+    # log flows and by the oracle in the flows themselves
+    graph, players, b, c_mat = case
+    try:
+        game = AtomicRoutingGame(graph, players, CostParams(b, c_mat))
+    except UnreachableError:
+        return  # rejections are the random-digraph test's business
+    objective = tracking_objective(np.random.default_rng(seed).uniform(0.0, 1.0, game.pm))
+    for lam in (0.1, 0.01):
+        # a tight tolerance, so that the two solutions differ by less than
+        # the gap bound below
+        settings_lam = SmoothEqSettings(lam=lam, residual_tol=1e-13)
+        outcomes = []
+        for solver in (smooth_eq.solve_nls, x_space_solve_nls):
+            with mock.patch.object(smooth_eq, "solve_nls", solver):
+                try:
+                    outcomes.append(homotopy_solve(game, settings_lam)[-1])
+                except NumericalError as exc:
+                    outcomes.append(exc)
+        log_sol, x_sol = outcomes
+        solved = [isinstance(sol, EquilibriumSolution) for sol in outcomes]
+        assert solved[0] == solved[1], f"lam={lam}: {outcomes}"
+        if not solved[0]:
+            continue
+        assert log_sol.x.min() >= 0.0
+        assert np.max(np.abs(log_sol.x - x_sol.x)) <= 100.0 * settings_lam.residual_tol, f"lam={lam}"
+        gaps = _gap(game, log_sol.x), _gap(game, x_sol.x)
+        assert gaps[0] == gaps[1] or abs(gaps[0] - gaps[1]) <= 1e-12, f"lam={lam}"
+        # relative to the gradient, or where it vanishes (a one-link game,
+        # whose objective cannot move) to the objective's gradient in x, the
+        # scale of the rounding noise it is computed as
+        grads = [implicit_gradients(game, sol, objective).grad_b for sol in (log_sol, x_sol)]
+        scale = max(np.linalg.norm(grads[1]), np.linalg.norm(objective.gradient(x_sol.x)))
+        assert np.linalg.norm(grads[0] - grads[1]) <= 1e-8 * scale, f"lam={lam}"

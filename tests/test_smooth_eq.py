@@ -3,6 +3,7 @@
 import warnings
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,6 +149,31 @@ def test_default_start_solves_one_way_games():
     assert game.nash_gap(sol.x) < 1e-5
 
 
+def test_flows_that_underflow_stay_nonnegative(monkeypatch):
+    # at lam = 1e-3 route B's exponent is about -2000 (-5000 on the second
+    # game), so its flows underflow to 0: the log solver's step in them
+    # comes from J~'s first row, and on the second game the flow weights on
+    # route B's middle node vanish, so its Laplacian is singular and the
+    # step comes from least squares
+    lstsq_calls = []
+    real_lstsq = smooth_eq.numerics.lstsq
+
+    def spy_lstsq(*args):
+        lstsq_calls.append(args)
+        return real_lstsq(*args)
+
+    monkeypatch.setattr(smooth_eq.numerics, "lstsq", spy_lstsq)
+    lam = 1e-3
+    for b in ([0.0, 0.0, 0.0, 2.0], [0.5, 0.0, 0.0, 5.0]):
+        lstsq_calls.clear()
+        sol = homotopy_solve(two_route_game(np.array(b)), SmoothEqSettings(lam=lam))[-1]
+        assert sol.converged
+        assert sol.x.min() >= 0.0
+        share = logit_split(b[0] + b[2], b[1] + b[3], lam)
+        assert np.max(np.abs(sol.x - [share, 1.0 - share, share, 1.0 - share])) <= 1e-12
+    assert lstsq_calls
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(21)
     game = random_game(rng, (2, 2), 2)
@@ -169,36 +195,61 @@ def test_warm_start_at_solution_returns_immediately():
 
 
 def _replay(game, settings, counts):
-    """||F|| before the first iteration of solve_nls and after each, and
-    what each iteration added to counts.
+    """||F|| and ||F~|| (the log system's residual, which the line search
+    and the chord rule judge) before the first iteration of solve_nls and
+    after each, and what each iteration added to counts.
 
     The solver is deterministic, so a run capped at k iterations repeats the
     first k iterations of the uncapped run, and a run whose tolerance the
     start already meets takes none.  counts is a Counter that patched
-    internals increment; iteration k added the difference between the
-    capped runs at k and k - 1.
+    internals increment, and counts["state"] counts the evaluations of F~;
+    iteration k added the difference between the capped runs at k and
+    k - 1.
     """
-    sol = solve_nls(game, settings)
-    caps = [replace(settings, residual_tol=1e300)]
-    caps += [replace(settings, max_iters=k) for k in range(1, sol.iterations + 1)]
-    norms, added, before = [], [], None
-    for cap in caps:
-        counts.clear()
-        norms.append(solve_nls(game, cap).residual_norm)
-        if before is not None:
-            added.append(counts - before)
-        before = Counter(counts)
+    evaluate = smooth_eq._state
+    states = []
+
+    def counting_state(*args):
+        counts["state"] += 1
+        states.append(evaluate(*args))
+        return states[-1]
+
+    with mock.patch.object(smooth_eq, "_state", counting_state):
+        sol = solve_nls(game, settings)
+        caps = [replace(settings, residual_tol=1e300)]
+        caps += [replace(settings, max_iters=k) for k in range(1, sol.iterations + 1)]
+        norms, log_norms, added, before = [], [], [], None
+        for cap in caps:
+            counts.clear()
+            states.clear()
+            capped = solve_nls(game, cap)
+            norms.append(capped.residual_norm)
+            log_norms.append(next(s.norm for s in states if s.x is capped.x))
+            if before is not None:
+                added.append(counts - before)
+            before = Counter(counts)
     assert norms[-1] == sol.residual_norm
-    return sol, norms, added
+    return sol, norms, log_norms, added
 
 
 def test_solver_trace_is_monotone():
     game = two_node_game(0.3, 0.7)
-    sol, norms, _ = _replay(game, SmoothEqSettings(lam=0.2), Counter())
+    sol, norms, log_norms, _ = _replay(game, SmoothEqSettings(lam=0.2), Counter())
     assert sol.converged
     assert len(norms) >= 2
     assert all(b <= a for a, b in zip(norms, norms[1:]))
+    assert all(b < a for a, b in zip(log_norms, log_norms[1:]))
     assert norms[-1] <= 1e-10
+
+
+def _count_factors(monkeypatch, counts):
+    factor = Linearization._factor
+
+    def counting_factor(self, *args):
+        counts["factor"] += 1
+        return factor(self, *args)
+
+    monkeypatch.setattr(Linearization, "_factor", counting_factor)
 
 
 def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
@@ -207,37 +258,26 @@ def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
     # All three games have C = 0, so they take the structured route, which
     # keeps no factor for chord steps
     counts = Counter()
-    evaluate = smooth_eq.residual_F
     assemble = smooth_eq._assemble_jacobian
-
-    class CountingLinearization(Linearization):
-        def __init__(self, *args):
-            counts["factor"] += 1
-            super().__init__(*args)
 
     def counting_jacobian(*args):
         counts["jacobian"] += 1
         return assemble(*args)
 
-    def counting_residual(*args):
-        counts["residual"] += 1
-        return evaluate(*args)
-
-    monkeypatch.setattr(smooth_eq, "Linearization", CountingLinearization)
+    _count_factors(monkeypatch, counts)
     monkeypatch.setattr(smooth_eq, "_assemble_jacobian", counting_jacobian)
-    monkeypatch.setattr(smooth_eq, "residual_F", counting_residual)
 
     game = two_route_game(np.array([0.2, 0.1, 0.2, 0.7]))
-    sol, norms, added = _replay(game, SmoothEqSettings(lam=0.01), counts)
+    sol, norms, _, added = _replay(game, SmoothEqSettings(lam=0.01), counts)
     assert sol.converged
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert [c["factor"] for c in added] == [1] * sol.iterations
     assert [c["jacobian"] for c in added] == [0] * sol.iterations
-    assert any(c["residual"] > 1 for c in added)
+    assert any(c["state"] > 1 for c in added)
 
     # J is singular on this game, so every iteration falls back to QR
     game, _ = solved_detached_two_cycle()
-    sol, _, added = _replay(game, SmoothEqSettings(lam=0.2, residual_tol=1e-13), counts)
+    sol, _, _, added = _replay(game, SmoothEqSettings(lam=0.2, residual_tol=1e-13), counts)
     assert sol.converged
     assert [c["factor"] for c in added] == [1] * sol.iterations
     assert [c["jacobian"] for c in added] == [1] * sol.iterations
@@ -261,25 +301,19 @@ def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
     assert game.cost_factor is None  # rank above pm / 2: the dense-LU route
     settings = SmoothEqSettings(lam=0.01)
     counts = Counter()
-
-    class CountingLinearization(Linearization):
-        def __init__(self, *args):
-            counts["factor"] += 1
-            super().__init__(*args)
-
-    monkeypatch.setattr(smooth_eq, "Linearization", CountingLinearization)
-    sol, norms, added = _replay(game, settings, counts)
+    _count_factors(monkeypatch, counts)
+    sol, _, log_norms, added = _replay(game, settings, counts)
     assert sol.converged
     assert sum(c["factor"] for c in added) < sol.iterations
     # an iteration that did not factor took a chord step, which must have
-    # cut ||F|| by the chord rate
+    # cut ||F~|| by the chord rate
     for k, c in enumerate(added, start=1):
         if c["factor"] == 0:
-            assert norms[k] <= smooth_eq._CHORD_RATE * norms[k - 1]
+            assert log_norms[k] <= smooth_eq._CHORD_RATE * log_norms[k - 1]
 
     # without chord steps every iteration factors, and the solutions agree
     monkeypatch.setattr(smooth_eq, "_CHORD_RATE", 0.0)
-    newton, _, added = _replay(game, settings, counts)
+    newton, _, _, added = _replay(game, settings, counts)
     assert newton.converged
     assert [c["factor"] for c in added] == [1] * newton.iterations
     assert np.max(np.abs(sol.x - newton.x)) <= 1e-8
