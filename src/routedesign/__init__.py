@@ -37,6 +37,7 @@ from .game import (
     load_game_file,
     membership_D,
     path_to_target,
+    write_game_file,
 )
 from .graph import (
     DirectedGraph,
@@ -58,7 +59,6 @@ from .smooth_eq import (
     EquilibriumSolution,
     Linearization,
     SmoothEqSettings,
-    cold_start,
     homotopy_solve,
     jacobian_F,
     residual_F,
@@ -92,7 +92,6 @@ __all__ = [
     "SmoothEqSettings",
     "UnreachableError",
     "build_scenario",
-    "cold_start",
     "design_loop",
     "four_player_5x5",
     "game_from_dict",
@@ -115,4 +114,5 @@ __all__ = [
     "stranded_links",
     "tracking_objective",
     "two_player_3x3",
+    "write_game_file",
 ]

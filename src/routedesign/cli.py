@@ -33,7 +33,7 @@ import numpy as np
 
 from .design import DesignConfig, DesignTrace, DesignVerification, design_loop
 from .errors import NumericalError, RouteDesignError
-from .game import AtomicRoutingGame, game_to_dict, load_game_file, path_to_target
+from .game import AtomicRoutingGame, load_game_file, path_to_target, write_game_file
 from .scenarios import SCENARIOS, build_scenario
 from .sensitivity import tracking_objective
 from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve
@@ -182,9 +182,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     config = _design_config(args, game)
     b, c_mat, trace, verdict, wall = _run_design(game, desired, config)
     trace.write_csv(out / "trace.csv")
-    payload = game_to_dict(game.with_costs(b, c_mat, rho=config.rho))
-    payload["desired_paths"] = [[node + 1 for node in path] for path in desired]
-    _write_json(out / "designed_game.json", payload)
+    write_game_file(out / "designed_game.json", game.with_costs(b, c_mat, rho=config.rho), desired)
     print(
         f"design: psi={verdict.psi:.6f} gap={verdict.gap:.6f} "
         f"path_match={verdict.path_match} iterations={len(trace.records)} "

@@ -4,7 +4,8 @@ The designer tunes the offsets b inside a box and the interaction matrix C
 inside a convex set (monotone, Frobenius-bounded, symmetric diagonal blocks)
 so that the smoothed equilibrium tracks a desired joint flow.  Gradients come
 from implicit differentiation; the C projection is one pass of three
-closed-form sub-projections.
+closed-form sub-projections, which the design takes in the coordinates of
+an orthonormal basis carried across its iterations.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeCycleError, NotConvergedError, NumericalError
-from .game import AtomicRoutingGame
+from .game import LOW_RANK_SHARE, AtomicRoutingGame
 from .sensitivity import DesignObjective, implicit_gradients
 from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve
 
@@ -149,6 +150,60 @@ def project_D(C: np.ndarray, rho: float, block_size: int) -> np.ndarray:
     return _project_ball(_project_monotone(_project_diag_blocks(c, block_size)), rho)
 
 
+def _block_columns(v: np.ndarray, p: int) -> np.ndarray:
+    # pm x p: column i holds player i's block of v, zeros elsewhere
+    return (v.reshape(p, -1)[:, :, None] * np.eye(p)[:, None, :]).reshape(v.size, p)
+
+
+def _step_factored(
+    q: np.ndarray,
+    mid: np.ndarray,
+    grad_b: np.ndarray,
+    flow: np.ndarray,
+    alpha: float,
+    rho: float,
+    block_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """project_D(Q M Q^T - alpha grad_b flow^T, rho, block_size) as Q' M' Q'^T.
+
+    Q (pm x k) has orthonormal columns and Q M Q^T is admissible, so its
+    diagonal blocks are symmetric: symmetrizing the stepped blocks adds only
+    alpha/2 (g_i x_i^T - x_i g_i^T) per player i, with g_i and x_i the
+    player's blocks of grad_b and flow embedded in R^pm.  Q' appends to Q an
+    orthonormal basis of what span{g_i, x_i} adds to its range, dropping
+    directions at rounding level, and the monotone and ball projections act
+    on M' alone: Q' is orthonormal, so the eigenvalues of sym(Q' M' Q'^T)
+    are those of sym(M') and zeros, and the Frobenius norms agree.
+
+    The width grows by at most 2p.  Past pm * LOW_RANK_SHARE, Q' and M' are
+    rebuilt from the SVD of [M', M'^T], keeping the singular vectors above
+    pm * eps * sigma_1 (cost_factor's rule), which span the ranges of C and
+    C^T.
+    """
+    pm = q.shape[0]
+    p = pm // block_size
+    spans = np.hstack([_block_columns(grad_b, p), _block_columns(flow, p)])
+    norms = np.linalg.norm(spans, axis=0)
+    fresh = spans[:, norms > 0.0] / norms[norms > 0.0]
+    for _ in range(2):  # Gram-Schmidt twice keeps Q' orthonormal to rounding
+        fresh -= q @ (q.T @ fresh)
+    basis, sing, _ = np.linalg.svd(fresh, full_matrices=False)
+    basis = basis[:, sing > pm * np.finfo(float).eps]
+    # a direction with a small singular value amplifies what is left of Q in it
+    q = np.hstack([q, np.linalg.qr(basis - q @ (q.T @ basis))[0]])
+    k = mid.shape[0]
+    mid = np.pad(mid, (0, q.shape[1] - k))
+    g_cols, x_cols = q.T @ spans[:, :p], q.T @ spans[:, p:]
+    mid -= alpha * np.outer(g_cols.sum(axis=1), x_cols.sum(axis=1))
+    mid += 0.5 * alpha * (g_cols @ x_cols.T - x_cols @ g_cols.T)
+    mid = _project_ball(_project_monotone(mid), rho)
+    if q.shape[1] > LOW_RANK_SHARE * pm:
+        u, sing, _ = np.linalg.svd(np.hstack([mid, mid.T]))
+        u = u[:, sing > pm * np.finfo(float).eps * sing[0]]
+        q, mid = q @ u, u.T @ mid @ u
+    return q, mid
+
+
 def _certified_reference(
     game: AtomicRoutingGame,
     start: EquilibriumSolution,
@@ -184,14 +239,17 @@ def _iteration_key(
     config: DesignConfig,
     objective: DesignObjective,
     b: np.ndarray,
-    c_mat: np.ndarray,
+    q: np.ndarray,
+    mid: np.ndarray,
     warm: tuple[np.ndarray, np.ndarray] | None,
 ) -> bytes:
     """Digest of what a design iteration's solve, certification and gradient
-    read, apart from the game's structure and the objective's callables."""
+    read, apart from the game's structure and the objective's callables:
+    C = Q M Q^T enters through its factor, which the game is handed."""
     h = hashlib.blake2b()
     h.update(np.float64(config.lam).tobytes())
-    for arr in (objective.target, b, c_mat, *(warm or ())):
+    h.update(np.int64(mid.shape[0]).tobytes())
+    for arr in (objective.target, b, q, mid, *(warm or ())):
         h.update(np.asarray(arr, dtype=float).tobytes())
     if warm is None:
         h.update(b"cold")
@@ -210,8 +268,12 @@ def design_loop(
     Starts from b = delta * 1 and C = 0 and repeats: solve the smoothed game
     directly at config.lam (from the cold start, then from the previous
     inner solution), take implicit gradients, and project the stepped
-    parameters back onto their sets.  Stops when the combined parameter
-    change drops below config.epsilon or the iteration cap is reached.
+    parameters back onto their sets.  C is carried as Q M Q^T with Q
+    orthonormal (_step_factored) and each game is handed the factor U = Q,
+    W = Q M^T, so no pm x pm decomposition runs; the dense C is formed once
+    per iteration, for the game's costs and the trace.  Stops when the
+    combined parameter change drops below config.epsilon or the iteration
+    cap is reached.
     Every iteration logs the objective both at the inner solution and at a
     certified small-entropy reference equilibrium, reached by continuation
     down from that inner solution, alongside that reference's optimality
@@ -225,10 +287,11 @@ def design_loop(
     Returns the designed (b, C), the trace and the verdict.
 
     memo, when given, maps a digest of an iteration's inputs (config.lam, the
-    objective's target, b, C and the inner warm start) to that iteration's
-    inner solution, certified reference, gap and gradients.  An iteration
-    found there skips its solve, certification and gradient and reuses the
-    stored objects, which nothing mutates; one not found stores them.
+    objective's target, b, C's factor and the inner warm start) to that
+    iteration's inner solution, certified reference, gap and gradients.  An
+    iteration found there skips its solve, certification and gradient and
+    reuses the stored objects, which nothing mutates; one not found stores
+    them.
     Designs that differ only in rho, or in anything else that only the
     projections and the step read, share the iterations before their paths
     part, and a deterministic iteration returns the same bits either way.
@@ -248,6 +311,8 @@ def design_loop(
     if target.shape != (pm,):
         raise ValueError("objective target must have length p*m")
     b = np.full(pm, config.delta)
+    # C = Q M Q^T with Q orthonormal, stepped and projected by _step_factored
+    q, mid = np.zeros((pm, 0)), np.zeros((0, 0))
     c_mat = np.zeros((pm, pm))
     settings = SmoothEqSettings(lam=config.lam)
     trace = DesignTrace()
@@ -255,11 +320,11 @@ def design_loop(
     final = False
 
     for outer in itertools.count(1):
-        key = None if memo is None else _iteration_key(config, objective, b, c_mat, inner_warm)
+        key = None if memo is None else _iteration_key(config, objective, b, q, mid, inner_warm)
         if key is not None and key in memo:
             sol, reference, gap, grads = memo[key]
         else:
-            current = game.with_costs(b, c_mat, rho=config.rho)
+            current = game.with_costs(b, c_mat, rho=config.rho, factor=(q, q @ mid.T))
             try:
                 sol = homotopy_solve(current, settings, inner_warm, lam_start=config.lam)[-1]
                 reference, gap = _certified_reference(current, sol)
@@ -273,7 +338,8 @@ def design_loop(
         inner_warm = (sol.x, sol.v)
 
         b_next = project_B(b - config.alpha * grads.grad_b, config.delta)
-        c_next = project_D(c_mat - config.alpha * grads.grad_C, config.rho, game.m)
+        q, mid = _step_factored(q, mid, grads.grad_b, grads.flow, config.alpha, config.rho, game.m)
+        c_next = q @ mid @ q.T
         db_norm = float(np.linalg.norm(b_next - b))
         dc_norm = float(np.linalg.norm(c_next - c_mat))
         trace.records.append(

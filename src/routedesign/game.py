@@ -123,6 +123,7 @@ class AtomicRoutingGame:
         self.players = tuple(players)
         self.costs = costs
         self.rho = float(rho)
+        self._given_factor: tuple[np.ndarray, np.ndarray] | None = None  # see with_costs
 
         n_red = graph.n - 1
         self.reduced = np.stack([reduced_incidence(graph, p.destination) for p in self.players])
@@ -164,25 +165,41 @@ class AtomicRoutingGame:
     def player_flow(self, x: np.ndarray, i: int) -> np.ndarray:
         return np.asarray(x, dtype=float)[self.player_slice(i)]
 
-    def with_costs(self, b: np.ndarray, c: np.ndarray, rho: float | None = None) -> "AtomicRoutingGame":
-        """Same structure, new cost parameters."""
-        return AtomicRoutingGame(
+    def with_costs(
+        self,
+        b: np.ndarray,
+        c: np.ndarray,
+        rho: float | None = None,
+        factor: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> "AtomicRoutingGame":
+        """Same structure, new cost parameters.
+
+        factor, when given, is (U, W) with C = U W^T, which cost_factor then
+        takes in place of factoring C.
+        """
+        game = AtomicRoutingGame(
             self.graph,
             self.players,
             CostParams(b, c),
             self.rho if rho is None else rho,
         )
+        game._given_factor = factor
+        return game
 
     @cached_property
     def cost_factor(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Low-rank factor C = U W^T, computed on first use; None above pm / 2.
+        """Low-rank factor C = U W^T, found on first use; None above pm / 2.
 
-        Pivoted QR C P = Q R keeps the leading r rows of R with
-        |R_kk| > pm * eps * |R_11|, which drops only what sits at C's own
-        rounding level: U = Q[:, :r] and W^T = R[:r] P^T.  C = 0 gives r = 0.
-        A factor of rank above pm * LOW_RANK_SHARE is not kept: it is no
-        cheaper to apply than C itself.
+        A game built by with_costs with a factor takes that one, by its
+        width.  Otherwise pivoted QR C P = Q R keeps the leading r rows of R
+        with |R_kk| > pm * eps * |R_11|, which drops only what sits at C's
+        own rounding level: U = Q[:, :r] and W^T = R[:r] P^T.  C = 0 gives
+        r = 0.  A factor of rank above pm * LOW_RANK_SHARE is not kept: it
+        is no cheaper to apply than C itself.
         """
+        if self._given_factor is not None:
+            u, w = self._given_factor
+            return None if u.shape[1] > LOW_RANK_SHARE * self.pm else (u, w)
         q, r, perm = scipy.linalg.qr(self.costs.C, pivoting=True, mode="economic")
         diag = np.abs(np.diag(r))
         rank = int(np.count_nonzero(diag > self.pm * np.finfo(float).eps * diag[0]))
@@ -313,8 +330,8 @@ def membership_D(C: np.ndarray, block_size: int, rho: float, tol: float = 1e-8) 
 # ----------------------------------------------------------------------
 
 
-def game_to_dict(game: AtomicRoutingGame) -> dict:
-    """Serialize a game to the JSON wire schema."""
+def _wire_head(game: AtomicRoutingGame) -> dict:
+    # the wire schema's keys before C
     return {
         "graph": {
             "n": game.n,
@@ -325,9 +342,39 @@ def game_to_dict(game: AtomicRoutingGame) -> dict:
             for p in game.players
         ],
         "b": [float(v) for v in game.costs.b],
-        "C": [[float(v) for v in row] for row in game.costs.C],
-        "rho": game.rho,
     }
+
+
+def game_to_dict(game: AtomicRoutingGame) -> dict:
+    """Serialize a game to the JSON wire schema."""
+    doc = _wire_head(game)
+    doc["C"] = [[float(v) for v in row] for row in game.costs.C]
+    doc["rho"] = game.rho
+    return doc
+
+
+def write_game_file(
+    path: str | Path, game: AtomicRoutingGame, desired_paths: Sequence[Sequence[int]] | None = None
+) -> None:
+    """Write game_to_dict(game), plus desired_paths (0-based node paths) as
+    1-based ones when given, byte for byte as json.dump(..., indent=2) and a
+    final newline would, for load_game_file to read back.
+
+    C goes out one row at a time, never as one list or string: json.dump's
+    indenting encoder is pure Python, and the repr of each float is all that
+    the layout needs.
+    """
+    tail: dict = {"rho": game.rho}
+    if desired_paths is not None:
+        tail["desired_paths"] = [[node + 1 for node in nodes] for nodes in desired_paths]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(_wire_head(game), indent=2)[: -len("\n}")])
+        fh.write(',\n  "C": [')
+        sep = "\n"
+        for row in game.costs.C:
+            fh.write(sep + "    [\n      " + ",\n      ".join(map(float.__repr__, row.tolist())) + "\n    ]")
+            sep = ",\n"
+        fh.write("\n  ],\n" + json.dumps(tail, indent=2)[len("{\n") :] + "\n")
 
 
 def game_from_dict(data: dict) -> AtomicRoutingGame:

@@ -323,14 +323,6 @@ def _cold_exponent(game: AtomicRoutingGame, lam: float) -> np.ndarray:
     return np.minimum(_exponent(game, zero, np.zeros(game.dim_v), lam), EXP_LIMIT)
 
 
-def cold_start(game: AtomicRoutingGame, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Default start: v = 0 and x the exponential map at (x, v) = 0, its
-    exponent capped at EXP_LIMIT, so that an out-of-range start overflows at
-    its first residual rather than here.  solve_nls starts from its log
-    flows, that capped exponent."""
-    return np.exp(_cold_exponent(game, lam)), np.zeros(game.dim_v)
-
-
 class _State(NamedTuple):
     """A point (y, v) of the log system with x = e^y, the map's exponent g
     at (x, v), F~ there and ||F~||."""
@@ -369,7 +361,7 @@ def solve_nls(
     Newton drives F~(y, v) = [lam (y - g(e^y, v)); s - E e^y] to zero, whose
     Jacobian is J~ = [[lam I + C X, -E^T], [-E X, 0]] with X = diag(e^y).  A
     warm start (x0, v0) starts from y = log x0 where x0 > 0, else from the
-    map's exponent g(x0, v0); without one, from the log of cold_start.
+    map's exponent g(x0, v0); without one, from g(0, 0) capped at EXP_LIMIT.
 
     J~ = diag(lam / X, I) J diag(X, I) with J = dF/d(x, v) at map diagonal
     X, so each step solves J [dx; dv] = [-X F~_1 / lam; -F~_2] through

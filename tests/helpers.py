@@ -33,7 +33,7 @@ from routedesign.smooth_eq import (
     EquilibriumSolution,
     Linearization,
     SmoothEqSettings,
-    cold_start,
+    _cold_exponent,
     residual_F,
     solve_nls,
 )
@@ -227,6 +227,13 @@ def certified_vertex(game):
     if pair is None:
         pair = pivot_polish(game, tolerant_chain(game, 1e-3).x, cutoff=1e-6)
     return pair
+
+
+def cold_start(game, lam):
+    """solve_nls's start without a warm start, as flows: v = 0 and x the
+    exponential map at (x, v) = 0, its exponent capped at EXP_LIMIT, so that
+    an out-of-range start overflows at its first residual rather than here."""
+    return np.exp(_cold_exponent(game, lam)), np.zeros(game.dim_v)
 
 
 def x_space_solve_nls(game, settings, warm_start=None):

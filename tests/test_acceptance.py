@@ -274,20 +274,20 @@ def test_criterion_09_projection_suite(monkeypatch):
     # every design iterate lands inside the parameter sets
     sc, objective = _scenario_objective("two_player_3x3")
     seen_b, seen_c = [], []
-    real_b, real_d = design_mod.project_B, design_mod.project_D
+    real_b, real_step = design_mod.project_B, design_mod._step_factored
 
     def spy_b(vec, delta):
         out = real_b(vec, delta)
         seen_b.append(out.copy())
         return out
 
-    def spy_d(mat, rho, block):
-        out = real_d(mat, rho, block)
-        seen_c.append(out.copy())
-        return out
+    def spy_step(*args):
+        q, mid = real_step(*args)
+        seen_c.append(q @ mid @ q.T)
+        return q, mid
 
     monkeypatch.setattr(design_mod, "project_B", spy_b)
-    monkeypatch.setattr(design_mod, "project_D", spy_d)
+    monkeypatch.setattr(design_mod, "_step_factored", spy_step)
     config = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=8)
     design_loop(sc.game, objective, config)
     assert seen_b and seen_c

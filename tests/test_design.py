@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from helpers import dykstra_project_D
 
 import routedesign.design as design_mod
@@ -159,26 +160,120 @@ def test_every_design_iterate_stays_admissible(monkeypatch):
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=6, epsilon=0.0)
     seen_b, seen_c = [], []
-    real_b, real_d = design_mod.project_B, design_mod.project_D
+    real_b, real_step = design_mod.project_B, design_mod._step_factored
 
     def spy_b(b, delta):
         out = real_b(b, delta)
         seen_b.append(out.copy())
         return out
 
-    def spy_d(c, rho, block):
-        out = real_d(c, rho, block)
-        seen_c.append(out.copy())
-        return out
+    def spy_step(*args):
+        q, mid = real_step(*args)
+        seen_c.append(q @ mid @ q.T)
+        return q, mid
 
     monkeypatch.setattr(design_mod, "project_B", spy_b)
-    monkeypatch.setattr(design_mod, "project_D", spy_d)
+    monkeypatch.setattr(design_mod, "_step_factored", spy_step)
     design_loop(game, objective, cfg)
     assert len(seen_b) == 6 and len(seen_c) == 6
     for b in seen_b:
         assert np.all(b >= 0.0) and np.all(b <= cfg.delta)
     for c in seen_c:
         assert membership_D(c, game.m, cfg.rho)
+
+
+def test_factored_step_is_project_D_of_the_dense_step():
+    # admissible factored iterates come from earlier factored steps, each
+    # checked against the dense projection; small rho puts the ball in play
+    ball_active = clip_active = 0
+    for seed, (block_size, blocks), rho in zip(
+        range(12), [(3, 2), (4, 3), (2, 5), (5, 1)] * 3, [0.05, 0.5, 5.0] * 4
+    ):
+        rng = np.random.default_rng(seed)
+        pm = block_size * blocks
+        q, mid = np.zeros((pm, 0)), np.zeros((0, 0))
+        for _ in range(6):
+            g, x = rng.standard_normal(pm), rng.uniform(0.0, 1.0, pm)
+            alpha = rng.uniform(0.05, 2.0)
+            stepped = q @ mid @ q.T - alpha * np.outer(g, x)
+            symmetric = design_mod._project_diag_blocks(stepped, block_size)
+            clip_active += np.linalg.eigvalsh(symmetric + symmetric.T)[0] < 0.0
+            ball_active += np.linalg.norm(design_mod._project_monotone(symmetric)) > rho
+            q, mid = design_mod._step_factored(q, mid, g, x, alpha, rho, block_size)
+            dense = project_D(stepped, rho, block_size)
+            assert np.abs(q @ mid @ q.T - dense).max() <= 1e-12
+            assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+            assert q.shape[1] <= pm
+    assert ball_active > 0 and clip_active > 0
+
+
+def test_factored_step_rebuilds_a_wide_basis_from_the_ranges_of_C():
+    # a basis of 8 directions in R^12 that carries a rank-3 PSD C: past
+    # pm / 2 the step keeps only the directions of C's range
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((12, 8)))[0]
+    low = rng.standard_normal((8, 3))
+    mid = 0.01 * low @ low.T
+    c_mat = q @ mid @ q.T
+    q2, mid2 = design_mod._step_factored(q, mid, rng.standard_normal(12), np.ones(12), 0.0, 1.0, 6)
+    assert q2.shape[1] == 3
+    assert np.abs(q2 @ mid2 @ q2.T - c_mat).max() <= 1e-15
+
+
+def test_a_design_past_half_width_stays_bounded_and_admissible(monkeypatch):
+    # a random objective gradient at every iteration spans new directions,
+    # so the factor's width passes pm / 2
+    game, objective = two_player_setup()
+    rng = np.random.default_rng(5)
+    noisy = replace(objective, gradient=lambda x: rng.standard_normal(x.size))
+    widths, iterates, games = [], [], []
+    real_step, real_with_costs = design_mod._step_factored, AtomicRoutingGame.with_costs
+
+    def spy_step(*args):
+        q, mid = real_step(*args)
+        widths.append(q.shape[1])
+        iterates.append(q @ mid @ q.T)
+        return q, mid
+
+    def spy_with_costs(self, *args, **kwargs):
+        built = real_with_costs(self, *args, **kwargs)
+        games.append((kwargs.get("factor"), built))
+        return built
+
+    monkeypatch.setattr(design_mod, "_step_factored", spy_step)
+    monkeypatch.setattr(AtomicRoutingGame, "with_costs", spy_with_costs)
+    cfg = DesignConfig(alpha=0.05, lam=0.01, epsilon=0.0, max_outer_iters=12)
+    design_loop(game, noisy, cfg)
+    assert len(widths) == 12
+    assert max(widths) > game.pm / 2 and max(widths) <= game.pm
+    for c in iterates:
+        assert membership_D(c, game.m, cfg.rho)
+    for factor, built in games:
+        if factor is not None:
+            # a factor wider than pm / 2 sends the game down the dense route
+            wide = factor[0].shape[1] > game.pm / 2
+            assert (built.cost_factor is None) == wide
+
+
+def test_a_scenario_design_makes_no_dense_decomposition_of_C(monkeypatch):
+    game, objective = two_player_setup()
+    qr_calls, eigh_sizes = [], []
+    real_qr, real_eigh = scipy.linalg.qr, np.linalg.eigh
+
+    def spy_qr(a, *args, **kwargs):
+        qr_calls.append(np.shape(a))
+        return real_qr(a, *args, **kwargs)
+
+    def spy_eigh(a, *args, **kwargs):
+        eigh_sizes.append(np.shape(a)[0])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", spy_qr)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    _, _, trace, verdict = design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
+    assert verdict.path_match and len(trace.records) >= 2
+    assert qr_calls == []
+    assert eigh_sizes and max(eigh_sizes) < game.pm
 
 
 def test_iteration_cap_is_honored():

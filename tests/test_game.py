@@ -21,8 +21,10 @@ from routedesign.game import (
     load_game_file,
     membership_D,
     path_to_target,
+    write_game_file,
 )
 from routedesign.graph import DirectedGraph, grid_graph, shortest_path_cost
+from routedesign.scenarios import build_scenario
 
 
 def line_game(b, c=None):
@@ -205,6 +207,30 @@ def test_json_roundtrip_uses_one_based_indices():
     assert all(p["origin"] >= 1 and p["destination"] >= 1 for p in doc["players"])
     back = game_from_dict(doc)
     assert equals(back, game)
+
+
+@pytest.mark.parametrize("with_paths", [True, False])
+def test_write_game_file_matches_json_dump_byte_for_byte(tmp_path, with_paths):
+    sc = build_scenario("two_player_3x3")
+    rng = np.random.default_rng(21)
+    c_mat = rng.standard_normal((sc.game.pm, sc.game.pm)) * np.logspace(-300, 300, sc.game.pm)
+    c_mat[0, :4] = [0.0, -0.0, 5e-324, 1.0]
+    game = sc.game.with_costs(sc.game.costs.b + 1e-17, c_mat, rho=0.3)
+    paths = sc.desired_node_paths if with_paths else None
+    payload = game_to_dict(game)
+    if with_paths:
+        payload["desired_paths"] = [[node + 1 for node in nodes] for nodes in paths]
+    streamed, dumped = tmp_path / "streamed.json", tmp_path / "dumped.json"
+    write_game_file(streamed, game, paths)
+    with open(dumped, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    assert streamed.read_bytes() == dumped.read_bytes()
+    back, back_paths = load_game_file(streamed)
+    assert np.array_equal(back.costs.C, game.costs.C)
+    assert np.array_equal(np.signbit(back.costs.C), np.signbit(game.costs.C))
+    assert np.array_equal(back.costs.b, game.costs.b) and back.rho == game.rho
+    assert back_paths == ([list(nodes) for nodes in paths] if with_paths else None)
 
 
 def test_game_from_dict_rejects_malformed_documents():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse.csgraph
-from helpers import csgraph, dykstra_project_D, equals, x_space_solve_nls
+from helpers import cold_start, csgraph, dykstra_project_D, equals, x_space_solve_nls
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +36,6 @@ from routedesign.smooth_eq import (
     EquilibriumSolution,
     Linearization,
     SmoothEqSettings,
-    cold_start,
     homotopy_solve,
     jacobian_F,
     residual_F,
@@ -358,13 +357,13 @@ def test_short_designs_stay_admissible_and_log_finite_values(case, seed):
     target = np.concatenate(
         [shortest_path_cost(graph, weights, p.origin, p.destination)[1] for p in players]
     )
-    real_project, real_certify = design_mod.project_D, design_mod._certified_reference
+    real_step, real_certify = design_mod._step_factored, design_mod._certified_reference
     iterates = []
 
-    def spy_project(c, rho, block_size):
-        out = real_project(c, rho, block_size)
-        iterates.append(out)
-        return out
+    def spy_step(*args):
+        q, mid = real_step(*args)
+        iterates.append(q @ mid @ q.T)
+        return q, mid
 
     def spy_certify(game, start):
         reference, gap = real_certify(game, start)
@@ -376,7 +375,7 @@ def test_short_designs_stay_admissible_and_log_finite_values(case, seed):
     # a long step, so C can reach the rho = 0.5 boundary within three iterations
     config = DesignConfig(alpha=0.5, lam=0.01, epsilon=0.0, max_outer_iters=3)
     with (
-        mock.patch.object(design_mod, "project_D", spy_project),
+        mock.patch.object(design_mod, "_step_factored", spy_step),
         mock.patch.object(design_mod, "_certified_reference", spy_certify),
     ):
         _, _, trace, verdict = design_loop(game, tracking_objective(target), config)

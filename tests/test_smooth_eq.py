@@ -10,6 +10,7 @@ import pytest
 import scipy.optimize
 
 from helpers import (
+    cold_start,
     fd_jacobian,
     logit_split,
     random_game,
@@ -26,7 +27,6 @@ from routedesign.smooth_eq import (
     EquilibriumSolution,
     Linearization,
     SmoothEqSettings,
-    cold_start,
     homotopy_solve,
     jacobian_F,
     residual_F,
