@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeCycleError, NotConvergedError, NumericalError
-from .game import LOW_RANK_SHARE, AtomicRoutingGame
+from .game import AtomicRoutingGame
 from .sensitivity import DesignObjective, implicit_gradients
-from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve
+from .smooth_eq import LOW_RANK_SHARE, EquilibriumSolution, SmoothEqSettings, homotopy_solve
 
 TRACE_COLUMNS = ("iter", "psi_bar", "psi_lambda", "db_norm", "dC_norm", "residual", "gap")
 
@@ -177,8 +177,7 @@ def _step_factored(
 
     The width grows by at most 2p.  Past pm * LOW_RANK_SHARE, Q' and M' are
     rebuilt from the SVD of [M', M'^T], keeping the singular vectors above
-    pm * eps * sigma_1 (cost_factor's rule), which span the ranges of C and
-    C^T.
+    pm * eps * sigma_1, which span the ranges of C and C^T.
     """
     pm = q.shape[0]
     p = pm // block_size

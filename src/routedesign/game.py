@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BrokenPathError, InfeasibleFlowError, UnreachableError
 from .graph import (
@@ -81,17 +79,16 @@ def _require_positive_flow(
             raise UnreachableError(f"player {i}: no feasible flow can use links {links}") from None
 
 
-# Above this share of pm, the rank of C makes a factor of it no cheaper to
-# apply than C, and the smoothed system's Jacobian is factored densely.
-LOW_RANK_SHARE = 0.5
-
-
 class AtomicRoutingGame:
     """A p-player atomic routing game on a shared directed graph.
 
     Precomputes the per-player reduced incidence matrices, stacked as one
     (p, n - 1, m) array, their block diagonal, and the stacked demand
     vector, which every residual and solver in the package reuses.
+
+    cost_factor is the factor (U, W) with C = U W^T that C was built with:
+    the one with_costs was handed, the empty pm x 0 pair for a C with no
+    nonzero entry, and None otherwise.
 
     Raises:
         UnreachableError: some player has no strictly positive feasible flow.
@@ -123,7 +120,8 @@ class AtomicRoutingGame:
         self.players = tuple(players)
         self.costs = costs
         self.rho = float(rho)
-        self._given_factor: tuple[np.ndarray, np.ndarray] | None = None  # see with_costs
+        empty = np.zeros((pm, 0))
+        self.cost_factor = None if np.any(costs.C) else (empty, empty)
 
         n_red = graph.n - 1
         self.reduced = np.stack([reduced_incidence(graph, p.destination) for p in self.players])
@@ -174,8 +172,8 @@ class AtomicRoutingGame:
     ) -> "AtomicRoutingGame":
         """Same structure, new cost parameters.
 
-        factor, when given, is (U, W) with C = U W^T, which cost_factor then
-        takes in place of factoring C.
+        factor, when given, is (U, W) with C = U W^T, which becomes the new
+        game's cost_factor.
         """
         game = AtomicRoutingGame(
             self.graph,
@@ -183,31 +181,9 @@ class AtomicRoutingGame:
             CostParams(b, c),
             self.rho if rho is None else rho,
         )
-        game._given_factor = factor
+        if factor is not None:
+            game.cost_factor = factor
         return game
-
-    @cached_property
-    def cost_factor(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Low-rank factor C = U W^T, found on first use; None above pm / 2.
-
-        A game built by with_costs with a factor takes that one, by its
-        width.  Otherwise pivoted QR C P = Q R keeps the leading r rows of R
-        with |R_kk| > pm * eps * |R_11|, which drops only what sits at C's
-        own rounding level: U = Q[:, :r] and W^T = R[:r] P^T.  C = 0 gives
-        r = 0.  A factor of rank above pm * LOW_RANK_SHARE is not kept: it
-        is no cheaper to apply than C itself.
-        """
-        if self._given_factor is not None:
-            u, w = self._given_factor
-            return None if u.shape[1] > LOW_RANK_SHARE * self.pm else (u, w)
-        q, r, perm = scipy.linalg.qr(self.costs.C, pivoting=True, mode="economic")
-        diag = np.abs(np.diag(r))
-        rank = int(np.count_nonzero(diag > self.pm * np.finfo(float).eps * diag[0]))
-        if rank > LOW_RANK_SHARE * self.pm:
-            return None
-        w = np.empty((self.pm, rank))
-        w[perm] = r[:rank].T
-        return q[:, :rank].copy(), w
 
     # ------------------------------------------------------------------
     # costs and objectives
@@ -238,19 +214,19 @@ class AtomicRoutingGame:
         weights = self.marginal_cost(x, i)
         return shortest_path_cost(self.graph, weights, player.origin, player.destination)
 
-    def nash_gap(self, x: np.ndarray, feas_tol: float = 1e-6) -> float:
+    def nash_gap(self, x: np.ndarray) -> float:
         """Sum of per-player regrets against their best single-path responses.
 
         Nonnegative for any feasible x and zero exactly at an equilibrium.
 
         Raises:
-            InfeasibleFlowError: conservation violated beyond feas_tol.
+            InfeasibleFlowError: conservation violated by more than 1e-6.
             NegativeCycleError: some player's marginal costs admit unbounded
                 descent, so the gap is unbounded.
         """
         x = np.asarray(x, dtype=float)
         violation = self.conservation_violation(x)
-        if violation > feas_tol:
+        if violation > 1e-6:
             raise InfeasibleFlowError(f"conservation violated by {violation:.3e}")
         gap = 0.0
         for i in range(self.p):
@@ -301,12 +277,13 @@ def path_to_target(
     return target
 
 
-def membership_D(C: np.ndarray, block_size: int, rho: float, tol: float = 1e-8) -> bool:
+def membership_D(C: np.ndarray, block_size: int, rho: float) -> bool:
     """Test membership in the admissible interaction set.
 
     The set requires C + C^T positive semidefinite, Frobenius norm at most
-    rho, and symmetric per-player diagonal blocks, each checked within tol.
+    rho, and symmetric per-player diagonal blocks, each checked within 1e-8.
     """
+    tol = 1e-8
     c = np.asarray(C, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("C must be square")
@@ -385,9 +362,9 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
 
     Raises:
         ValueError: missing keys, malformed shapes or link entries, values
-            of b, C or rho that are not numbers, node indices that are not
-            integers or lie out of range, or links out of sorted order or
-            repeated.
+            of b, C or rho that are not numbers (strings, and booleans in
+            rho or filling b or C), node indices that are not integers or
+            lie out of range, or links out of sorted order or repeated.
         UnreachableError: some player has no strictly positive feasible flow;
             the message names nodes and links 1-based, as the document does.
     """
@@ -403,7 +380,7 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
         ]
         b = _numbers(data, "b")
         c = _numbers(data, "C")
-        rho = _numbers(data, "rho", float)
+        rho = _numbers(data, "rho", scalar=True)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed game document: {exc}") from exc
     for tail, head in file_links:
@@ -425,10 +402,23 @@ def _link_entry(entry) -> tuple[int, int]:
     return _integer(entry[0], "links"), _integer(entry[1], "links")
 
 
-def _numbers(data: dict, key: str, convert=lambda value: np.asarray(value, dtype=float)):
-    """convert(data[key]), by default a float array; a failure names the key."""
+def _numbers(data: dict, key: str, scalar: bool = False):
+    """data[key] as a float array, or as a float with scalar; a failure
+    names the key.
+
+    float() takes strings and booleans; the dtype numpy infers finds them
+    without a Python pass over the entries: kind U where any entry is a
+    string, kind b where all are booleans.
+    """
     try:
-        return convert(data[key])
+        value = np.asarray(data[key])
+        if value.dtype.kind == "U":
+            # float's message for a string that reads as no number
+            np.asarray(value.tolist(), dtype=float)
+            raise ValueError("strings are not numbers")
+        if value.dtype.kind == "b":
+            raise ValueError("booleans are not numbers")
+        return float(data[key]) if scalar else np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed game document: {key}: {exc}") from exc
 

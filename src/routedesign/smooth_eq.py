@@ -28,12 +28,12 @@ a diagonal, the exponential map's values, and the log system's Jacobian is
 J~ = diag(lam / X, I) J diag(X, I) at D = X = diag(e^y), so one
 Linearization of J serves both.  It owns every solve with J: per player
 through the block-diagonal part of J without C, then a Woodbury update
-through the game's low-rank factor C = U W^T; by the LU of J^T for C of rank
-above pm / 2; and where J is singular by the minimum-norm least-squares
-solution from a rank-revealing QR.  The Newton step, the QR fallback
-direction and the implicit gradient all go through it.  The structured
-factor is rebuilt at every iterate; the dense LU is kept for chord steps
-while they contract ||F~|| by _CHORD_RATE.
+through the factor C = U W^T the game was built with; by the LU of J^T
+when C has no factor or one wider than pm * LOW_RANK_SHARE; and where J is
+singular by the minimum-norm least-squares solution from a rank-revealing
+QR.  The Newton step, the QR fallback direction and the implicit gradient
+all go through it.  The structured factor is rebuilt at every iterate; the
+dense LU is kept for chord steps while they contract ||F~|| by _CHORD_RATE.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ _MAX_HALVINGS = 40
 # more often, and than 0.75, which takes many more chord steps that each
 # gain less.
 _CHORD_RATE = 0.5
+
+# A factor of C wider than this share of pm is no cheaper to apply than C.
+LOW_RANK_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -169,19 +172,20 @@ class Linearization:
     player: eliminating player i's flows leaves the weighted Laplacian
     L_i = E_i D_i E_i^T / lam on its n - 1 multipliers, inverted from its LU
     (at these sizes one LAPACK solve with many right-hand sides costs more
-    than the inverse).  The game's low-rank factor C = U W^T
-    (game.cost_factor, rank r) makes J a rank-r update of J0.  With
+    than the inverse).  The factor C = U W^T the game was built with
+    (game.cost_factor, width r) makes J a rank-r update of J0.  With
     Z = J0^-1 [D U / lam; 0], p block solves with r right-hand sides, and
     the r x r capacitance K = I + W^T Z_x, factored by LU, Woodbury gives
 
         J^-1 rhs = z0 - Z K^-1 W^T z0_x,  z0 = J0^-1 rhs,
         J^-T rhs = J0^-T (rhs - [W a; 0]),  a = K^-T Z^T rhs,
 
-    where J0^-T reuses the L_i, which are symmetric.  When C has no such
-    factor (rank above pm / 2) the LU of the dense J^T is held instead: J's
-    C-order buffer is J^T in Fortran order, so LAPACK factors it without a
-    copy, and partial pivoting on J^T picks its pivots along the rows of J,
-    a choice that their scale, set mostly by D, does not change.
+    where J0^-T reuses the L_i, which are symmetric.  When C has no factor,
+    or one wider than pm * LOW_RANK_SHARE, the LU of the dense J^T is held
+    instead: J's C-order buffer is J^T in Fortran order, so LAPACK factors
+    it without a copy, and partial pivoting on J^T picks its pivots along
+    the rows of J, a choice that their scale, set mostly by D, does not
+    change.
 
     Where a factor met a zero pivot or a result is not finite, J is
     singular, and solves return numerics.lstsq on the dense J assembled
@@ -211,7 +215,7 @@ class Linearization:
         self.d = d
         self._dense = self._l_inv = self._woodbury = None
         factor = game.cost_factor
-        if factor is None:
+        if factor is None or factor[0].shape[1] > LOW_RANK_SHARE * game.pm:
             self._dense = _lu(_assemble_jacobian(game, d, lam).T)
             return
         e = game.reduced

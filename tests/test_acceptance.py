@@ -220,7 +220,7 @@ def test_criterion_07_designed_costs_reroute_the_players():
     assert verdict.path_match, "designed equilibrium is off the desired paths"
 
     reference = tolerant_chain(designed, 1e-3, lam_start=1.0)
-    assert designed.nash_gap(reference.x, feas_tol=1e-5) <= 1e-2
+    assert designed.nash_gap(reference.x) <= 1e-2
     weights = designed.marginal_cost(reference.x, 0)
     desired_cost = float(weights @ designed.player_flow(path_to_target(designed, sc.desired_node_paths), 0))
     original_cost = float(weights @ designed.player_flow(path_to_target(designed, sc.original_node_paths), 0))

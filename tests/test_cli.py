@@ -95,6 +95,17 @@ def test_design_emits_trace_and_designed_game(tmp_path, capsys):
     assert raw["desired_paths"] == [[4, 1, 2, 3, 6], [6, 9, 8, 7, 4]]
 
 
+def test_a_designed_game_file_certifies_on_reloading(tmp_path, capsys):
+    # the file carries C without its factor, so the reloaded game takes the
+    # dense route, where the design took the structured one
+    proc = run_main(capsys, "design", "--scenario", "two_player_3x3", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    designed = tmp_path / "designed_game.json"
+    proc = run_main(capsys, "gap", "--game", str(designed), "--homotopy", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "equilibrium.json").read_text())["gap"] <= 1e-2
+
+
 def test_design_zero_step_logs_one_iteration(tmp_path, capsys):
     proc = run_main(capsys,
         "design", "--scenario", "two_player_3x3", "--alpha", "0", "--out", str(tmp_path)

@@ -28,7 +28,7 @@ from routedesign.game import AtomicRoutingGame, CostParams, Player, membership_D
 from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import tracking_objective
-from routedesign.smooth_eq import SmoothEqSettings, homotopy_solve
+from routedesign.smooth_eq import Linearization, SmoothEqSettings, homotopy_solve
 
 
 def two_player_setup():
@@ -252,7 +252,8 @@ def test_a_design_past_half_width_stays_bounded_and_admissible(monkeypatch):
         if factor is not None:
             # a factor wider than pm / 2 sends the game down the dense route
             wide = factor[0].shape[1] > game.pm / 2
-            assert (built.cost_factor is None) == wide
+            lin = Linearization(built, np.ones(built.pm), np.zeros(built.dim_v), cfg.lam)
+            assert lin.holds_dense_lu == wide
 
 
 def test_a_scenario_design_makes_no_dense_decomposition_of_C(monkeypatch):

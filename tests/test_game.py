@@ -277,6 +277,30 @@ def test_game_files_reject_node_indices_that_are_not_integers(tmp_path, where, f
         load_game_file(path)
 
 
+@pytest.mark.parametrize(
+    ("key", "value", "reason"),
+    [
+        ("b", ["0.1", "0.1"], "strings"),
+        ("b", [0.1, "0.1"], "strings"),
+        ("C", [["0", "0"], ["0", "0"]], "strings"),
+        ("C", [[0.0, 0.0], [0.0, "0"]], "strings"),
+        ("rho", "0.5", "strings"),
+        ("b", [True, False], "booleans"),
+        ("C", [[False, False], [False, False]], "booleans"),
+        ("rho", True, "booleans"),
+    ],
+)
+def test_game_files_reject_costs_that_are_not_numbers(tmp_path, key, value, reason):
+    # float() would convert every one of these strings and booleans
+    doc = _line_document()
+    doc[key] = value
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = f"^malformed game document: {key}: {reason} are not numbers$"
+    with pytest.raises(ValueError, match=message):
+        load_game_file(path)
+
+
 def test_game_files_reject_links_out_of_sorted_order(tmp_path):
     # b and C follow the file's link order, so sorting the links would
     # give each cost to another link

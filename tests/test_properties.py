@@ -201,10 +201,15 @@ def test_random_digraph_games_solve_or_are_rejected(case, rho, seed):
             assert np.max(np.abs(other.x - cold.x)) <= 1e-8, f"lam={lam}"
     # the structured Newton step at the lam = 0.1 solution, under a random
     # admissible C of any rank up to full (Frobenius norm rho <= 0.5), is the
-    # dense-LU step: rank <= pm/2 takes the Woodbury route, higher the dense one
+    # dense-LU step: the game is handed a factor of C from its SVD, as wide
+    # as its numerical rank, which takes the Woodbury route up to width pm/2
+    # and the dense one above
     rank = int(rng.integers(0, pm + 1))
     factors = rng.standard_normal((pm, rank)) @ rng.standard_normal((rank, pm))
-    coupled = game.with_costs(b, project_D(factors, rho, game.m))
+    c_mat = project_D(factors, rho, game.m)
+    u, sing, vt = np.linalg.svd(c_mat)
+    width = int(np.count_nonzero(sing > pm * np.finfo(float).eps * sing[0]))
+    coupled = game.with_costs(b, c_mat, factor=(u[:, :width] * sing[:width], vt[:width].T))
     sol = solutions[0.1]
     assert_structured_step_is_dense_lu_step(coupled, sol.x, sol.v, 0.1)
 

@@ -20,7 +20,7 @@ from helpers import (
 from routedesign import smooth_eq
 from routedesign.design import project_D
 from routedesign.errors import ExponentOverflowError, NotConvergedError
-from routedesign.game import AtomicRoutingGame, CostParams, Player
+from routedesign.game import AtomicRoutingGame, CostParams, Player, membership_D
 from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
 from routedesign.smooth_eq import (
@@ -319,9 +319,9 @@ def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
     assert np.max(np.abs(sol.x - newton.x)) <= 1e-8
 
 
-def _four_player_solution(c_mat, lam=0.05):
+def _four_player_solution(c_mat, lam=0.05, factor=None):
     base = build_scenario("four_player_5x5").game
-    game = base.with_costs(base.costs.b, c_mat)
+    game = base.with_costs(base.costs.b, c_mat, factor=factor)
     sol = homotopy_solve(game, SmoothEqSettings(lam=lam))[-1]
     assert sol.converged
     return game, sol
@@ -349,12 +349,19 @@ def test_linearization_matches_dense_solves_without_interaction():
 
 def test_linearization_matches_dense_solves_through_low_rank_interaction():
     base = build_scenario("four_player_5x5").game
+    pm, m = base.pm, base.m
     rng = np.random.default_rng(8)
-    low_rank = rng.standard_normal((base.pm, 5)) @ rng.standard_normal((5, base.pm))
-    game, sol = _four_player_solution(project_D(low_rank, 0.5, base.m))
-    u, w = game.cost_factor  # the Woodbury route
-    assert 0 < u.shape[1] <= base.pm // 2
-    assert np.allclose(u @ w.T, game.costs.C, atol=1e-14)
+    # a member of D with a factor of width 7: a PSD part A A^T plus a skew
+    # part a b^T - b a^T with a and b in different players' blocks
+    a_mat = rng.standard_normal((pm, 5))
+    a, b = np.zeros(pm), np.zeros(pm)
+    a[:m], b[m : 2 * m] = rng.standard_normal(m), rng.standard_normal(m)
+    u, w = np.column_stack([a_mat, a, b]), np.column_stack([a_mat, b, -a])
+    w *= 0.5 / np.linalg.norm(u @ w.T)
+    c_mat = u @ w.T
+    assert membership_D(c_mat, m, 0.5)
+    game, sol = _four_player_solution(c_mat, factor=(u, w))
+    assert not Linearization(game, sol.x, sol.v, sol.lam).holds_dense_lu  # the Woodbury route
     _assert_structured_solves_match_dense(game, sol)
 
 
@@ -384,6 +391,25 @@ def test_linearization_solves_a_singular_jacobian_by_least_squares():
         assert np.linalg.norm(lin.solve(rhs) - np.linalg.pinv(jac) @ rhs) <= 1e-9
         assert np.linalg.norm(lin.solve_T(rhs) - np.linalg.pinv(jac.T) @ rhs) <= 1e-9
         assert not lin.holds_dense_lu
+
+
+def test_linearization_solves_through_a_singular_capacitance_by_least_squares():
+    # C = U W^T outside D on the triangle, one player 0 -> 2, at d = 1 and
+    # lam = 1: U = [1, -1, 1] is the cycle, so E U = 0 and Z_x = U exactly,
+    # and W = -e_1 makes the capacitance K = 1 + W^T U = 0 exactly, while
+    # every Laplacian factors
+    graph = DirectedGraph(3, ((0, 1), (0, 2), (1, 2)))
+    u, w = np.array([[1.0], [-1.0], [1.0]]), np.array([[-1.0], [0.0], [0.0]])
+    game = AtomicRoutingGame(graph, [Player(0, 2)], CostParams(-np.ones(3), u @ w.T))
+    game = game.with_costs(game.costs.b, game.costs.C, factor=(u, w))
+    x, v = np.zeros(3), np.zeros(2)  # the map's exponent is 0 there, so d = 1
+    jac = jacobian_F(game, x, v, 1.0)
+    assert np.linalg.matrix_rank(jac) == 4
+    lin = Linearization(game, x, v, 1.0)
+    assert not lin.holds_dense_lu
+    for rhs in (np.ones(5), np.arange(1.0, 6.0)):
+        assert np.linalg.norm(lin.solve(rhs) - np.linalg.pinv(jac) @ rhs) <= 1e-12
+        assert np.linalg.norm(lin.solve_T(rhs) - np.linalg.pinv(jac.T) @ rhs) <= 1e-12
 
 
 def test_overflowing_start_raises():
