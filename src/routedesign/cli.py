@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Commands:
-    solve   compute a smoothed equilibrium (optionally via continuation)
+    solve   compute a smoothed equilibrium by continuation
     design  run the projected-gradient cost design and emit its trace
     sweep   repeat the design over a list of entropy weights or radii; the
             designs share the outer iterations they have in common
@@ -9,9 +9,8 @@ Commands:
 
 solve and gap share one handler and write the same equilibrium.json; they
 differ in the summary line and in gap's fixed budget of 200 iterations.
-Without --homotopy both solve directly at lambda from the solver's cold
-start and fall back to continuation from max(1, lambda) when that fails;
-with --homotopy they run that continuation alone.
+Both run continuation from max(1, lambda) down to lambda; --homotopy only
+makes the default lambda 1e-3 instead of 0.01.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags, malformed game
 files), 2 on numerical failures (solver stalls, negative-cost cycles).
@@ -56,6 +55,12 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=".", help="output directory (default: current)")
 
 
+def _add_solve_args(sub: argparse.ArgumentParser) -> None:
+    _add_source_args(sub)
+    sub.add_argument("--lambda", dest="lam", type=float, default=None, help="entropy weight (default 0.01, or 1e-3 with --homotopy)")
+    sub.add_argument("--homotopy", action="store_true", help="make the default --lambda 1e-3")
+
+
 def _add_design_args(sub: argparse.ArgumentParser) -> None:
     _add_source_args(sub)
     sub.add_argument("--alpha", type=float, default=0.005, help="gradient step size")
@@ -84,9 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="compute a smoothed equilibrium")
-    _add_source_args(solve)
-    solve.add_argument("--lambda", dest="lam", type=float, default=None, help="entropy weight (default 0.01)")
-    solve.add_argument("--homotopy", action="store_true", help="continuation alone, from max(1, lambda) down to lambda (which then defaults to 1e-3)")
+    _add_solve_args(solve)
     solve.add_argument("--max-iters", type=int, default=200, help="solver iteration budget")
 
     design = sub.add_parser("design", help="design cost parameters toward the desired paths")
@@ -99,9 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     axis.add_argument("--sweep-rho", help="comma-separated Frobenius budgets")
 
     gap = sub.add_parser("gap", help="compute an equilibrium's optimality gap")
-    _add_source_args(gap)
-    gap.add_argument("--lambda", dest="lam", type=float, default=None, help="entropy weight (default 0.01)")
-    gap.add_argument("--homotopy", action="store_true", help="continuation alone, from max(1, lambda) down to lambda (which then defaults to 1e-3)")
+    _add_solve_args(gap)
     gap.set_defaults(max_iters=200)
 
     return parser
@@ -137,10 +138,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     game, _ = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    default_lam = 1e-3 if args.homotopy else 0.01
-    lam = args.lam if args.lam is not None else default_lam
+    lam = args.lam if args.lam is not None else (1e-3 if args.homotopy else 0.01)
     settings = SmoothEqSettings(lam=lam, max_iters=args.max_iters)
-    sol = homotopy_solve(game, settings, lam_start=1.0 if args.homotopy else lam)[-1]
+    sol = homotopy_solve(game, settings)[-1]
     gap = game.nash_gap(sol.x)
     _write_json(out / "equilibrium.json", _equilibrium_payload(sol, gap))
     if args.command == "gap":

@@ -222,7 +222,7 @@ def _certified_reference(
         NumericalError: the cold retry failed too; see homotopy_solve.
     """
     settings = SmoothEqSettings(lam=REFERENCE_LAMBDA, residual_tol=REFERENCE_RESIDUAL_TOL)
-    sol = homotopy_solve(game, settings, (start.x, start.v), lam_start=start.lam)[-1]
+    sol = homotopy_solve(game, settings, start)[-1]
     try:
         gap = game.nash_gap(sol.x)
     except NegativeCycleError:
@@ -240,7 +240,7 @@ def _iteration_key(
     b: np.ndarray,
     q: np.ndarray,
     mid: np.ndarray,
-    warm: tuple[np.ndarray, np.ndarray] | None,
+    start: EquilibriumSolution | None,
 ) -> bytes:
     """Digest of what a design iteration's solve, certification and gradient
     read, apart from the game's structure and the objective's callables:
@@ -248,9 +248,9 @@ def _iteration_key(
     h = hashlib.blake2b()
     h.update(np.float64(config.lam).tobytes())
     h.update(np.int64(mid.shape[0]).tobytes())
-    for arr in (objective.target, b, q, mid, *(warm or ())):
+    for arr in (objective.target, b, q, mid, *(() if start is None else (start.x, start.v))):
         h.update(np.asarray(arr, dtype=float).tobytes())
-    if warm is None:
+    if start is None:
         h.update(b"cold")
     return h.digest()
 
@@ -265,7 +265,7 @@ def design_loop(
     """Approximate projected gradient descent on the cost parameters.
 
     Starts from b = delta * 1 and C = 0 and repeats: solve the smoothed game
-    directly at config.lam (from the cold start, then from the previous
+    at config.lam (by the cold chain from 1, then directly from the previous
     inner solution), take implicit gradients, and project the stepped
     parameters back onto their sets.  C is carried as Q M Q^T with Q
     orthonormal (_step_factored) and each game is handed the factor U = Q,
@@ -276,8 +276,9 @@ def design_loop(
     Every iteration logs the objective both at the inner solution and at a
     certified small-entropy reference equilibrium, reached by continuation
     down from that inner solution, alongside that reference's optimality
-    gap.  A failed inner solve or certification is retried by the cold
-    chain from 1 (homotopy_solve), and fails its iteration if that fails.
+    gap.  An inner solve or certification from a start that fails is
+    retried by the cold chain from 1 (homotopy_solve); an iteration fails
+    when its cold chain fails.
 
     One more iteration, not logged, verifies the designed game: its reference
     gives the verdict's objective and gap, and path_match holds when every
@@ -286,7 +287,7 @@ def design_loop(
     Returns the designed (b, C), the trace and the verdict.
 
     memo, when given, maps a digest of an iteration's inputs (config.lam, the
-    objective's target, b, C's factor and the inner warm start) to that
+    objective's target, b, C's factor and the inner solve's start) to that
     iteration's inner solution, certified reference, gap and gradients.  An
     iteration found there skips its solve, certification and gradient and
     reuses the stored objects, which nothing mutates; one not found stores
@@ -315,17 +316,17 @@ def design_loop(
     c_mat = np.zeros((pm, pm))
     settings = SmoothEqSettings(lam=config.lam)
     trace = DesignTrace()
-    inner_warm: tuple[np.ndarray, np.ndarray] | None = None
+    sol: EquilibriumSolution | None = None  # the next inner solve's start
     final = False
 
     for outer in itertools.count(1):
-        key = None if memo is None else _iteration_key(config, objective, b, q, mid, inner_warm)
+        key = None if memo is None else _iteration_key(config, objective, b, q, mid, sol)
         if key is not None and key in memo:
             sol, reference, gap, grads = memo[key]
         else:
             current = game.with_costs(b, c_mat, rho=config.rho, factor=(q, q @ mid.T))
             try:
-                sol = homotopy_solve(current, settings, inner_warm, lam_start=config.lam)[-1]
+                sol = homotopy_solve(current, settings, sol)[-1]
                 reference, gap = _certified_reference(current, sol)
             except NumericalError as exc:
                 raise type(exc)(f"design iteration {outer}: {exc}") from exc
@@ -334,7 +335,6 @@ def design_loop(
                 memo[key] = (sol, reference, gap, grads)
         if final:
             break
-        inner_warm = (sol.x, sol.v)
 
         b_next = project_B(b - config.alpha * grads.grad_b, config.delta)
         q, mid = _step_factored(q, mid, grads.grad_b, grads.flow, config.alpha, config.rho, game.m)

@@ -386,6 +386,7 @@ def solve_nls(
     the iteration budget runs out.
 
     Raises:
+        ValueError: the warm start has the wrong shape or a non-finite entry.
         ExponentOverflowError: the starting point itself overflows.
     """
     lam = settings.lam
@@ -396,6 +397,8 @@ def solve_nls(
         v = np.array(warm_start[1], dtype=float)
         if x0.shape != (game.pm,) or v.shape != (game.dim_v,):
             raise ValueError("bad flow or multiplier length")
+        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(v))):
+            raise ValueError("warm start must be finite")
         y = np.log(x0, out=_exponent(game, x0, v, lam), where=x0 > 0.0)
     state = _state(game, y, v, lam)
     x_norm = state.x_norm()
@@ -472,35 +475,30 @@ def _trial(
 def homotopy_solve(
     game: AtomicRoutingGame,
     settings: SmoothEqSettings,
-    warm_start: tuple[np.ndarray, np.ndarray] | None = None,
-    *,
-    lam_start: float = 1.0,
+    start: EquilibriumSolution | None = None,
 ) -> list[EquilibriumSolution]:
     """Smoothed equilibrium at settings.lam by continuation in the entropy weight.
 
-    The chain solves at max(lam_start, settings.lam), from warm_start, else
-    the cold start, then repeatedly halves the weight, clamping the final
-    stage to exactly settings.lam, and re-solves from the previous stage's
-    solution; with lam_start <= settings.lam it is a single direct solve.
-    Every stage uses settings with its own weight in place of settings.lam
-    and must converge.  When the chain fails with a NumericalError, the
-    cold chain from max(1, settings.lam) runs once in its place, unless the
-    chain was already that one (no warm start and lam_start >= 1).  Returns
-    every stage's solution, final stage last.
+    The chain solves at max(start.lam, settings.lam) from (start.x, start.v),
+    or without a start at max(1, settings.lam) from the cold start, then
+    halves the weight down to exactly settings.lam, re-solving each stage
+    from the previous stage's solution; a start at or below the target makes
+    it one direct solve.  Every stage uses settings with its own weight and
+    must converge.  When a chain from a start fails with a NumericalError,
+    the cold chain runs once in its place.  Returns every stage's solution,
+    final stage last.
 
     Raises:
-        ValueError: lam_start is not finite and positive.
+        ValueError: start has a non-finite entry (solve_nls).
         NegativeCycleError: some stage of the last chain stalled, and some
             player's marginal costs there admit a negative-cost cycle.
         NotConvergedError: some stage of the last chain stalled otherwise;
             the message names its weight.
         ExponentOverflowError: a stage of the last chain started out of range.
     """
-    if not 0.0 < lam_start < np.inf:
-        raise ValueError("lam_start must be finite and positive")
     stages: list[EquilibriumSolution] = []
-    carry = warm_start
-    lam = max(lam_start, settings.lam)
+    carry = None if start is None else (start.x, start.v)
+    lam = max(1.0 if start is None else start.lam, settings.lam)
     try:
         while True:
             sol = solve_nls(game, replace(settings, lam=lam), warm_start=carry)
@@ -523,6 +521,6 @@ def homotopy_solve(
             carry = (sol.x, sol.v)
             lam = max(0.5 * lam, settings.lam)
     except NumericalError:
-        if warm_start is None and lam_start >= 1.0:
+        if start is None:
             raise
         return homotopy_solve(game, settings)

@@ -236,6 +236,11 @@ def cold_start(game, lam):
     return np.exp(_cold_exponent(game, lam)), np.zeros(game.dim_v)
 
 
+def start_at(x, v, lam):
+    """A homotopy_solve start at (x, v) and weight lam, not itself a solution."""
+    return EquilibriumSolution(x, v, np.inf, lam, 0, False)
+
+
 def x_space_solve_nls(game, settings, warm_start=None):
     """smooth_eq.solve_nls's interface and rules, with Newton on
     F(x, v) = residual_F itself rather than on the log system.

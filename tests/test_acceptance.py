@@ -19,6 +19,7 @@ from helpers import (
     kkt_residual,
     pwl_residual,
     random_game,
+    start_at,
     tolerant_chain,
 )
 from routedesign.design import DesignConfig, design_loop, project_B, project_D
@@ -109,7 +110,7 @@ def test_criterion_03_solution_unique_across_starting_points():
     for lam in (1.0, 0.1, 0.01):
         pair = []
         for eps in (0.1, 0.9):
-            start = (paths + eps, np.zeros(game.dim_v))
+            start = start_at(paths + eps, np.zeros(game.dim_v), 1.0)
             sol = homotopy_solve(game, SmoothEqSettings(lam=lam), start)[-1]
             assert sol.converged
             pair.append(sol)

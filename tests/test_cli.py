@@ -454,9 +454,9 @@ def _one_player_game(path, n, links, b):
     return path
 
 
-def test_solve_falls_back_when_the_cold_start_overflows(tmp_path, capsys):
+def test_solve_reaches_a_weight_whose_cold_start_overflows(tmp_path, capsys):
     # b = -3 puts the cold start's exponent at ~299 for lambda 0.01, past
-    # the overflow limit; continuation from lambda 1 still reaches the solution
+    # the overflow limit; continuation from lambda 1 reaches the solution
     game_file = _one_player_game(tmp_path / "game.json", 2, [[1, 2], [2, 1]], [-3.0, 3.5])
     proc = run_main(capsys, "solve", "--game", str(game_file), "--lambda", "0.01", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from helpers import dykstra_project_D
 
 import routedesign.design as design_mod
+from routedesign import smooth_eq
 from routedesign.design import (
     TRACE_COLUMNS,
     DesignConfig,
@@ -258,22 +258,24 @@ def test_a_design_past_half_width_stays_bounded_and_admissible(monkeypatch):
 
 def test_a_scenario_design_makes_no_dense_decomposition_of_C(monkeypatch):
     game, objective = two_player_setup()
-    qr_calls, eigh_sizes = [], []
-    real_qr, real_eigh = scipy.linalg.qr, np.linalg.eigh
+    lu_sizes, eigh_sizes = [], []
+    real_lu, real_eigh = smooth_eq._lu, np.linalg.eigh
 
-    def spy_qr(a, *args, **kwargs):
-        qr_calls.append(np.shape(a))
-        return real_qr(a, *args, **kwargs)
+    # the structured route factors each (n-1)^2 Laplacian and a capacitance
+    # at most pm/2 wide; the dense route factors all pm + p(n-1) unknowns
+    def spy_lu(a):
+        lu_sizes.append(a.shape[0])
+        return real_lu(a)
 
     def spy_eigh(a, *args, **kwargs):
         eigh_sizes.append(np.shape(a)[0])
         return real_eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "qr", spy_qr)
+    monkeypatch.setattr(smooth_eq, "_lu", spy_lu)
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
     _, _, trace, verdict = design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
     assert verdict.path_match and len(trace.records) >= 2
-    assert qr_calls == []
+    assert lu_sizes and max(lu_sizes) < game.pm
     assert eigh_sizes and max(eigh_sizes) < game.pm
 
 
@@ -290,12 +292,12 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     real_chain = design_mod.homotopy_solve
 
     # the inner solves run at the design weight, certification at REFERENCE_LAMBDA
-    def spy_chain(game, settings, warm_start=None, **kwargs):
-        stages = real_chain(game, settings, warm_start, **kwargs)
+    def spy_chain(game, settings, start=None):
+        stages = real_chain(game, settings, start)
         if settings.lam == design_mod.REFERENCE_LAMBDA:
-            chains.append(([s.lam for s in stages], warm_start))
+            chains.append(([s.lam for s in stages], start))
         else:
-            inner.append((stages, warm_start))
+            inner.append((stages, start))
         return stages
 
     monkeypatch.setattr(design_mod, "homotopy_solve", spy_chain)
@@ -306,14 +308,17 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     assert len(trace.records) == 3
     assert len(inner) == 4 and len(chains) == 4
     assert inner[0][1] is None
-    # every inner solve converges in one direct stage, the first from the cold start
-    assert [[s.lam for s in stages] for stages, _ in inner] == [[0.01]] * 4
-    for (before, _), (_, warm) in zip(inner, inner[1:]):
-        assert np.array_equal(warm[0], before[-1].x) and np.array_equal(warm[1], before[-1].v)
-    for (solved, _), (stages, warm) in zip(inner, chains):
+    # the first inner solve is the cold chain from 1, every later one a
+    # direct stage from the inner solution before it
+    assert [[s.lam for s in stages] for stages, _ in inner] == [
+        [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01]
+    ] + [[0.01]] * 3
+    for (before, _), (_, start) in zip(inner, inner[1:]):
+        assert np.array_equal(start.x, before[-1].x) and np.array_equal(start.v, before[-1].v)
+    for (solved, _), (stages, start) in zip(inner, chains):
         sol = solved[-1]
         assert stages == [0.01, 0.005, 0.0025, 0.00125, 0.001]
-        assert np.array_equal(warm[0], sol.x) and np.array_equal(warm[1], sol.v)
+        assert np.array_equal(start.x, sol.x) and np.array_equal(start.v, sol.v)
 
     # an inner weight below the certification weight certifies in one stage
     chains.clear()
@@ -321,19 +326,21 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     assert [stages for stages, _ in chains] == [[1e-3], [1e-3]]
 
 
-def test_a_design_first_solves_directly_from_the_cold_start(monkeypatch):
+def test_a_design_first_solves_by_the_cold_chain(monkeypatch):
     game, objective = two_player_setup()
     calls = []
     real_chain = design_mod.homotopy_solve
 
-    def spy_chain(game, settings, warm_start=None, **kwargs):
-        calls.append((settings.lam, warm_start, kwargs))
-        return real_chain(game, settings, warm_start, **kwargs)
+    def spy_chain(game, settings, *args, **kwargs):
+        stages = real_chain(game, settings, *args, **kwargs)
+        calls.append((settings.lam, args, kwargs, stages[0].lam))
+        return stages
 
     monkeypatch.setattr(design_mod, "homotopy_solve", spy_chain)
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=1)
     design_loop(game, objective, cfg)
-    assert calls[0] == (cfg.lam, None, {"lam_start": cfg.lam})
+    # no start and no weight: the chain runs from 1
+    assert calls[0] == (cfg.lam, (None,), {}, 1.0)
 
 
 @pytest.mark.parametrize(

@@ -334,12 +334,7 @@ def test_design_regime_games_solve_certify_and_differentiate(case, seed):
             for h in (1e-3, 1e-4, 1e-5):
                 psi = [
                     objective.evaluate(
-                        homotopy_solve(
-                            game.with_costs(*costs(t)),
-                            settings_lam,
-                            (sol.x, sol.v),
-                            lam_start=settings_lam.lam,
-                        )[-1].x
+                        homotopy_solve(game.with_costs(*costs(t)), settings_lam, sol)[-1].x
                     )
                     for t in (h, -h)
                 ]

@@ -15,6 +15,7 @@ from helpers import (
     logit_split,
     random_game,
     solved_detached_two_cycle,
+    start_at,
     two_route_game,
 )
 from routedesign import smooth_eq
@@ -75,16 +76,10 @@ def test_schedule_stages_halve_and_clamp():
     for a, b in zip(stages, stages[1:-1]):
         assert b == a * 0.5
     # a start at or below the target weight solves at the target alone
-    for lam_start in (0.25, 0.1):
-        one = homotopy_solve(game, SmoothEqSettings(lam=0.25), lam_start=lam_start)
+    settings = SmoothEqSettings(lam=0.25)
+    for lam in (settings.lam, 0.1):
+        one = homotopy_solve(game, settings, start_at(*cold_start(game, settings.lam), lam))
         assert [s.lam for s in one] == [0.25]
-
-
-def test_schedule_validation():
-    game = two_node_game(0.3, 0.7)
-    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
-        with pytest.raises(ValueError):
-            homotopy_solve(game, SmoothEqSettings(lam=0.1), lam_start=bad)
 
 
 def test_residual_and_jacobian_validate_inputs():
@@ -452,11 +447,11 @@ def test_strict_continuation_names_the_stalled_stage(monkeypatch):
     with pytest.raises(NotConvergedError, match="lam=1 "):
         homotopy_solve(game, settings)
     assert calls == [(1.0, True)]
-    # a direct solve that stalls is retried once by that cold chain
+    # a chain from a start that stalls is retried once by that cold chain
     calls.clear()
     with pytest.raises(NotConvergedError, match="lam=1 "):
-        homotopy_solve(game, settings, lam_start=settings.lam)
-    assert calls == [(0.5, True), (1.0, True)]
+        homotopy_solve(game, settings, start_at(*cold_start(game, settings.lam), settings.lam))
+    assert calls == [(0.5, False), (1.0, True)]
 
 
 def test_continuation_returns_stage_list():
@@ -474,7 +469,7 @@ def test_overflowing_warm_start_falls_back_to_continuation():
     with pytest.raises(ExponentOverflowError):
         solve_nls(game, SmoothEqSettings(lam=1.0), warm_start=warm)
     settings = SmoothEqSettings(lam=1.0)
-    sol = homotopy_solve(game, settings, warm, lam_start=settings.lam)[-1]
+    sol = homotopy_solve(game, settings, start_at(*warm, settings.lam))[-1]
     assert sol.converged
     assert sol.lam == 1.0
     x_ref, v_ref = two_node_oracle(b1, b2, 1.0)
@@ -490,11 +485,36 @@ def test_stalled_warm_start_falls_back_to_continuation():
     # neither direction's line search gets anywhere from this start
     assert not stalled.converged
     assert stalled.iterations == 1
-    sol = homotopy_solve(game, settings, warm, lam_start=settings.lam)[-1]
+    sol = homotopy_solve(game, settings, start_at(*warm, settings.lam))[-1]
     assert sol.converged
     assert sol.lam == 0.003
     chain = homotopy_solve(game, settings)
     assert np.array_equal(sol.x, chain[-1].x)
+
+
+def test_a_non_finite_warm_start_is_rejected_not_retried(monkeypatch):
+    game = build_scenario("two_player_3x3").game
+    settings = SmoothEqSettings(lam=0.01)
+    sol = homotopy_solve(game, settings)[-1]
+    calls = []
+    real_solve = smooth_eq.solve_nls
+
+    def spy_solve(game, settings, warm_start=None):
+        calls.append(warm_start is None)
+        return real_solve(game, settings, warm_start)
+
+    monkeypatch.setattr(smooth_eq, "solve_nls", spy_solve)
+    x_nan, x_inf = sol.x.copy(), sol.x.copy()
+    x_nan[3], x_inf[3] = np.nan, np.inf
+    v_nan = np.full(game.dim_v, np.nan)
+    for x, v in ((np.full(game.pm, 0.5), v_nan), (x_inf, sol.v), (x_nan, sol.v)):
+        with pytest.raises(ValueError, match="warm start must be finite"):
+            real_solve(game, settings, warm_start=(x, v))
+        calls.clear()
+        with pytest.raises(ValueError, match="warm start must be finite"):
+            homotopy_solve(game, settings, start_at(x, v, settings.lam))
+        # one attempt from the start, no cold retry
+        assert calls == [False]
 
 
 def test_one_way_game_with_starved_nodes_solves():
