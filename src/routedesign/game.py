@@ -427,10 +427,10 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
     """Load a game JSON file; also return optional desired node paths (0-based).
 
     Raises:
-        ValueError: see game_from_dict; also malformed desired_paths or an
-            entry count other than one per player.
+        ValueError: see game_from_dict; also malformed desired_paths.
         UnreachableError: see game_from_dict.
-        BrokenPathError: see path_to_target; the message names nodes 1-based.
+        BrokenPathError: see path_to_target, which also checks that there is
+            one path per player; the message names nodes 1-based.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -442,7 +442,5 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
         paths = [[_integer(node, "desired_paths") - 1 for node in nodes] for nodes in desired]
     except TypeError as exc:
         raise ValueError(f"malformed desired_paths: {exc}") from exc
-    if len(paths) != game.p:
-        raise ValueError("desired_paths must list one node path per player")
     path_to_target(game, paths, base=1)
     return game, paths

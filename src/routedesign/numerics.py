@@ -1,10 +1,10 @@
 """Dense least squares, the fallback of every solve with the Jacobian.
 
 `lstsq` is a rank-revealing QR (LAPACK gelsy).  smooth_eq.Linearization
-calls it on the dense J where its factors meet a singular J, and for the
-equilibrium solver's direction when the line search along the Newton step
-fails.  It is deterministic for fixed inputs, which the CLI relies on for
-byte-identical reruns.
+calls it on the dense J~, the log system's Jacobian, where its factors meet
+a singular J~, and for the equilibrium solver's direction when the line
+search along the Newton step fails.  It is deterministic for fixed inputs,
+which the CLI relies on for byte-identical reruns.
 """
 
 from __future__ import annotations

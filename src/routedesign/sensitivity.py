@@ -1,16 +1,13 @@
 """Implicit differentiation of the smoothed equilibrium in the cost parameters.
 
-At a solution of the smoothed system F(x, v) = 0, the equilibrium flow is an
-implicit function of (b, C).  Differentiating through F gives objective
-gradients without unrolling the solver: one solve against J^T, the
-transpose of F's Jacobian in (x, v), scaled by the exponential-map diagonal
-D.  smooth_eq.Linearization, built at the solution, factors J the way the
-solver factors it for its log-flow Newton steps (per player, with a
-Woodbury update through C's low-rank factor, or densely), here with D the
-map's values there, which equal the flows up to the solve tolerance.  It
-also answers where J is singular, as it is exactly on some games the
-load-time check accepts (a two-cycle cut off from the players' nodes, whose
-two multipliers can shift together).
+At a solution of the smoothed system the equilibrium flow is an implicit
+function of (b, C).  Differentiating through the log system F~(y, v) = 0
+that the solver drives to zero gives objective gradients without unrolling
+the solver: one solve against J~^T, the transpose of F~'s Jacobian in
+(y, v), by the same smooth_eq.Linearization the solver's Newton steps use,
+built at the solution's flows.  It also answers where J~ is singular, as it
+is exactly on some games the load-time check accepts (a two-cycle cut off
+from the players' nodes, whose two multipliers can shift together).
 """
 
 from __future__ import annotations
@@ -81,17 +78,14 @@ def implicit_gradients(
 ) -> GradientPair:
     """Objective gradients in (b, C) through the solved smoothed system.
 
-    Solves J^T z = [grad_psi(x); 0] through Linearization.solve_T (in the
-    minimum-norm least-squares sense where J is singular) and returns
-    grad_b = -(D z_x) / lam with D the linearization's exponential-map
-    diagonal; grad_C follows as the rank-1 outer product with the flow.
+    Solves J~^T w = [x * grad_psi(x); 0] through Linearization.solve_T at
+    the solution's flows x (in the minimum-norm least-squares sense where
+    J~ is singular) and returns grad_b = -w_y; grad_C follows as the rank-1
+    outer product with the flow.
     """
     grad_x = np.asarray(objective.gradient(sol.x), dtype=float)
     if grad_x.shape != (game.pm,):
         raise ValueError("objective gradient must have length p*m")
-    rhs = np.concatenate([grad_x, np.zeros(game.dim_v)])
-    lin = Linearization(game, sol.x, sol.v, sol.lam)
-    z = lin.solve_T(rhs)
-    grad_b = -(lin.d * z[: game.pm]) / sol.lam
-    return GradientPair(grad_b=grad_b, flow=np.array(sol.x))
-
+    rhs = np.concatenate([sol.x * grad_x, np.zeros(game.dim_v)])
+    w = Linearization(game, sol.x, sol.lam).solve_T(rhs)
+    return GradientPair(grad_b=-w[: game.pm], flow=np.array(sol.x))

@@ -23,16 +23,17 @@ are never negative, and the flow on a route that costs far more than lam
 above the cheapest underflows to exactly 0.  A continuation halves lam down
 to a small target.
 
-J is a saddle-point matrix [[I + D C / lam, -D E^T / lam], [-E, 0]] with D
-a diagonal, the exponential map's values, and the log system's Jacobian is
-J~ = diag(lam / X, I) J diag(X, I) at D = X = diag(e^y), so one
-Linearization of J serves both.  It owns every solve with J: per player
-through the block-diagonal part of J without C, then a Woodbury update
-through the factor C = U W^T the game was built with; by the LU of J^T
-when C has no factor or one wider than pm * LOW_RANK_SHARE; and where J is
-singular by the minimum-norm least-squares solution from a rank-revealing
-QR.  The Newton step, the QR fallback direction and the implicit gradient
-all go through it.  The structured factor is rebuilt at every iterate; the
+The log system's Jacobian is the saddle-point matrix
+
+    J~ = dF~/d(y, v) = [[lam I + C X, -E^T], [-E X, 0]],  X = diag(e^y),
+
+and one Linearization of J~ at the flows serves the Newton step, the QR
+fallback direction and the implicit gradient.  It factors J~ per player
+through its block-diagonal part without C, then a Woodbury update through
+the factor C = U W^T the game was built with; by the LU of J~^T when C has
+no factor or one wider than pm * LOW_RANK_SHARE; and where J~ is singular
+it answers with the minimum-norm least-squares solution from a
+rank-revealing QR.  The structured factor is rebuilt at every iterate; the
 dense LU is kept for chord steps while they contract ||F~|| by _CHORD_RATE.
 """
 
@@ -148,10 +149,7 @@ def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
         raise ValueError("lam must be finite and positive")
     if x.shape != (game.pm,) or v.shape != (game.dim_v,):
         raise ValueError("bad flow or multiplier length")
-    return _assemble_jacobian(game, _map_diag(game, x, v, lam), lam)
-
-
-def _assemble_jacobian(game: AtomicRoutingGame, d: np.ndarray, lam: float) -> np.ndarray:
+    d = _map_diag(game, x, v, lam)
     pm, k = game.pm, game.pm + game.dim_v
     jac = np.zeros((k, k))
     top_left, top_right = jac[:pm, :pm], jac[:pm, pm:]
@@ -164,64 +162,58 @@ def _assemble_jacobian(game: AtomicRoutingGame, d: np.ndarray, lam: float) -> np
     return jac
 
 
-class Linearization:
-    """J = dF/d(x, v) at one map diagonal d, factored once by its structure.
+def _log_jacobian(game: AtomicRoutingGame, x: np.ndarray, lam: float) -> np.ndarray:
+    # the dense J~ at flows x
+    pm, k = game.pm, game.pm + game.dim_v
+    jac = np.zeros((k, k))
+    np.multiply(game.costs.C, x, out=jac[:pm, :pm])
+    np.negative(game.e_blk.T, out=jac[:pm, pm:])
+    np.multiply(game.e_blk, -x, out=jac[pm:, :pm])
+    jac.reshape(-1)[: pm * (k + 1) : k + 1] += lam
+    return jac
 
-    J = [[I + D C / lam, -D E^T / lam], [-E, 0]] with D = diag(d).  Its part
-    without C, J0 = [[I, -D E^T / lam], [-E, 0]], is block diagonal by
-    player: eliminating player i's flows leaves the weighted Laplacian
-    L_i = E_i D_i E_i^T / lam on its n - 1 multipliers, inverted from its LU
+
+class Linearization:
+    """J~ = dF~/d(y, v) at flows x, factored once by its structure.
+
+    J~ = [[lam I + C X, -E^T], [-E X, 0]] with X = diag(x).  Its part
+    without C, J0 = [[lam I, -E^T], [-E X, 0]], is block diagonal by player:
+    eliminating player i's log flows leaves the weighted Laplacian
+    L_i = E_i X_i E_i^T / lam on its n - 1 multipliers, inverted from its LU
     (at these sizes one LAPACK solve with many right-hand sides costs more
     than the inverse).  The factor C = U W^T the game was built with
-    (game.cost_factor, width r) makes J a rank-r update of J0.  With
-    Z = J0^-1 [D U / lam; 0], p block solves with r right-hand sides, and
-    the r x r capacitance K = I + W^T Z_x, factored by LU, Woodbury gives
+    (game.cost_factor, width r) gives C X = U (X W)^T, so J~ is a rank-r
+    update of J0.  With Z = J0^-1 [U; 0], p block solves with r right-hand
+    sides, and the r x r capacitance K = I + (X W)^T Z_y, factored by LU,
+    Woodbury gives
 
-        J^-1 rhs = z0 - Z K^-1 W^T z0_x,  z0 = J0^-1 rhs,
-        J^-T rhs = J0^-T (rhs - [W a; 0]),  a = K^-T Z^T rhs,
+        J~^-1 rhs = z0 - Z K^-1 (X W)^T z0_y,  z0 = J0^-1 rhs,
+        J~^-T rhs = J0^-T (rhs - [X W a; 0]),  a = K^-T Z^T rhs,
 
     where J0^-T reuses the L_i, which are symmetric.  When C has no factor,
-    or one wider than pm * LOW_RANK_SHARE, the LU of the dense J^T is held
-    instead: J's C-order buffer is J^T in Fortran order, so LAPACK factors
-    it without a copy, and partial pivoting on J^T picks its pivots along
-    the rows of J, a choice that their scale, set mostly by D, does not
-    change.
+    or one wider than pm * LOW_RANK_SHARE, the LU of the dense J~^T is held
+    instead: J~'s C-order buffer is J~^T in Fortran order, so LAPACK factors
+    it without a copy, and partial pivoting on J~^T picks its pivots along
+    the rows of J~, a choice that their scale does not change.
 
-    Where a factor met a zero pivot or a result is not finite, J is
-    singular, and solves return numerics.lstsq on the dense J assembled
-    from d; a dense LU is released for good first.
-
-    Linearization(game, x, v, lam) is J at (x, v), d the exponential map
-    there, as the implicit gradient takes it; the solver factors J at the
-    diagonal of its own flows (see solve_nls).
-
-    Raises:
-        ExponentOverflowError: the exponent at (x, v) is out of range.
+    Where a factor met a zero pivot or a result is not finite, J~ is
+    singular, and solves return numerics.lstsq on the dense J~; a dense LU
+    is released for good first.
     """
 
-    def __init__(self, game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> None:
-        self._factor(game, _map_diag(game, x, v, lam), lam)
-
-    @classmethod
-    def _at(cls, game: AtomicRoutingGame, d: np.ndarray, lam: float) -> Linearization:
-        # J with the map diagonal replaced by d
-        lin = cls.__new__(cls)
-        lin._factor(game, d, lam)
-        return lin
-
-    def _factor(self, game: AtomicRoutingGame, d: np.ndarray, lam: float) -> None:
+    def __init__(self, game: AtomicRoutingGame, x: np.ndarray, lam: float) -> None:
         self._game = game
+        self._x = x
         self._lam = lam
-        self.d = d
         self._dense = self._l_inv = self._woodbury = None
         factor = game.cost_factor
         if factor is None or factor[0].shape[1] > LOW_RANK_SHARE * game.pm:
-            self._dense = _lu(_assemble_jacobian(game, d, lam).T)
+            self._dense = _lu(_log_jacobian(game, x, lam).T)
             return
         e = game.reduced
         p, _, m = e.shape
-        self._ed = ed = e * (d / lam).reshape(p, 1, m)  # E_i D_i / lam
-        self._l_inv = ed @ e.transpose(0, 2, 1)
+        self._ex = ex = e * x.reshape(p, 1, m)  # E_i X_i
+        self._l_inv = ex @ e.transpose(0, 2, 1) / lam
         for i, l_i in enumerate(self._l_inv):
             lu, piv, info = _lu(l_i)
             if info != 0:
@@ -230,8 +222,8 @@ class Linearization:
             self._l_inv[i] = scipy.linalg.lapack.dgetri(lu, piv, overwrite_lu=True)[0]
         u, w = factor
         if u.shape[1] > 0:
-            z = self._j0_solve(u * (d / lam)[:, None], None, trans=0)
-            lu, piv, info = _lu(np.eye(u.shape[1]) + w.T @ z[: p * m])
+            z = self._j0_solve(u, None, trans=0)
+            lu, piv, info = _lu(np.eye(u.shape[1]) + w.T @ (x[:, None] * z[: p * m]))
             if info != 0:
                 self._l_inv = None
                 return
@@ -239,66 +231,73 @@ class Linearization:
 
     @property
     def holds_dense_lu(self) -> bool:
-        """Whether this holds a dense LU of J, worth keeping for chord steps."""
+        """Whether this holds a dense LU of J~, worth keeping for chord steps."""
         return self._dense is not None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """d with J d = rhs; the least-squares solution where J is singular."""
+        """d with J~ d = rhs; the least-squares solution where J~ is singular."""
         return next(self.directions(rhs))
 
     def solve_T(self, rhs: np.ndarray) -> np.ndarray:
-        """z with J^T z = rhs; the least-squares solution where J is singular."""
+        """z with J~^T z = rhs; the least-squares solution where J~ is singular."""
         z = self._factored_solve(rhs, trans=1)
         return self._least_squares(rhs, trans=1) if z is None else z
 
     def directions(self, rhs: np.ndarray) -> Iterator[np.ndarray]:
-        """Steps for J d = rhs: the factored solve unless J is singular, then
-        the least-squares solution, computed only when asked for."""
+        """Steps for J~ d = rhs: the factored solve unless J~ is singular,
+        then the least-squares solution, computed only when asked for."""
         step = self._factored_solve(rhs, trans=0)
         if step is not None:
             yield step
         yield self._least_squares(rhs, trans=0)
 
     def _factored_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray | None:
-        # None where J is singular
+        # None where J~ is singular
         if self._dense is not None:
             return _lu_solve(self._dense, rhs, trans=1 - trans)
         if self._l_inv is None:  # singular, or a dense LU released
             return None
-        pm = self.d.size
+        pm, x = self._x.size, self._x[:, None]
         rhs = rhs[:, None]
         if self._woodbury is None:
             z = self._j0_solve(rhs[:pm], rhs[pm:], trans)
         elif trans == 0:
             big_z, w, lu, piv = self._woodbury
             z = self._j0_solve(rhs[:pm], rhs[pm:], trans=0)
-            z -= big_z @ scipy.linalg.lapack.dgetrs(lu, piv, w.T @ z[:pm])[0]
+            z -= big_z @ scipy.linalg.lapack.dgetrs(lu, piv, w.T @ (x * z[:pm]))[0]
         else:
             big_z, w, lu, piv = self._woodbury
             a = scipy.linalg.lapack.dgetrs(lu, piv, big_z.T @ rhs, trans=1)[0]
-            z = self._j0_solve(rhs[:pm] - w @ a, rhs[pm:], trans=1)
+            z = self._j0_solve(rhs[:pm] - x * (w @ a), rhs[pm:], trans=1)
         return _finite(z[:, 0])
 
     def _j0_solve(self, r1: np.ndarray, r2: np.ndarray | None, trans: int) -> np.ndarray:
         # J0^-1 [r1; r2], or J0^-T [r1; r2] with trans=1, for r1 of shape
         # (pm, k) and r2 of shape (p (n - 1), k) or None for 0, player by
-        # player: with (left, right) = (E, E D / lam) for J0 and swapped for
-        # J0^T, b_i = L_i^-1 (r2_i + left_i r1_i) and the solution is
-        # [r1_i - right_i^T b_i; -b_i].  Non-finite values propagate.
+        # player: with left = E X for J0 and E for J0^T,
+        # b_i = L_i^-1 (r2_i + left_i r1_i / lam) and the solution is
+        # [(r1_i - E_i^T b_i) / lam; -b_i] for J0 and
+        # [(r1_i - X_i (E_i^T b_i)) / lam; -b_i] for J0^T.  X multiplies
+        # E_i^T b_i after it is formed: where a flow below 1e-40 meets
+        # multipliers above 1e100, x_l b_tail - x_l b_head loses the
+        # difference b_tail - b_head that forming it first keeps exact.
+        # Non-finite values propagate.
         e = self._game.reduced
         p, n1, m = e.shape
-        left, right = (e, self._ed) if trans == 0 else (self._ed, e)
         r1 = r1.reshape(p, m, -1)
-        b = left @ r1
+        b = (self._ex if trans == 0 else e) @ r1 / self._lam
         if r2 is not None:
             b += r2.reshape(b.shape)
         b = self._l_inv @ b
-        x = r1 - right.transpose(0, 2, 1) @ b
-        return np.concatenate([x.reshape(p * m, -1), -b.reshape(p * n1, -1)])
+        et_b = e.transpose(0, 2, 1) @ b
+        if trans:
+            et_b *= self._x.reshape(p, m, 1)
+        y = (r1 - et_b) / self._lam
+        return np.concatenate([y.reshape(p * m, -1), -b.reshape(p * n1, -1)])
 
     def _least_squares(self, rhs: np.ndarray, trans: int) -> np.ndarray:
-        self._dense = None  # free the LU before assembling the dense J
-        jac = _assemble_jacobian(self._game, self.d, self._lam)
+        self._dense = None  # free the LU before assembling the dense J~
+        jac = _log_jacobian(self._game, self._x, self._lam)
         return numerics.lstsq(jac.T if trans else jac, rhs)
 
 
@@ -367,16 +366,14 @@ def solve_nls(
     warm start (x0, v0) starts from y = log x0 where x0 > 0, else from the
     map's exponent g(x0, v0); without one, from g(0, 0) capped at EXP_LIMIT.
 
-    J~ = diag(lam / X, I) J diag(X, I) with J = dF/d(x, v) at map diagonal
-    X, so each step solves J [dx; dv] = [-X F~_1 / lam; -F~_2] through
-    Linearization and takes dy = (-F~_1 - C dx + E^T dv) / lam, J~'s first
-    row, which needs no division by a flow that underflowed to 0.  An
-    iteration whose linearization holds a dense LU and cut ||F~|| by at
+    Each step solves J~ [dy; dv] = -F~ through Linearization at the
+    current flows, which needs no division by a flow that underflowed to 0.
+    An iteration whose linearization holds a dense LU and cut ||F~|| by at
     least the factor _CHORD_RATE keeps it, and the next iteration first
     takes the full chord step from it with the new residual; it accepts that
     step only if ||F~|| falls by the factor again.  Any other iteration
-    factors J afresh and tries its directions in turn, each with an Armijo
-    line search on ||F~||: the Newton step, and, when J is singular or that
+    factors J~ afresh and tries its directions in turn, each with an Armijo
+    line search on ||F~||: the Newton step, and, when J~ is singular or that
     search fails, the one from the minimum-norm least-squares solution.
     Trial points where y or g passes EXP_LIMIT count as failed steps.
 
@@ -409,13 +406,13 @@ def solve_nls(
         iterations += 1
         found = None
         if lin is not None:
-            found = _trial(game, lam, state, next(_log_steps(game, lin, state.f, lam)), 1.0)
+            found = _trial(game, lam, state, lin.solve(-state.f), 1.0)
             if found is not None and found.norm > _CHORD_RATE * state.norm:
                 found = None
         if found is None:
             lin = None  # release the stale LU before factoring afresh
-            lin = Linearization._at(game, state.x, lam)
-            for step in _log_steps(game, lin, state.f, lam):
+            lin = Linearization(game, state.x, lam)
+            for step in lin.directions(-state.f):
                 found = _line_search(game, lam, state, step)
                 if found is not None:
                     break
@@ -434,17 +431,6 @@ def solve_nls(
         iterations=iterations,
         converged=x_norm <= settings.residual_tol,
     )
-
-
-def _log_steps(
-    game: AtomicRoutingGame, lin: Linearization, f: np.ndarray, lam: float
-) -> Iterator[np.ndarray]:
-    # lin's directions for J~ [dy; dv] = -f at X = diag(lin.d), as stacked
-    # (dy, dv)
-    pm = lin.d.size
-    for step in lin.directions(np.concatenate([-lin.d * f[:pm] / lam, -f[pm:]])):
-        dx, dv = step[:pm], step[pm:]
-        yield np.concatenate([(game.e_blk.T @ dv - game.costs.C @ dx - f[:pm]) / lam, dv])
 
 
 def _line_search(

@@ -4,10 +4,11 @@ Everything here recomputes equilibria by routes independent of the production
 solver: the first-order (KKT) and piecewise-linear equilibrium residuals, an
 active-set polish that pivots on sign violations, a stall-tolerant
 continuation used only to seed that polish, a central-difference Jacobian,
-and Newton's method on the smoothed system in the flows themselves, where the
-production solver works in log flows.  Dykstra's alternating scheme
-recomputes the admissible-set projection.  Tests compare solver output
-against these, never against the solver itself.
+the log system's Jacobian from its definition, and Newton's method with dense
+solves on the smoothed system in the flows themselves, where the production
+solver works in log flows.  Dykstra's alternating scheme recomputes the
+admissible-set projection.  Tests compare solver output against these, never
+against the solver itself.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 
 from routedesign import smooth_eq
@@ -30,10 +32,11 @@ from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph, grid_graph
 from routedesign.numerics import lstsq
 from routedesign.smooth_eq import (
+    LOW_RANK_SHARE,
     EquilibriumSolution,
-    Linearization,
     SmoothEqSettings,
     _cold_exponent,
+    jacobian_F,
     residual_F,
     solve_nls,
 )
@@ -246,41 +249,57 @@ def x_space_solve_nls(game, settings, warm_start=None):
     F(x, v) = residual_F itself rather than on the log system.
 
     Starts from warm_start, else cold_start.  Each iteration solves
-    J [dx; dv] = -F through Linearization at (x, v) and tries its directions
-    with the Armijo line search on ||F||; on the dense route an iteration
-    that cut ||F|| by smooth_eq._CHORD_RATE keeps its LU for a chord step.
-    Trial points whose exponent overflows fail.  Flows are not kept
-    positive: x - exp(g) is F's first block.
+    J [dx; dv] = -F with J = jacobian_F at (x, v) by a dense LU, or by
+    least squares where J is singular, and tries those directions with the
+    Armijo line search on ||F||.  On a game the solver factors densely (C
+    without a factor or with one wider than pm * LOW_RANK_SHARE), an
+    iteration that cut ||F|| by smooth_eq._CHORD_RATE keeps its LU for a
+    chord step.  Trial points whose exponent overflows fail.  Flows are not
+    kept positive: x - exp(g) is F's first block.
 
     Raises:
         ExponentOverflowError: the starting point itself overflows.
     """
     lam = settings.lam
+    factor = game.cost_factor
+    chords = factor is None or factor[0].shape[1] > LOW_RANK_SHARE * game.pm
     x, v = (np.array(part, dtype=float) for part in warm_start or cold_start(game, lam))
     resid = residual_F(game, x, v, lam)
     norm = float(np.linalg.norm(resid))
     iterations = 0
-    lin = None
+    lu = None
     while norm > settings.residual_tol and iterations < settings.max_iters:
         iterations += 1
         found = None
-        if lin is not None:
-            found = _x_trial(game, lam, x, v, lin.solve(-resid), 1.0)
+        if lu is not None:
+            found = _x_trial(game, lam, x, v, _lu_solve(lu, -resid), 1.0)
             if found is not None and found[3] > smooth_eq._CHORD_RATE * norm:
                 found = None
         if found is None:
-            lin = None  # release the stale LU before factoring afresh
-            lin = Linearization(game, x, v, lam)
-            for step in lin.directions(-resid):
+            jac = jacobian_F(game, x, v, lam)
+            lu = scipy.linalg.lapack.dgetrf(jac)
+            step = _lu_solve(lu, -resid)
+            if step is not None:
                 found = _x_line_search(game, lam, x, v, norm, step)
-                if found is not None:
-                    break
+            if found is None:  # J singular, or the search failed
+                lu = None
+                found = _x_line_search(game, lam, x, v, norm, lstsq(jac, -resid))
         if found is None:
             break
-        if found[3] > smooth_eq._CHORD_RATE * norm or not lin.holds_dense_lu:
-            lin = None
+        if found[3] > smooth_eq._CHORD_RATE * norm or not chords:
+            lu = None
         x, v, resid, norm = found
     return EquilibriumSolution(x, v, norm, lam, iterations, norm <= settings.residual_tol)
+
+
+def _lu_solve(factor, rhs):
+    # the solution from dgetrf's factor; None where it met a zero pivot or
+    # is not finite
+    lu, piv, info = factor
+    if info != 0:
+        return None
+    step = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
+    return step if np.all(np.isfinite(step)) else None
 
 
 def _x_line_search(game, lam, x, v, norm, step):
@@ -317,6 +336,21 @@ def fd_jacobian(game, x, v, lam, h=1e-6):
         fm = residual_F(game, zm[:pm], zm[pm:], lam)
         jac[:, j] = (fp - fm) / (2 * h)
     return jac
+
+
+def log_jacobian(game, x, lam):
+    """J~ = dF~/d(y, v), the Jacobian of the solver's log system
+    F~(y, v) = [lam (y - g(e^y, v)); s - E e^y], at flows x = e^y, from its
+    definition: dg/dy = -C X / lam and dg/dv = E^T / lam with X = diag(x)."""
+    pm, dv = game.pm, game.dim_v
+    x_mat = np.diag(np.asarray(x, dtype=float))
+    e_blk = game.e_blk
+    return np.block(
+        [
+            [lam * np.eye(pm) + game.costs.C @ x_mat, -e_blk.T],
+            [-e_blk @ x_mat, np.zeros((dv, dv))],
+        ]
+    )
 
 
 def two_route_game(b, rho=0.5):

@@ -252,7 +252,7 @@ def test_a_design_past_half_width_stays_bounded_and_admissible(monkeypatch):
         if factor is not None:
             # a factor wider than pm / 2 sends the game down the dense route
             wide = factor[0].shape[1] > game.pm / 2
-            lin = Linearization(built, np.ones(built.pm), np.zeros(built.dim_v), cfg.lam)
+            lin = Linearization(built, np.ones(built.pm), cfg.lam)
             assert lin.holds_dense_lu == wide
 
 

@@ -334,8 +334,9 @@ def test_load_game_file_with_desired_paths(tmp_path):
 
     doc["desired_paths"] = [[1, 2, 3], [3, 2, 1]]  # wrong player count
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(BrokenPathError) as info:
         load_game_file(path)
+    assert str(info.value) == "need one desired path per player, got 2 for 1"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse.csgraph
-from helpers import cold_start, csgraph, dykstra_project_D, equals, x_space_solve_nls
+from helpers import (
+    cold_start,
+    csgraph,
+    dykstra_project_D,
+    equals,
+    log_jacobian,
+    x_space_solve_nls,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +44,6 @@ from routedesign.smooth_eq import (
     Linearization,
     SmoothEqSettings,
     homotopy_solve,
-    jacobian_F,
     residual_F,
     solve_nls,
 )
@@ -126,11 +132,11 @@ def positive_flow_exists(graph, origin, destination):
 
 
 def assert_structured_step_is_dense_lu_step(game, x, v, lam):
-    jac = jacobian_F(game, x, v, lam)
+    jac = log_jacobian(game, x, lam)
     rhs = -residual_F(game, x, v, lam)
-    step = Linearization(game, x, v, lam).solve(rhs)
-    # where J is near singular the two LU factorizations need not agree;
-    # elsewhere they agree to about cond(J) * eps
+    step = Linearization(game, x, lam).solve(rhs)
+    # where J~ is near singular the two LU factorizations need not agree;
+    # elsewhere they agree to about cond(J~) * eps
     if np.linalg.cond(jac) <= 1e6:
         dense = np.linalg.solve(jac, rhs)
         assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)

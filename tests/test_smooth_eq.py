@@ -12,6 +12,7 @@ import scipy.optimize
 from helpers import (
     cold_start,
     fd_jacobian,
+    log_jacobian,
     logit_split,
     random_game,
     solved_detached_two_cycle,
@@ -180,6 +181,21 @@ def test_jacobian_matches_finite_differences():
         assert np.linalg.norm(jac - ref) <= 1e-7 * np.linalg.norm(jac)
 
 
+def test_log_jacobian_is_the_scaled_jacobian_at_a_solution():
+    # where the flows equal the map's values D, J~ = diag(lam / X, I) J
+    # diag(X, I): the matrix Linearization factors is the J that the
+    # finite-difference test checks
+    rng = np.random.default_rng(21)
+    game = random_game(rng, (2, 2), 2)
+    sol = solve_nls(game, SmoothEqSettings(lam=0.7, residual_tol=1e-13))
+    assert sol.converged
+    rows = np.concatenate([sol.lam / sol.x, np.ones(game.dim_v)])
+    cols = np.concatenate([sol.x, np.ones(game.dim_v)])
+    scaled = rows[:, None] * jacobian_F(game, sol.x, sol.v, sol.lam) * cols
+    log_jac = log_jacobian(game, sol.x, sol.lam)
+    assert np.linalg.norm(scaled - log_jac) <= 1e-10 * np.linalg.norm(log_jac)
+
+
 def test_warm_start_at_solution_returns_immediately():
     game = two_node_game(0.3, 0.7)
     settings = SmoothEqSettings(lam=0.5)
@@ -238,29 +254,29 @@ def test_solver_trace_is_monotone():
 
 
 def _count_factors(monkeypatch, counts):
-    factor = Linearization._factor
+    factor = Linearization.__init__
 
     def counting_factor(self, *args):
         counts["factor"] += 1
         return factor(self, *args)
 
-    monkeypatch.setattr(Linearization, "_factor", counting_factor)
+    monkeypatch.setattr(Linearization, "__init__", counting_factor)
 
 
 def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
     # one factorization per iteration, however many step lengths it tries;
-    # the dense J is assembled only on iterations that take the QR fallback.
+    # the dense J~ is assembled only on iterations that take the QR fallback.
     # All three games have C = 0, so they take the structured route, which
     # keeps no factor for chord steps
     counts = Counter()
-    assemble = smooth_eq._assemble_jacobian
+    assemble = smooth_eq._log_jacobian
 
     def counting_jacobian(*args):
         counts["jacobian"] += 1
         return assemble(*args)
 
     _count_factors(monkeypatch, counts)
-    monkeypatch.setattr(smooth_eq, "_assemble_jacobian", counting_jacobian)
+    monkeypatch.setattr(smooth_eq, "_log_jacobian", counting_jacobian)
 
     game = two_route_game(np.array([0.2, 0.1, 0.2, 0.7]))
     sol, norms, _, added = _replay(game, SmoothEqSettings(lam=0.01), counts)
@@ -270,7 +286,7 @@ def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
     assert [c["jacobian"] for c in added] == [0] * sol.iterations
     assert any(c["state"] > 1 for c in added)
 
-    # J is singular on this game, so every iteration falls back to QR
+    # J~ is singular on this game, so every iteration falls back to QR
     game, _ = solved_detached_two_cycle()
     sol, _, _, added = _replay(game, SmoothEqSettings(lam=0.2, residual_tol=1e-13), counts)
     assert sol.converged
@@ -323,8 +339,8 @@ def _four_player_solution(c_mat, lam=0.05, factor=None):
 
 
 def _assert_structured_solves_match_dense(game, sol):
-    jac = jacobian_F(game, sol.x, sol.v, sol.lam)
-    lin = Linearization(game, sol.x, sol.v, sol.lam)
+    jac = log_jacobian(game, sol.x, sol.lam)
+    lin = Linearization(game, sol.x, sol.lam)
     rng = np.random.default_rng(5)
     for rhs in (-residual_F(game, sol.x, sol.v, sol.lam), rng.standard_normal(jac.shape[0])):
         for got, want in (
@@ -356,7 +372,7 @@ def test_linearization_matches_dense_solves_through_low_rank_interaction():
     c_mat = u @ w.T
     assert membership_D(c_mat, m, 0.5)
     game, sol = _four_player_solution(c_mat, factor=(u, w))
-    assert not Linearization(game, sol.x, sol.v, sol.lam).holds_dense_lu  # the Woodbury route
+    assert not Linearization(game, sol.x, sol.lam).holds_dense_lu  # the Woodbury route
     _assert_structured_solves_match_dense(game, sol)
 
 
@@ -379,9 +395,9 @@ def test_linearization_solves_a_singular_jacobian_by_least_squares():
     dense_sol = solve_nls(dense, SmoothEqSettings(lam=sol.lam, residual_tol=1e-13))
     assert dense_sol.converged
     for game, sol in ((game, sol), (dense, dense_sol)):
-        jac = jacobian_F(game, sol.x, sol.v, sol.lam)
+        jac = log_jacobian(game, sol.x, sol.lam)
         assert np.linalg.matrix_rank(jac) == jac.shape[0] - 1
-        lin = Linearization(game, sol.x, sol.v, sol.lam)
+        lin = Linearization(game, sol.x, sol.lam)
         rhs = np.ones(jac.shape[0])
         assert np.linalg.norm(lin.solve(rhs) - np.linalg.pinv(jac) @ rhs) <= 1e-9
         assert np.linalg.norm(lin.solve_T(rhs) - np.linalg.pinv(jac.T) @ rhs) <= 1e-9
@@ -389,18 +405,18 @@ def test_linearization_solves_a_singular_jacobian_by_least_squares():
 
 
 def test_linearization_solves_through_a_singular_capacitance_by_least_squares():
-    # C = U W^T outside D on the triangle, one player 0 -> 2, at d = 1 and
-    # lam = 1: U = [1, -1, 1] is the cycle, so E U = 0 and Z_x = U exactly,
-    # and W = -e_1 makes the capacitance K = 1 + W^T U = 0 exactly, while
+    # C = U W^T outside D on the triangle, one player 0 -> 2, at x = 1 and
+    # lam = 1: U = [1, -1, 1] is the cycle, so E U = 0 and Z_y = U exactly,
+    # and W = -e_1 makes the capacitance K = 1 + (X W)^T U = 0 exactly, while
     # every Laplacian factors
     graph = DirectedGraph(3, ((0, 1), (0, 2), (1, 2)))
     u, w = np.array([[1.0], [-1.0], [1.0]]), np.array([[-1.0], [0.0], [0.0]])
     game = AtomicRoutingGame(graph, [Player(0, 2)], CostParams(-np.ones(3), u @ w.T))
     game = game.with_costs(game.costs.b, game.costs.C, factor=(u, w))
-    x, v = np.zeros(3), np.zeros(2)  # the map's exponent is 0 there, so d = 1
-    jac = jacobian_F(game, x, v, 1.0)
+    x = np.ones(3)
+    jac = log_jacobian(game, x, 1.0)
     assert np.linalg.matrix_rank(jac) == 4
-    lin = Linearization(game, x, v, 1.0)
+    lin = Linearization(game, x, 1.0)
     assert not lin.holds_dense_lu
     for rhs in (np.ones(5), np.arange(1.0, 6.0)):
         assert np.linalg.norm(lin.solve(rhs) - np.linalg.pinv(jac) @ rhs) <= 1e-12
