@@ -210,7 +210,8 @@ def _certified_reference(
     """Reference equilibrium at the certification weight plus its gap.
 
     Runs continuation from max(start.lam, REFERENCE_LAMBDA) down to
-    REFERENCE_LAMBDA, warm-started from start, a solution of the same game;
+    REFERENCE_LAMBDA, warm-started from start, a solution of the same game,
+    in steps of at least a halving that lengthen while Newton contracts fast;
     every stage must converge, or the cold chain from 1 is tried once
     (homotopy_solve).  The endpoint's optimality gap must not
     exceed REFERENCE_GAP_TOL.  When the marginal costs there admit a

@@ -8,6 +8,7 @@ m entries.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,19 +112,11 @@ class AtomicRoutingGame:
             if player.origin == player.destination:
                 raise ValueError("origin equals destination")
         _require_positive_flow(graph, players)
-        if not 0.0 <= rho < np.inf:
-            raise ValueError("rho must be finite and nonnegative")
-        pm = len(players) * graph.m
-        if costs.b.shape != (pm,):
-            raise ValueError(f"b must have length {pm}")
         self.graph = graph
         self.players = tuple(players)
-        self.costs = costs
-        self.rho = float(rho)
-        empty = np.zeros((pm, 0))
-        self.cost_factor = None if np.any(costs.C) else (empty, empty)
+        self._set_costs(costs, rho)
 
-        n_red = graph.n - 1
+        pm, n_red = self.pm, graph.n - 1
         self.reduced = np.stack([reduced_incidence(graph, p.destination) for p in self.players])
         s_parts = [od_vectors(graph, p.origin, p.destination)[1] for p in self.players]
         self.s = np.concatenate(s_parts)
@@ -133,6 +126,16 @@ class AtomicRoutingGame:
         self.e_blk = e_blk
         for array in (self.reduced, self.s, self.e_blk):
             array.setflags(write=False)
+
+    def _set_costs(self, costs: CostParams, rho: float) -> None:
+        if not 0.0 <= rho < np.inf:
+            raise ValueError("rho must be finite and nonnegative")
+        if costs.b.shape != (self.pm,):
+            raise ValueError(f"b must have length {self.pm}")
+        self.costs = costs
+        self.rho = float(rho)
+        empty = np.zeros((self.pm, 0))
+        self.cost_factor = None if np.any(costs.C) else (empty, empty)
 
     @property
     def n(self) -> int:
@@ -172,15 +175,13 @@ class AtomicRoutingGame:
     ) -> "AtomicRoutingGame":
         """Same structure, new cost parameters.
 
-        factor, when given, is (U, W) with C = U W^T, which becomes the new
-        game's cost_factor.
+        The new game shares this one's graph, players and incidence arrays,
+        which are read-only, and checks only the new costs and rho.  factor,
+        when given, is (U, W) with C = U W^T, which becomes the new game's
+        cost_factor.
         """
-        game = AtomicRoutingGame(
-            self.graph,
-            self.players,
-            CostParams(b, c),
-            self.rho if rho is None else rho,
-        )
+        game = copy.copy(self)
+        game._set_costs(CostParams(b, c), self.rho if rho is None else rho)
         if factor is not None:
             game.cost_factor = factor
         return game

@@ -20,8 +20,8 @@ the O(1) jump it makes in x - exp(g).  It runs Newton's method with a
 backtracking line search on ||F~||, started from the exponent of the map at
 (x, v) = 0, and stops when ||F(e^y, v)|| meets the tolerance.  Flows e^y
 are never negative, and the flow on a route that costs far more than lam
-above the cheapest underflows to exactly 0.  A continuation halves lam down
-to a small target.
+above the cheapest underflows to exactly 0.  A continuation steps lam down
+to a small target, by longer steps while Newton contracts fast at each stage.
 
 The log system's Jacobian is the saddle-point matrix
 
@@ -90,7 +90,12 @@ class SmoothEqSettings:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Converged (or best-effort) solution of the smoothed system."""
+    """Converged (or best-effort) solution of the smoothed system.
+
+    contraction is ||F~|| after the solve's first iteration over ||F~|| at
+    its start, 0.0 when no step was taken (the start met the tolerance, or
+    the first iteration failed).
+    """
 
     x: np.ndarray
     v: np.ndarray
@@ -98,6 +103,7 @@ class EquilibriumSolution:
     lam: float
     iterations: int
     converged: bool
+    contraction: float = 0.0
 
 
 def _exponent(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
@@ -378,7 +384,8 @@ def solve_nls(
     Trial points where y or g passes EXP_LIMIT count as failed steps.
 
     Convergence is judged on ||residual_F(x, v)|| <= settings.residual_tol,
-    which residual_norm reports.  iterations counts chord steps too.
+    which residual_norm reports.  iterations counts chord steps too, and
+    contraction is the share of ||F~|| left after the first iteration.
     Returns the incumbent with converged=False when every search fails or
     the iteration budget runs out.
 
@@ -400,6 +407,7 @@ def solve_nls(
     state = _state(game, y, v, lam)
     x_norm = state.x_norm()
     iterations = 0
+    contraction = 0.0
 
     lin = None  # a dense LU kept while its steps contract
     while x_norm > settings.residual_tol and iterations < settings.max_iters:
@@ -418,6 +426,8 @@ def solve_nls(
                     break
         if found is None:
             break
+        if iterations == 1:
+            contraction = found.norm / state.norm
         if found.norm > _CHORD_RATE * state.norm or not lin.holds_dense_lu:
             lin = None
         state = found
@@ -430,6 +440,7 @@ def solve_nls(
         lam=lam,
         iterations=iterations,
         converged=x_norm <= settings.residual_tol,
+        contraction=contraction,
     )
 
 
@@ -467,11 +478,19 @@ def homotopy_solve(
 
     The chain solves at max(start.lam, settings.lam) from (start.x, start.v),
     or without a start at max(1, settings.lam) from the cold start, then
-    halves the weight down to exactly settings.lam, re-solving each stage
+    steps the weight down to exactly settings.lam, re-solving each stage
     from the previous stage's solution; a start at or below the target makes
-    it one direct solve.  Every stage uses settings with its own weight and
-    must converge.  When a chain from a start fails with a NumericalError,
-    the cold chain runs once in its place.  Returns every stage's solution,
+    it one direct solve.  Each step multiplies the weight by a ratio r that
+    starts at 1/2 and follows Newton's contraction (Deuflhard, Newton Methods
+    for Nonlinear Problems, 2004, sec. 5.1): after a stage solved from the
+    previous stage or from the start, r becomes r^2 when its contraction is
+    at most _CHORD_RATE^2, and min(1/2, sqrt(r)) when it is above
+    _CHORD_RATE, so no step is shorter than a halving.  Every stage uses
+    settings with its own weight and must converge; a stage that fails
+    (stalls, or raises a NumericalError) after a step longer than a halving
+    is re-solved from the stage before it at half that stage's weight, with
+    r = 1/2.  When a chain from a start fails with a NumericalError, the
+    cold chain runs once in its place.  Returns every stage's solution,
     final stage last.
 
     Raises:
@@ -485,28 +504,52 @@ def homotopy_solve(
     stages: list[EquilibriumSolution] = []
     carry = None if start is None else (start.x, start.v)
     lam = max(1.0 if start is None else start.lam, settings.lam)
+    ratio = 0.5
     try:
         while True:
-            sol = solve_nls(game, replace(settings, lam=lam), warm_start=carry)
-            if not sol.converged:
-                stall = NotConvergedError(
-                    f"continuation stage at lam={lam:g} stalled with residual {sol.residual_norm:.3e}"
-                )
-                for i in range(game.p):
-                    try:
-                        game.best_response_path(sol.x, i)
-                    except NegativeCycleError:
-                        raise NegativeCycleError(
-                            f"continuation stage at lam={lam:g} stalled: player {i}'s "
-                            "marginal costs admit a negative-cost cycle"
-                        ) from stall
-                raise stall
+            try:
+                sol = _converged_stage(game, replace(settings, lam=lam), carry)
+            except NumericalError:
+                if not stages or lam >= 0.5 * stages[-1].lam:
+                    raise
+                ratio, lam = 0.5, max(0.5 * stages[-1].lam, settings.lam)
+                continue
             stages.append(sol)
             if lam <= settings.lam:
                 return stages
+            if carry is not None:
+                if sol.contraction <= _CHORD_RATE**2:
+                    ratio *= ratio
+                elif sol.contraction > _CHORD_RATE:
+                    ratio = min(0.5, math.sqrt(ratio))
             carry = (sol.x, sol.v)
-            lam = max(0.5 * lam, settings.lam)
+            lam = max(ratio * lam, settings.lam)
     except NumericalError:
         if start is None:
             raise
         return homotopy_solve(game, settings)
+
+
+def _converged_stage(
+    game: AtomicRoutingGame,
+    settings: SmoothEqSettings,
+    warm_start: tuple[np.ndarray, np.ndarray] | None,
+) -> EquilibriumSolution:
+    # solve_nls, raising NotConvergedError (NegativeCycleError where some
+    # player's marginal costs admit a negative-cost cycle) when it stalls
+    sol = solve_nls(game, settings, warm_start=warm_start)
+    if sol.converged:
+        return sol
+    lam = settings.lam
+    stall = NotConvergedError(
+        f"continuation stage at lam={lam:g} stalled with residual {sol.residual_norm:.3e}"
+    )
+    for i in range(game.p):
+        try:
+            game.best_response_path(sol.x, i)
+        except NegativeCycleError:
+            raise NegativeCycleError(
+                f"continuation stage at lam={lam:g} stalled: player {i}'s "
+                "marginal costs admit a negative-cost cycle"
+            ) from stall
+    raise stall

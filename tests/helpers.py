@@ -3,7 +3,8 @@
 Everything here recomputes equilibria by routes independent of the production
 solver: the first-order (KKT) and piecewise-linear equilibrium residuals, an
 active-set polish that pivots on sign violations, a stall-tolerant
-continuation used only to seed that polish, a central-difference Jacobian,
+continuation used only to seed that polish, the continuation by fixed
+halvings of the entropy weight, a central-difference Jacobian,
 the log system's Jacobian from its definition, and Newton's method with dense
 solves on the smoothed system in the flows themselves, where the production
 solver works in log flows.  Dykstra's alternating scheme recomputes the
@@ -27,7 +28,7 @@ from routedesign.design import (
     _project_monotone,
     project_D,
 )
-from routedesign.errors import ExponentOverflowError
+from routedesign.errors import ExponentOverflowError, NotConvergedError, NumericalError
 from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph, grid_graph
 from routedesign.numerics import lstsq
@@ -242,6 +243,43 @@ def cold_start(game, lam):
 def start_at(x, v, lam):
     """A homotopy_solve start at (x, v) and weight lam, not itself a solution."""
     return EquilibriumSolution(x, v, np.inf, lam, 0, False)
+
+
+def halving_chain(game, settings, start=None):
+    """smooth_eq.homotopy_solve's interface and start rule with a fixed
+    schedule: the chain solves at max(start.lam, settings.lam) from start, or
+    at max(1, settings.lam) from the cold start, then halves the weight down
+    to exactly settings.lam, each stage by solve_nls from the one before.  A
+    stalled stage raises NotConvergedError; a chain from a start that raises
+    a NumericalError is replaced once by the cold chain.  Returns the stages.
+    """
+    carry = None if start is None else (start.x, start.v)
+    lam = max(1.0 if start is None else start.lam, settings.lam)
+    stages = []
+    try:
+        while True:
+            sol = solve_nls(game, replace(settings, lam=lam), warm_start=carry)
+            if not sol.converged:
+                raise NotConvergedError(f"halving stage at lam={lam:g} stalled")
+            stages.append(sol)
+            if lam <= settings.lam:
+                return stages
+            carry = (sol.x, sol.v)
+            lam = max(0.5 * lam, settings.lam)
+    except NumericalError:
+        if start is None:
+            raise
+        return halving_chain(game, settings)
+
+
+def assert_schedule(lams, first, target):
+    """The weights of a chain's stages strictly decrease from first to
+    exactly target, each by at least a halving or by the clamp to target."""
+    assert lams[0] == first
+    assert lams[-1] == target
+    for a, b in zip(lams, lams[1:]):
+        assert b < a
+        assert b <= 0.5 * a or b == target
 
 
 def x_space_solve_nls(game, settings, warm_start=None):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import dykstra_project_D
+from helpers import assert_schedule, dykstra_project_D
 
 import routedesign.design as design_mod
 from routedesign import smooth_eq
@@ -310,14 +310,14 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
     assert inner[0][1] is None
     # the first inner solve is the cold chain from 1, every later one a
     # direct stage from the inner solution before it
-    assert [[s.lam for s in stages] for stages, _ in inner] == [
-        [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01]
-    ] + [[0.01]] * 3
+    assert_schedule([s.lam for s in inner[0][0]], 1.0, 0.01)
+    assert [[s.lam for s in stages] for stages, _ in inner[1:]] == [[0.01]] * 3
     for (before, _), (_, start) in zip(inner, inner[1:]):
         assert np.array_equal(start.x, before[-1].x) and np.array_equal(start.v, before[-1].v)
+    # certification steps down from the inner solution's own weight
     for (solved, _), (stages, start) in zip(inner, chains):
         sol = solved[-1]
-        assert stages == [0.01, 0.005, 0.0025, 0.00125, 0.001]
+        assert_schedule(stages, 0.01, 0.001)
         assert np.array_equal(start.x, sol.x) and np.array_equal(start.v, sol.v)
 
     # an inner weight below the certification weight certifies in one stage

@@ -189,6 +189,7 @@ def test_membership_of_interaction_set():
 def test_with_costs_keeps_structure():
     rng = np.random.default_rng(7)
     game = random_game(rng, (1, 3), 2)
+    costs, rho = game.costs, game.rho
     b2 = rng.uniform(size=game.pm)
     c2 = np.zeros((game.pm, game.pm))
     other = game.with_costs(b2, c2, rho=0.9)
@@ -198,6 +199,26 @@ def test_with_costs_keeps_structure():
     assert np.array_equal(other.costs.b, b2)
     assert not equals(other, game)
     assert equals(game, game.with_costs(game.costs.b, game.costs.C))
+    # the structure is shared, not rebuilt, and matches a fresh game's
+    fresh = AtomicRoutingGame(game.graph, game.players, CostParams(b2, c2), 0.9)
+    for name in ("reduced", "s", "e_blk"):
+        assert getattr(other, name) is getattr(game, name)
+        assert np.array_equal(getattr(other, name), getattr(fresh, name))
+    # the new costs are checked as the constructor checks them
+    with pytest.raises(ValueError, match=f"b must have length {game.pm}"):
+        game.with_costs(b2[1:], c2[1:, 1:])
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            game.with_costs(b2, c2, rho=bad)
+    # cost_factor: the empty pair for C = 0, None for a C handed without a
+    # factor, and the factor it was handed
+    assert other.cost_factor[0].shape == (game.pm, 0)
+    c3 = np.outer(b2, b2)
+    assert game.with_costs(b2, c3).cost_factor is None
+    factor = (b2[:, None], b2[:, None])
+    assert game.with_costs(b2, c3, factor=factor).cost_factor is factor
+    # the game it was built from keeps its costs
+    assert game.costs is costs and game.rho == rho
 
 
 def test_json_roundtrip_uses_one_based_indices():

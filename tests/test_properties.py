@@ -19,6 +19,7 @@ from helpers import (
     csgraph,
     dykstra_project_D,
     equals,
+    halving_chain,
     log_jacobian,
     x_space_solve_nls,
 )
@@ -439,3 +440,30 @@ def test_log_flow_solver_agrees_with_the_x_space_oracle(case, seed):
         grads = [implicit_gradients(game, sol, objective).grad_b for sol in (log_sol, x_sol)]
         scale = max(np.linalg.norm(grads[1]), np.linalg.norm(objective.gradient(x_sol.x)))
         assert np.linalg.norm(grads[0] - grads[1]) <= 1e-8 * scale, f"lam={lam}"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.one_of(random_games(), design_regime_games()))
+def test_continuation_agrees_with_the_halving_oracle(case):
+    # the cold chain to 0.01, then the chain from its solution down to 1e-3
+    # as a certification runs it, by homotopy_solve's adaptive steps and by
+    # fixed halvings
+    graph, players, b, c_mat = case
+    try:
+        game = AtomicRoutingGame(graph, players, CostParams(b, c_mat))
+    except UnreachableError:
+        return
+    outcomes = []
+    for chain in (homotopy_solve, halving_chain):
+        try:
+            inner = chain(game, SmoothEqSettings(lam=0.01))[-1]
+            outcomes.append((inner, chain(game, SmoothEqSettings(lam=1e-3), inner)[-1]))
+        except NumericalError as exc:
+            outcomes.append(exc)
+    solved = [isinstance(pair, tuple) for pair in outcomes]
+    assert solved[0] == solved[1], outcomes
+    if solved[0]:
+        tol = SmoothEqSettings(lam=1e-3).residual_tol
+        for sol, oracle in zip(*outcomes):
+            assert sol.lam == oracle.lam
+            assert np.max(np.abs(sol.x - oracle.x)) <= 100.0 * tol, sol.lam

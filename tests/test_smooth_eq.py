@@ -10,6 +10,7 @@ import pytest
 import scipy.optimize
 
 from helpers import (
+    assert_schedule,
     cold_start,
     fd_jacobian,
     log_jacobian,
@@ -67,20 +68,99 @@ def test_settings_validation():
             SmoothEqSettings(**bad)
 
 
-def test_schedule_stages_halve_and_clamp():
+def test_schedule_stages_shrink_and_clamp():
     game = two_node_game(0.3, 0.7)
     stages = [s.lam for s in homotopy_solve(game, SmoothEqSettings(lam=1e-3))]
-    assert len(stages) == 11
-    assert stages[0] == 1.0
-    assert stages[-1] == 1e-3
-    assert stages[-2] == 0.001953125
-    for a, b in zip(stages, stages[1:-1]):
-        assert b == a * 0.5
+    assert_schedule(stages, 1.0, 1e-3)
+    # fewer stages than the 11 halvings from 1 to 1e-3
+    assert len(stages) < 11
     # a start at or below the target weight solves at the target alone
     settings = SmoothEqSettings(lam=0.25)
     for lam in (settings.lam, 0.1):
         one = homotopy_solve(game, settings, start_at(*cold_start(game, settings.lam), lam))
         assert [s.lam for s in one] == [0.25]
+
+
+def test_solver_reports_its_first_contraction():
+    b = np.array([0.3, 0.1, 0.2, 0.3])
+    game = two_route_game(b)
+    settings = SmoothEqSettings(lam=0.2)
+    warm = (np.full(4, 0.5), np.zeros(3))
+    first = solve_nls(game, replace(settings, max_iters=1), warm_start=warm)
+    sol = solve_nls(game, settings, warm_start=warm)
+    norms = [smooth_eq._state(game, np.log(x), v, settings.lam).norm for x, v in (warm, (first.x, first.v))]
+    assert sol.iterations > 1
+    assert sol.contraction == first.contraction == pytest.approx(norms[1] / norms[0], rel=1e-9)
+    assert 0.0 < sol.contraction < 1.0
+    # a start that meets the tolerance takes no step
+    again = solve_nls(game, settings, warm_start=(sol.x, sol.v))
+    assert again.iterations == 0
+    assert again.contraction == 0.0
+
+
+def test_each_step_follows_the_last_stages_contraction(monkeypatch):
+    # the ratio r of a stage's weight to the last one's starts at 1/2; a
+    # stage whose first Newton step left at most a quarter of ||F~|| squares
+    # it, one that left more than half takes its square root, capped at 1/2,
+    # and one in between keeps it; the cold first stage leaves r alone
+    game = two_route_game(np.array([0.3, 0.1, 0.2, 0.3]))
+    scripted = iter([0.1, 0.2, 0.25, 0.6, 0.3, 0.9, 0.9, 0.0, 0.5])
+    real_solve = smooth_eq.solve_nls
+
+    def scripted_solve(game, settings, warm_start=None):
+        sol = real_solve(game, settings, warm_start)
+        return replace(sol, contraction=next(scripted))
+
+    monkeypatch.setattr(smooth_eq, "solve_nls", scripted_solve)
+    stages = homotopy_solve(game, SmoothEqSettings(lam=1e-4))
+    assert [s.lam for s in stages] == [
+        1.0, 0.5, 0.125, 2.0**-7, 2.0**-9, 2.0**-11, 2.0**-12, 2.0**-13, 1e-4
+    ]
+    assert all(s.converged for s in stages)
+
+
+@pytest.mark.parametrize("error", [NotConvergedError, ExponentOverflowError])
+def test_a_failed_long_step_is_retried_as_a_halving(monkeypatch, error):
+    # a stage fails by stalling or by overflowing at its start
+    game = two_route_game(np.array([0.3, 0.1, 0.2, 0.3]))
+    settings = SmoothEqSettings(lam=1e-3)
+    calls, converged, fail_below = [], [], [0.0]
+    real_solve = smooth_eq.solve_nls
+
+    def failing_solve(game, settings, warm_start=None):
+        calls.append((settings.lam, warm_start))
+        long_step = converged and settings.lam < 0.5 * converged[-1].lam
+        nothing_failed = len(calls) == len(converged) + 1
+        if settings.lam < fail_below[0] or (long_step and nothing_failed):
+            if error is ExponentOverflowError:
+                raise ExponentOverflowError("injected")
+            return replace(real_solve(game, settings, warm_start), converged=False)
+        sol = real_solve(game, settings, warm_start)
+        converged.append(sol)
+        return sol
+
+    monkeypatch.setattr(smooth_eq, "solve_nls", failing_solve)
+    # the first stage reached by a step longer than a halving fails: the
+    # chain re-solves from the last converged stage at half its weight and
+    # goes on to the target
+    stages = homotopy_solve(game, settings)
+    assert len(stages) == len(converged)
+    assert all(sol is kept for sol, kept in zip(stages, converged))
+    assert_schedule([s.lam for s in stages], 1.0, settings.lam)
+    k = next(k for k, (lam, _) in enumerate(calls) if lam not in [s.lam for s in stages])
+    before, long_lam = stages[k - 1], calls[k][0]
+    assert long_lam < 0.5 * before.lam
+    retry_lam, retry_start = calls[k + 1]
+    assert retry_lam == 0.5 * before.lam
+    assert retry_start[0] is before.x and retry_start[1] is before.v
+    assert len(calls) == len(stages) + 1
+    # where that halving fails too, the chain fails there
+    calls.clear()
+    converged.clear()
+    fail_below[0] = before.lam
+    with pytest.raises(error):
+        homotopy_solve(game, settings)
+    assert [lam for lam, _ in calls[k:]] == [long_lam, retry_lam]
 
 
 def test_residual_and_jacobian_validate_inputs():
@@ -148,9 +228,17 @@ def test_default_start_solves_one_way_games():
 def test_flows_that_underflow_stay_nonnegative(monkeypatch):
     # at lam = 1e-3 route B's exponent is about -2000 (-5000 on the second
     # game), so its flows underflow to 0: the log solver's step in them
-    # comes from J~'s first row, and on the second game the flow weights on
-    # route B's middle node vanish, so its Laplacian is singular and the
-    # step comes from least squares
+    # comes from J~'s first row
+    lam = 1e-3
+    for b in ([0.0, 0.0, 0.0, 2.0], [0.5, 0.0, 0.0, 5.0]):
+        sol = homotopy_solve(two_route_game(np.array(b)), SmoothEqSettings(lam=lam))[-1]
+        assert sol.converged
+        assert sol.x.min() >= 0.0
+        share = logit_split(b[0] + b[2], b[1] + b[3], lam)
+        assert np.max(np.abs(sol.x - [share, 1.0 - share, share, 1.0 - share])) <= 1e-12
+    # from the solution at lam = 2^-9 the flow weights on route B's middle
+    # node have vanished, so its Laplacian is singular and the step to 1e-3
+    # comes from least squares
     lstsq_calls = []
     real_lstsq = smooth_eq.numerics.lstsq
 
@@ -158,15 +246,13 @@ def test_flows_that_underflow_stay_nonnegative(monkeypatch):
         lstsq_calls.append(args)
         return real_lstsq(*args)
 
+    game = two_route_game(np.array(b))
+    before = homotopy_solve(game, SmoothEqSettings(lam=2.0**-9))[-1]
     monkeypatch.setattr(smooth_eq.numerics, "lstsq", spy_lstsq)
-    lam = 1e-3
-    for b in ([0.0, 0.0, 0.0, 2.0], [0.5, 0.0, 0.0, 5.0]):
-        lstsq_calls.clear()
-        sol = homotopy_solve(two_route_game(np.array(b)), SmoothEqSettings(lam=lam))[-1]
-        assert sol.converged
-        assert sol.x.min() >= 0.0
-        share = logit_split(b[0] + b[2], b[1] + b[3], lam)
-        assert np.max(np.abs(sol.x - [share, 1.0 - share, share, 1.0 - share])) <= 1e-12
+    sol = solve_nls(game, SmoothEqSettings(lam=lam), warm_start=(before.x, before.v))
+    assert sol.converged
+    assert sol.x.min() >= 0.0
+    assert np.max(np.abs(sol.x - [share, 1.0 - share, share, 1.0 - share])) <= 1e-12
     assert lstsq_calls
 
 
@@ -473,9 +559,10 @@ def test_strict_continuation_names_the_stalled_stage(monkeypatch):
 def test_continuation_returns_stage_list():
     game = two_node_game(0.3, 0.7)
     stages = homotopy_solve(game, SmoothEqSettings(lam=0.01))
-    assert [s.lam for s in stages] == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01]
+    assert_schedule([s.lam for s in stages], 1.0, 0.01)
     assert all(isinstance(s, EquilibriumSolution) and s.converged for s in stages)
-    assert stages[-1].lam == 0.01
+    for sol in stages:
+        assert np.allclose(sol.x, two_node_oracle(0.3, 0.7, sol.lam)[0], atol=1e-8)
 
 
 def test_overflowing_warm_start_falls_back_to_continuation():
