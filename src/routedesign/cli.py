@@ -63,12 +63,12 @@ def _add_solve_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_design_args(sub: argparse.ArgumentParser) -> None:
     _add_source_args(sub)
-    sub.add_argument("--alpha", type=float, default=0.005, help="gradient step size")
-    sub.add_argument("--lambda", dest="lam", type=float, default=0.01, help="entropy weight of the inner solves")
+    sub.add_argument("--alpha", type=float, default=DesignConfig.alpha, help="gradient step size")
+    sub.add_argument("--lambda", dest="lam", type=float, default=DesignConfig.lam, help="entropy weight of the inner solves")
     sub.add_argument("--rho", type=float, default=None, help="Frobenius budget for C (default: the game's)")
-    sub.add_argument("--delta", type=float, default=0.1, help="upper bound of the offset box")
-    sub.add_argument("--eps", type=float, default=0.01, help="stopping threshold on parameter change")
-    sub.add_argument("--max-iters", type=int, default=100, help="outer iteration cap")
+    sub.add_argument("--delta", type=float, default=DesignConfig.delta, help="upper bound of the offset box")
+    sub.add_argument("--eps", type=float, default=DesignConfig.epsilon, help="stopping threshold on parameter change")
+    sub.add_argument("--max-iters", type=int, default=DesignConfig.max_outer_iters, help="outer iteration cap")
 
 
 def _design_config(args: argparse.Namespace, game: AtomicRoutingGame, **override: float) -> DesignConfig:
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="compute a smoothed equilibrium")
     _add_solve_args(solve)
-    solve.add_argument("--max-iters", type=int, default=200, help="solver iteration budget")
+    solve.add_argument("--max-iters", type=int, default=SmoothEqSettings.max_iters, help="solver iteration budget")
 
     design = sub.add_parser("design", help="design cost parameters toward the desired paths")
     _add_design_args(design)
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gap = sub.add_parser("gap", help="compute an equilibrium's optimality gap")
     _add_solve_args(gap)
-    gap.set_defaults(max_iters=200)
+    gap.set_defaults(max_iters=SmoothEqSettings.max_iters)
 
     return parser
 

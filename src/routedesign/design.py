@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeCycleError, NotConvergedError, NumericalError
-from .game import AtomicRoutingGame
+from .game import AtomicRoutingGame, _admissible_set_args
 from .sensitivity import DesignObjective, implicit_gradients
 from .smooth_eq import LOW_RANK_SHARE, EquilibriumSolution, SmoothEqSettings, homotopy_solve
 
@@ -140,13 +140,7 @@ def project_D(C: np.ndarray, rho: float, block_size: int) -> np.ndarray:
     only on the orthogonal symmetric part, and scaling a cone's projection
     into a ball centred at 0 projects onto cone and ball together.
     """
-    c = np.asarray(C, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("C must be square")
-    if block_size < 1 or c.shape[0] % block_size != 0:
-        raise ValueError("matrix size must be a multiple of block_size")
-    if not 0.0 <= rho < np.inf:
-        raise ValueError("rho must be finite and nonnegative")
+    c = _admissible_set_args(C, block_size, rho)
     return _project_ball(_project_monotone(_project_diag_blocks(c, block_size)), rho)
 
 

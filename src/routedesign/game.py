@@ -278,13 +278,8 @@ def path_to_target(
     return target
 
 
-def membership_D(C: np.ndarray, block_size: int, rho: float) -> bool:
-    """Test membership in the admissible interaction set.
-
-    The set requires C + C^T positive semidefinite, Frobenius norm at most
-    rho, and symmetric per-player diagonal blocks, each checked within 1e-8.
-    """
-    tol = 1e-8
+def _admissible_set_args(C: np.ndarray, block_size: int, rho: float) -> np.ndarray:
+    # C as a float array, once the admissible set's arguments check out
     c = np.asarray(C, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("C must be square")
@@ -292,6 +287,17 @@ def membership_D(C: np.ndarray, block_size: int, rho: float) -> bool:
         raise ValueError("matrix size must be a multiple of block_size")
     if not 0.0 <= rho < np.inf:
         raise ValueError("rho must be finite and nonnegative")
+    return c
+
+
+def membership_D(C: np.ndarray, block_size: int, rho: float) -> bool:
+    """Test membership in the admissible interaction set.
+
+    The set requires C + C^T positive semidefinite, Frobenius norm at most
+    rho, and symmetric per-player diagonal blocks, each checked within 1e-8.
+    """
+    tol = 1e-8
+    c = _admissible_set_args(C, block_size, rho)
     if np.linalg.norm(c) > rho + tol:
         return False
     p = c.shape[0] // block_size

@@ -17,11 +17,13 @@ solutions
 
 where a step that moves the exponent by one unit moves F~ by about lam, not
 the O(1) jump it makes in x - exp(g).  It runs Newton's method with a
-backtracking line search on ||F~||, started from the exponent of the map at
-(x, v) = 0, and stops when ||F(e^y, v)|| meets the tolerance.  Flows e^y
-are never negative, and the flow on a route that costs far more than lam
-above the cheapest underflows to exactly 0.  A continuation steps lam down
-to a small target, by longer steps while Newton contracts fast at each stage.
+backtracking line search on ||F~||, started from the log of a warm start's
+flows ((x, v) = 0 by default) and, where a flow is 0, from the map's
+exponent capped at EXP_LIMIT; it stops when ||F(e^y, v)|| meets the
+tolerance.  Flows e^y are never negative, and the flow on a route that
+costs far more than lam above the cheapest underflows to exactly 0.  A
+continuation steps lam down to a small target, by longer steps while Newton
+contracts fast at each stage.
 
 The log system's Jacobian is the saddle-point matrix
 
@@ -202,9 +204,10 @@ class Linearization:
     it without a copy, and partial pivoting on J~^T picks its pivots along
     the rows of J~, a choice that their scale does not change.
 
-    Where a factor met a zero pivot or a result is not finite, J~ is
-    singular, and solves return numerics.lstsq on the dense J~; a dense LU
-    is released for good first.
+    J~ is singular where an LU meets a zero pivot or an inverted L_i is not
+    finite; the constructor alone decides it, and then keeps no factor.
+    Solves return numerics.lstsq on the dense J~ where no factor is kept or
+    their own result is not finite; a dense LU is released for good first.
     """
 
     def __init__(self, game: AtomicRoutingGame, x: np.ndarray, lam: float) -> None:
@@ -214,18 +217,22 @@ class Linearization:
         self._dense = self._l_inv = self._woodbury = None
         factor = game.cost_factor
         if factor is None or factor[0].shape[1] > LOW_RANK_SHARE * game.pm:
-            self._dense = _lu(_log_jacobian(game, x, lam).T)
+            lu, piv, info = _lu(_log_jacobian(game, x, lam).T)
+            if info == 0:
+                self._dense = lu, piv
             return
         e = game.reduced
         p, _, m = e.shape
         self._ex = ex = e * x.reshape(p, 1, m)  # E_i X_i
-        self._l_inv = ex @ e.transpose(0, 2, 1) / lam
-        for i, l_i in enumerate(self._l_inv):
+        l_inv = ex @ e.transpose(0, 2, 1) / lam
+        for i, l_i in enumerate(l_inv):
             lu, piv, info = _lu(l_i)
             if info != 0:
-                self._l_inv = None  # singular: solves go to least squares
-                return
-            self._l_inv[i] = scipy.linalg.lapack.dgetri(lu, piv, overwrite_lu=True)[0]
+                return  # singular: solves go to least squares
+            l_inv[i] = scipy.linalg.lapack.dgetri(lu, piv, overwrite_lu=True)[0]
+        if not np.all(np.isfinite(l_inv)):
+            return  # an inverse overflowed: singular as well
+        self._l_inv = l_inv
         u, w = factor
         if u.shape[1] > 0:
             z = self._j0_solve(u, None, trans=0)
@@ -258,9 +265,10 @@ class Linearization:
         yield self._least_squares(rhs, trans=0)
 
     def _factored_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray | None:
-        # None where J~ is singular
+        # None where J~ is singular or the result is not finite
         if self._dense is not None:
-            return _lu_solve(self._dense, rhs, trans=1 - trans)
+            lu, piv = self._dense
+            return _finite(scipy.linalg.lapack.dgetrs(lu, piv, rhs, trans=1 - trans)[0])
         if self._l_inv is None:  # singular, or a dense LU released
             return None
         pm, x = self._x.size, self._x[:, None]
@@ -313,23 +321,8 @@ def _lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return scipy.linalg.lapack.dgetrf(a, overwrite_a=True)
 
 
-def _lu_solve(
-    factor: tuple[np.ndarray, np.ndarray, int], rhs: np.ndarray, trans: int = 0
-) -> np.ndarray | None:
-    lu, piv, info = factor
-    if info != 0:
-        return None
-    return _finite(scipy.linalg.lapack.dgetrs(lu, piv, rhs, trans=trans)[0])
-
-
 def _finite(z: np.ndarray) -> np.ndarray | None:
     return z if np.all(np.isfinite(z)) else None
-
-
-def _cold_exponent(game: AtomicRoutingGame, lam: float) -> np.ndarray:
-    # the map's exponent at (x, v) = 0, capped at EXP_LIMIT
-    zero = np.zeros(game.pm)
-    return np.minimum(_exponent(game, zero, np.zeros(game.dim_v), lam), EXP_LIMIT)
 
 
 class _State(NamedTuple):
@@ -368,9 +361,10 @@ def solve_nls(
 
     The state is (y, v) with flows x = e^y, so flows are never negative, and
     Newton drives F~(y, v) = [lam (y - g(e^y, v)); s - E e^y] to zero, whose
-    Jacobian is J~ = [[lam I + C X, -E^T], [-E X, 0]] with X = diag(e^y).  A
-    warm start (x0, v0) starts from y = log x0 where x0 > 0, else from the
-    map's exponent g(x0, v0); without one, from g(0, 0) capped at EXP_LIMIT.
+    Jacobian is J~ = [[lam I + C X, -E^T], [-E X, 0]] with X = diag(e^y).  The
+    solve starts from a warm start (x0, v0), (0, 0) when none is given, at
+    y = log x0 where x0 > 0 and the map's exponent g(x0, v0), capped at
+    EXP_LIMIT, elsewhere.
 
     Each step solves J~ [dy; dv] = -F~ through Linearization at the
     current flows, which needs no division by a flow that underflowed to 0.
@@ -394,16 +388,13 @@ def solve_nls(
         ExponentOverflowError: the starting point itself overflows.
     """
     lam = settings.lam
-    if warm_start is None:
-        y, v = _cold_exponent(game, lam), np.zeros(game.dim_v)
-    else:
-        x0 = np.array(warm_start[0], dtype=float)
-        v = np.array(warm_start[1], dtype=float)
-        if x0.shape != (game.pm,) or v.shape != (game.dim_v,):
-            raise ValueError("bad flow or multiplier length")
-        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(v))):
-            raise ValueError("warm start must be finite")
-        y = np.log(x0, out=_exponent(game, x0, v, lam), where=x0 > 0.0)
+    x0, v = warm_start or (np.zeros(game.pm), np.zeros(game.dim_v))
+    x0, v = np.array(x0, dtype=float), np.array(v, dtype=float)
+    if x0.shape != (game.pm,) or v.shape != (game.dim_v,):
+        raise ValueError("bad flow or multiplier length")
+    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(v))):
+        raise ValueError("warm start must be finite")
+    y = np.log(x0, out=np.minimum(_exponent(game, x0, v, lam), EXP_LIMIT), where=x0 > 0.0)
     state = _state(game, y, v, lam)
     x_norm = state.x_norm()
     iterations = 0

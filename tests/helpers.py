@@ -33,10 +33,11 @@ from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph, grid_graph
 from routedesign.numerics import lstsq
 from routedesign.smooth_eq import (
+    EXP_LIMIT,
     LOW_RANK_SHARE,
     EquilibriumSolution,
     SmoothEqSettings,
-    _cold_exponent,
+    _exponent,
     jacobian_F,
     residual_F,
     solve_nls,
@@ -237,7 +238,8 @@ def cold_start(game, lam):
     """solve_nls's start without a warm start, as flows: v = 0 and x the
     exponential map at (x, v) = 0, its exponent capped at EXP_LIMIT, so that
     an out-of-range start overflows at its first residual rather than here."""
-    return np.exp(_cold_exponent(game, lam)), np.zeros(game.dim_v)
+    zero_x, zero_v = np.zeros(game.pm), np.zeros(game.dim_v)
+    return np.exp(np.minimum(_exponent(game, zero_x, zero_v, lam), EXP_LIMIT)), zero_v
 
 
 def start_at(x, v, lam):

@@ -17,8 +17,10 @@ import pytest
 
 import routedesign.design as design_mod
 from routedesign import cli
+from routedesign.design import DesignConfig
 from routedesign.game import game_to_dict, load_game_file, membership_D
 from routedesign.scenarios import build_scenario
+from routedesign.smooth_eq import SmoothEqSettings
 
 
 def run_cli(*args, cwd=None):
@@ -122,6 +124,17 @@ def test_design_respects_the_iteration_cap(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     rows = read_rows(tmp_path / "trace.csv")
     assert 2 <= len(rows) <= 5
+
+
+def test_flags_default_to_the_settings_defaults():
+    parser = cli.build_parser()
+    game = build_scenario("two_player_3x3").game
+    for argv in (["design"], ["sweep", "--sweep-rho", "0.1"]):
+        args = parser.parse_args([*argv, "--scenario", "two_player_3x3"])
+        assert cli._design_config(args, game) == DesignConfig(rho=game.rho)
+    for command in ("solve", "gap"):
+        args = parser.parse_args([command, "--scenario", "two_player_3x3"])
+        assert args.max_iters == SmoothEqSettings.max_iters
 
 
 def test_design_accepts_game_files_with_desired_paths(tmp_path, capsys):

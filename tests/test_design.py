@@ -99,13 +99,13 @@ def test_project_D_agrees_with_high_budget_rerun():
 
 
 def test_project_D_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="C must be square"):
         project_D(np.zeros((2, 3)), 0.5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiple of block_size"):
         project_D(np.zeros((4, 4)), 0.5, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
         project_D(np.zeros((4, 4)), -0.5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
         project_D(np.zeros((4, 4)), float("nan"), 2)
 
 

@@ -180,9 +180,11 @@ def test_membership_of_interaction_set():
     assert not membership_D(shear, 1, 5.0)  # C + C^T indefinite
     lopsided = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert not membership_D(lopsided, 2, 5.0)  # own block not symmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiple of block_size"):
         membership_D(np.zeros((3, 3)), 2, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="C must be square"):
+        membership_D(np.zeros((2, 3)), 1, 0.5)
+    with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
         membership_D(5.0 * np.eye(2), 1, float("nan"))
 
 

@@ -22,7 +22,7 @@ from helpers import (
 )
 from routedesign import smooth_eq
 from routedesign.design import project_D
-from routedesign.errors import ExponentOverflowError, NotConvergedError
+from routedesign.errors import ExponentOverflowError, NotConvergedError, NumericalError
 from routedesign.game import AtomicRoutingGame, CostParams, Player, membership_D
 from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
@@ -515,6 +515,45 @@ def test_overflowing_start_raises():
         solve_nls(game, SmoothEqSettings(lam=1.0))
     with pytest.raises(ExponentOverflowError):
         residual_F(game, np.array([1.1, 0.1]), np.zeros(1), 1.0)
+
+
+def test_no_warm_start_is_the_warm_start_zero():
+    # on the two-node cycle with b = (-300, 0.5) the exponent at (0, 0) is
+    # about 299 at lam = 1, so both starts cap it at EXP_LIMIT
+    cycle = two_node_game(-300.0, 0.5)
+    cycle = cycle.with_costs(cycle.costs.b, 0.5 * np.eye(2))
+    scenarios = [(build_scenario(name).game, 0.01) for name in ("two_player_3x3", "four_player_5x5")]
+    for game, lam in [*scenarios, (cycle, 1.0)]:
+        settings = SmoothEqSettings(lam=lam)
+        cold = solve_nls(game, settings)
+        warm = solve_nls(game, settings, warm_start=(np.zeros(game.pm), np.zeros(game.dim_v)))
+        assert np.array_equal(cold.x, warm.x) and np.array_equal(cold.v, warm.v)
+        assert cold.iterations == warm.iterations and cold.residual_norm == warm.residual_norm
+
+
+def test_a_laplacian_whose_inverse_overflows_is_singular():
+    # Flows of 1e-320 keep every pivot of the player's Laplacian nonzero,
+    # but its inverse overflows: the solves are least-squares solutions, and
+    # no product with the inverse warns
+    graph = DirectedGraph(5, ((0, 4), (1, 4), (2, 3), (3, 1), (4, 1), (4, 2)))
+    b = np.array([1.0, 1.0, 1.0, 0.5, 0.875, 0.375])
+    game = AtomicRoutingGame(graph, [Player(0, 2)], CostParams(b, np.zeros((6, 6))))
+    x = np.array([1.0, 0.0, 1e-320, 1e-320, 1e-200, 1.0])
+    jac = log_jacobian(game, x, 1e-3)
+    rhs = np.arange(1.0, jac.shape[0] + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lin = Linearization(game, x, 1e-3)
+        for a, z in ((jac, lin.solve(rhs)), (jac.T, lin.solve_T(rhs))):
+            ref = np.linalg.pinv(a) @ rhs
+            assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the continuation reaches such flows at lam = 1e-3; it converges or
+        # stops with a typed error, never a warning
+        try:
+            sol = homotopy_solve(game, SmoothEqSettings(lam=1e-3, residual_tol=1e-13))[-1]
+        except NumericalError:
+            return
+    assert sol.converged
 
 
 def test_residual_and_jacobian_are_exact_up_to_the_exponent_limit():
