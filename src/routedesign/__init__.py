@@ -32,6 +32,7 @@ from .game import (
     AtomicRoutingGame,
     CostParams,
     Player,
+    c_from_factor,
     game_from_dict,
     game_to_dict,
     load_game_file,
@@ -92,6 +93,7 @@ __all__ = [
     "SmoothEqSettings",
     "UnreachableError",
     "build_scenario",
+    "c_from_factor",
     "design_loop",
     "four_player_5x5",
     "game_from_dict",

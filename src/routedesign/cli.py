@@ -32,7 +32,7 @@ import numpy as np
 
 from .design import DesignConfig, DesignTrace, DesignVerification, design_loop
 from .errors import NumericalError, RouteDesignError
-from .game import AtomicRoutingGame, load_game_file, path_to_target, write_game_file
+from .game import AtomicRoutingGame, c_from_factor, load_game_file, path_to_target, write_game_file
 from .scenarios import SCENARIOS, build_scenario
 from .sensitivity import tracking_objective
 from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve
@@ -159,8 +159,9 @@ def _run_design(
     desired: Sequence[Sequence[int]] | None,
     config: DesignConfig,
     memo: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, DesignTrace, DesignVerification, float]:
-    """design_loop's designed (b, C), trace and verdict, and its wall time.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], DesignTrace, DesignVerification, float]:
+    """design_loop's designed b and C's factor (Q, M), trace and verdict,
+    and its wall time.
 
     memo is design_loop's iteration memo, shared by the designs of one sweep.
     """
@@ -171,8 +172,8 @@ def _run_design(
     target = path_to_target(game, desired)
     objective = tracking_objective(target)
     start = time.perf_counter()
-    b, c_mat, trace, verdict = design_loop(game, objective, config, memo=memo)
-    return b, c_mat, trace, verdict, time.perf_counter() - start
+    b, c_factor, trace, verdict = design_loop(game, objective, config, memo=memo)
+    return b, c_factor, trace, verdict, time.perf_counter() - start
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -180,9 +181,10 @@ def cmd_design(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = _design_config(args, game)
-    b, c_mat, trace, verdict, wall = _run_design(game, desired, config)
+    b, (q, mid), trace, verdict, wall = _run_design(game, desired, config)
     trace.write_csv(out / "trace.csv")
-    write_game_file(out / "designed_game.json", game.with_costs(b, c_mat, rho=config.rho), desired)
+    designed = game.with_costs(b, c_from_factor(q, mid), rho=config.rho)
+    write_game_file(out / "designed_game.json", designed, desired, c_factor=(q, mid))
     print(
         f"design: psi={verdict.psi:.6f} gap={verdict.gap:.6f} "
         f"path_match={verdict.path_match} iterations={len(trace.records)} "

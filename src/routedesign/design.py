@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeCycleError, NotConvergedError, NumericalError
-from .game import AtomicRoutingGame, _admissible_set_args
+from .game import AtomicRoutingGame, _admissible_set_args, c_from_factor
 from .sensitivity import DesignObjective, implicit_gradients
 from .smooth_eq import LOW_RANK_SHARE, EquilibriumSolution, SmoothEqSettings, homotopy_solve
 
@@ -256,7 +256,7 @@ def design_loop(
     config: DesignConfig,
     *,
     memo: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, DesignTrace, DesignVerification]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], DesignTrace, DesignVerification]:
     """Approximate projected gradient descent on the cost parameters.
 
     Starts from b = delta * 1 and C = 0 and repeats: solve the smoothed game
@@ -265,9 +265,9 @@ def design_loop(
     parameters back onto their sets.  C is carried as Q M Q^T with Q
     orthonormal (_step_factored) and each game is handed the factor U = Q,
     W = Q M^T, so no pm x pm decomposition runs; the dense C is formed once
-    per iteration, for the game's costs and the trace.  Stops when the
-    combined parameter change drops below config.epsilon or the iteration
-    cap is reached.
+    per iteration by c_from_factor, for the game's costs and the trace.
+    Stops when the combined parameter change drops below config.epsilon or
+    the iteration cap is reached.
     Every iteration logs the objective both at the inner solution and at a
     certified small-entropy reference equilibrium, reached by continuation
     down from that inner solution, alongside that reference's optimality
@@ -279,7 +279,8 @@ def design_loop(
     gives the verdict's objective and gap, and path_match holds when every
     player's cheapest path under the marginal costs there uses exactly the
     target's links (False under a negative-cost cycle, whose gap is inf).
-    Returns the designed (b, C), the trace and the verdict.
+    Returns the designed b, C's factor (Q, M), the trace and the verdict;
+    c_from_factor(Q, M) is the designed C, bit for bit.
 
     memo, when given, maps a digest of an iteration's inputs (config.lam, the
     objective's target, b, C's factor and the inner solve's start) to that
@@ -308,7 +309,7 @@ def design_loop(
     b = np.full(pm, config.delta)
     # C = Q M Q^T with Q orthonormal, stepped and projected by _step_factored
     q, mid = np.zeros((pm, 0)), np.zeros((0, 0))
-    c_mat = np.zeros((pm, pm))
+    c_mat = c_from_factor(q, mid)
     settings = SmoothEqSettings(lam=config.lam)
     trace = DesignTrace()
     sol: EquilibriumSolution | None = None  # the next inner solve's start
@@ -333,7 +334,7 @@ def design_loop(
 
         b_next = project_B(b - config.alpha * grads.grad_b, config.delta)
         q, mid = _step_factored(q, mid, grads.grad_b, grads.flow, config.alpha, config.rho, game.m)
-        c_next = q @ mid @ q.T
+        c_next = c_from_factor(q, mid)
         db_norm = float(np.linalg.norm(b_next - b))
         dc_norm = float(np.linalg.norm(c_next - c_mat))
         trace.records.append(
@@ -353,7 +354,7 @@ def design_loop(
     # a memo hit builds no game, so the designed one is built here
     designed = game.with_costs(b, c_mat, rho=config.rho)
     path_match = _paths_match(designed, reference.x, target)
-    return b, c_mat, trace, DesignVerification(objective.evaluate(reference.x), gap, path_match)
+    return b, (q, mid), trace, DesignVerification(objective.evaluate(reference.x), gap, path_match)
 
 
 def _paths_match(game: AtomicRoutingGame, x: np.ndarray, target: np.ndarray) -> bool:

@@ -88,8 +88,8 @@ class AtomicRoutingGame:
     vector, which every residual and solver in the package reuses.
 
     cost_factor is the factor (U, W) with C = U W^T that C was built with:
-    the one with_costs was handed, the empty pm x 0 pair for a C with no
-    nonzero entry, and None otherwise.
+    the one with_costs was handed or a game file carried, the empty pm x 0
+    pair for a C with no nonzero entry, and None otherwise.
 
     Raises:
         UnreachableError: some player has no strictly positive feasible flow.
@@ -278,6 +278,16 @@ def path_to_target(
     return target
 
 
+def c_from_factor(q: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """C = Q M Q^T from its factor (Q, M), Q pm x k and M k x k.
+
+    The one expression for C from a factor: design_loop, the command line
+    and load_game_file all build C with it, so on one machine a reloaded C
+    is bit-identical to the C the design ended with.
+    """
+    return q @ mid @ q.T
+
+
 def _admissible_set_args(C: np.ndarray, block_size: int, rho: float) -> np.ndarray:
     # C as a float array, once the admissible set's arguments check out
     c = np.asarray(C, dtype=float)
@@ -330,48 +340,88 @@ def _wire_head(game: AtomicRoutingGame) -> dict:
 
 
 def game_to_dict(game: AtomicRoutingGame) -> dict:
-    """Serialize a game to the JSON wire schema."""
+    """Serialize a game to the JSON wire schema, with C dense."""
     doc = _wire_head(game)
     doc["C"] = [[float(v) for v in row] for row in game.costs.C]
     doc["rho"] = game.rho
     return doc
 
 
-def write_game_file(
-    path: str | Path, game: AtomicRoutingGame, desired_paths: Sequence[Sequence[int]] | None = None
-) -> None:
-    """Write game_to_dict(game), plus desired_paths (0-based node paths) as
-    1-based ones when given, byte for byte as json.dump(..., indent=2) and a
-    final newline would, for load_game_file to read back.
+def _write_matrix(fh, rows: np.ndarray, indent: str) -> None:
+    # a 2-D array as json.dump(..., indent=2) lays it out under a key
+    # indented by indent, one float repr per line
+    if not rows.shape[0]:
+        fh.write("[]")
+        return
+    sep = "\n"
+    fh.write("[")
+    inner = indent + "    "
+    for row in rows.tolist():
+        fh.write(sep + indent + "  [")
+        if row:
+            fh.write("\n" + inner + (",\n" + inner).join(map(float.__repr__, row)) + "\n" + indent + "  ")
+        fh.write("]")
+        sep = ",\n"
+    fh.write("\n" + indent + "]")
 
-    C goes out one row at a time, never as one list or string: json.dump's
-    indenting encoder is pure Python, and the repr of each float is all that
-    the layout needs.
+
+def write_game_file(
+    path: str | Path,
+    game: AtomicRoutingGame,
+    desired_paths: Sequence[Sequence[int]] | None = None,
+    c_factor: tuple[np.ndarray, np.ndarray] | None = None,
+) -> None:
+    """Write game to the JSON wire schema, plus desired_paths (0-based node
+    paths) as 1-based ones when given, byte for byte as json.dump(...,
+    indent=2) and a final newline would, for load_game_file to read back.
+
+    Without c_factor the file holds the dense "C" of game_to_dict.  With
+    c_factor = (Q, M) it holds "C_factor": {"Q": ..., "M": ...} in its place,
+    pm * k + k^2 numbers for a factor of width k, and load_game_file hands
+    the game the factor again.  Matrices go out one row at a time, never as
+    one list or string: json.dump's indenting encoder is pure Python, and the
+    repr of each float is all that the layout needs.
+
+    Raises:
+        ValueError: c_factor's Q M Q^T (c_from_factor) is not exactly the
+            game's C, so the file would not reload to the game.
     """
+    if c_factor is not None:
+        q, mid = (np.asarray(a, dtype=float) for a in c_factor)
+        if not np.array_equal(c_from_factor(q, mid), game.costs.C):
+            raise ValueError("c_factor's Q M Q^T is not the game's C")
     tail: dict = {"rho": game.rho}
     if desired_paths is not None:
         tail["desired_paths"] = [[node + 1 for node in nodes] for nodes in desired_paths]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_wire_head(game), indent=2)[: -len("\n}")])
-        fh.write(',\n  "C": [')
-        sep = "\n"
-        for row in game.costs.C:
-            fh.write(sep + "    [\n      " + ",\n      ".join(map(float.__repr__, row.tolist())) + "\n    ]")
-            sep = ",\n"
-        fh.write("\n  ],\n" + json.dumps(tail, indent=2)[len("{\n") :] + "\n")
+        if c_factor is None:
+            fh.write(',\n  "C": ')
+            _write_matrix(fh, game.costs.C, "  ")
+        else:
+            fh.write(',\n  "C_factor": {\n    "Q": ')
+            _write_matrix(fh, q, "    ")
+            fh.write(',\n    "M": ')
+            _write_matrix(fh, mid, "    ")
+            fh.write("\n  }")
+        fh.write(",\n" + json.dumps(tail, indent=2)[len("{\n") :] + "\n")
 
 
 def game_from_dict(data: dict) -> AtomicRoutingGame:
     """Build a game from the JSON wire schema.
 
-    Unknown keys are ignored so files may carry extra metadata such as
-    desired paths.
+    C comes either dense, as "C", or as "C_factor": {"Q": Q, "M": M}, Q
+    pm x k and M k x k, which gives C = c_from_factor(Q, M) and the game
+    the cost_factor (Q, Q M^T).  Unknown keys are ignored so files may
+    carry extra metadata such as desired paths.
 
     Raises:
-        ValueError: missing keys, malformed shapes or link entries, values
-            of b, C or rho that are not numbers (strings, and booleans in
-            rho or filling b or C), node indices that are not integers or
-            lie out of range, or links out of sorted order or repeated.
+        ValueError: missing keys, both or neither of "C" and "C_factor",
+            malformed shapes or link entries, values of b, C, Q, M or rho
+            that are not numbers (strings, and booleans in rho or filling
+            an array), a factor entry that is not finite, node indices that
+            are not integers or lie out of range, or links out of sorted
+            order or repeated.
         UnreachableError: some player has no strictly positive feasible flow;
             the message names nodes and links 1-based, as the document does.
     """
@@ -385,9 +435,9 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
             Player(_integer(p["origin"], "origin") - 1, _integer(p["destination"], "destination") - 1)
             for p in data["players"]
         ]
-        b = _numbers(data, "b")
-        c = _numbers(data, "C")
-        rho = _numbers(data, "rho", scalar=True)
+        b = _numbers(data["b"], "b")
+        c, factor = _cost_matrix(data, len(players) * len(file_links))
+        rho = _numbers(data["rho"], "rho", scalar=True)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed game document: {exc}") from exc
     for tail, head in file_links:
@@ -395,11 +445,41 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
             raise ValueError(f"link [{tail}, {head}] out of node range 1..{n}")
     graph = DirectedGraph(n, tuple((t - 1, h - 1) for t, h in file_links))
     try:
-        return AtomicRoutingGame(graph, players, CostParams(b, c), rho)
+        game = AtomicRoutingGame(graph, players, CostParams(b, c), rho)
     except UnreachableError:
         # the constructor's message is 0-based; name the document's indices
         _require_positive_flow(graph, players, base=1)
         raise
+    if factor is not None:
+        game.cost_factor = factor
+    return game
+
+
+def _cost_matrix(data: dict, pm: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """C from a document's dense "C" or its "C_factor" {"Q", "M"}, and
+    for the latter the factor (U, W) = (Q, Q M^T) of C = U W^T."""
+    keys = [key for key in ("C", "C_factor") if key in data]
+    if len(keys) != 1:
+        raise ValueError(
+            f"malformed game document: needs exactly one of 'C' and 'C_factor', got {keys or 'neither'}"
+        )
+    if "C" in data:
+        return _numbers(data["C"], "C"), None
+    doc = data["C_factor"]
+    if not isinstance(doc, dict) or sorted(doc) != ["M", "Q"]:
+        raise ValueError("malformed game document: C_factor must be an object with keys 'Q' and 'M'")
+    q = _numbers(doc["Q"], "C_factor.Q")
+    mid = _numbers(doc["M"], "C_factor.M")
+    if mid.shape == (0,):
+        mid = mid.reshape(0, 0)  # json's [] for an M of width 0
+    if q.ndim != 2 or q.shape[0] != pm:
+        raise ValueError(f"malformed game document: C_factor.Q must be {pm} x k, got shape {q.shape}")
+    k = q.shape[1]
+    if mid.shape != (k, k):
+        raise ValueError(f"malformed game document: C_factor.M must be {k} x {k}, got shape {mid.shape}")
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(mid))):
+        raise ValueError("malformed game document: C_factor entries must be finite")
+    return c_from_factor(q, mid), (q, q @ mid.T)
 
 
 def _link_entry(entry) -> tuple[int, int]:
@@ -409,23 +489,23 @@ def _link_entry(entry) -> tuple[int, int]:
     return _integer(entry[0], "links"), _integer(entry[1], "links")
 
 
-def _numbers(data: dict, key: str, scalar: bool = False):
-    """data[key] as a float array, or as a float with scalar; a failure
-    names the key.
+def _numbers(value, key: str, scalar: bool = False):
+    """A document's value under key as a float array, or as a float with
+    scalar; a failure names the key.
 
     float() takes strings and booleans; the dtype numpy infers finds them
     without a Python pass over the entries: kind U where any entry is a
     string, kind b where all are booleans.
     """
     try:
-        value = np.asarray(data[key])
-        if value.dtype.kind == "U":
+        array = np.asarray(value)
+        if array.dtype.kind == "U":
             # float's message for a string that reads as no number
-            np.asarray(value.tolist(), dtype=float)
+            np.asarray(array.tolist(), dtype=float)
             raise ValueError("strings are not numbers")
-        if value.dtype.kind == "b":
+        if array.dtype.kind == "b":
             raise ValueError("booleans are not numbers")
-        return float(data[key]) if scalar else np.asarray(value, dtype=float)
+        return float(value) if scalar else np.asarray(array, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed game document: {key}: {exc}") from exc
 

@@ -23,7 +23,7 @@ from helpers import (
     tolerant_chain,
 )
 from routedesign.design import DesignConfig, design_loop, project_B, project_D
-from routedesign.game import membership_D, path_to_target
+from routedesign.game import c_from_factor, membership_D, path_to_target
 from routedesign.graph import shortest_path_cost
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import implicit_gradients, tracking_objective
@@ -215,8 +215,8 @@ def test_criterion_06_design_drives_tracking_error_down():
 
 def test_criterion_07_designed_costs_reroute_the_players():
     sc, objective = _scenario_objective("two_player_3x3")
-    b, c_mat, _, verdict = design_loop(sc.game, objective, DesignConfig(lam=0.01))
-    designed = sc.game.with_costs(b, c_mat, rho=0.5)
+    b, c_factor, _, verdict = design_loop(sc.game, objective, DesignConfig(lam=0.01))
+    designed = sc.game.with_costs(b, c_from_factor(*c_factor), rho=0.5)
 
     assert verdict.path_match, "designed equilibrium is off the desired paths"
 

@@ -18,9 +18,9 @@ import pytest
 import routedesign.design as design_mod
 from routedesign import cli
 from routedesign.design import DesignConfig
-from routedesign.game import game_to_dict, load_game_file, membership_D
+from routedesign.game import c_from_factor, game_to_dict, load_game_file, membership_D
 from routedesign.scenarios import build_scenario
-from routedesign.smooth_eq import SmoothEqSettings
+from routedesign.smooth_eq import Linearization, SmoothEqSettings
 
 
 def run_cli(*args, cwd=None):
@@ -95,17 +95,46 @@ def test_design_emits_trace_and_designed_game(tmp_path, capsys):
 
     raw = json.loads((tmp_path / "designed_game.json").read_text())
     assert raw["desired_paths"] == [[4, 1, 2, 3, 6], [6, 9, 8, 7, 4]]
+    # C goes out as the factor the design ended with, not as pm x pm numbers
+    assert "C" not in raw and sorted(raw["C_factor"]) == ["M", "Q"]
 
 
 def test_a_designed_game_file_certifies_on_reloading(tmp_path, capsys):
-    # the file carries C without its factor, so the reloaded game takes the
-    # dense route, where the design took the structured one
+    # the file carries C's factor, so the reloaded game takes the structured
+    # route, as the design did
     proc = run_main(capsys, "design", "--scenario", "two_player_3x3", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     designed = tmp_path / "designed_game.json"
+    game, _ = load_game_file(designed)
+    assert game.cost_factor is not None
+    assert not Linearization(game, np.ones(game.pm), 1e-3).holds_dense_lu
     proc = run_main(capsys, "gap", "--game", str(designed), "--homotopy", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "equilibrium.json").read_text())["gap"] <= 1e-2
+
+
+@pytest.mark.parametrize("scenario", ["two_player_3x3", "four_player_5x5"])
+def test_a_designed_game_file_reloads_to_the_designed_costs(tmp_path, capsys, monkeypatch, scenario):
+    designs = []
+    real_design_loop = cli.design_loop
+
+    def spy_design_loop(*args, **kwargs):
+        designs.append(real_design_loop(*args, **kwargs))
+        return designs[-1]
+
+    monkeypatch.setattr(cli, "design_loop", spy_design_loop)
+    proc = run_main(capsys,
+        "design", "--scenario", scenario, "--alpha", "0.01", "--lambda", "0.01", "--out", str(tmp_path)
+    )
+    assert proc.returncode == 0, proc.stderr
+    (b, (q, mid), _, _), = designs
+    game, desired = load_game_file(tmp_path / "designed_game.json")
+    assert np.array_equal(game.costs.C, c_from_factor(q, mid))
+    assert np.array_equal(game.costs.b, b)
+    assert desired == [list(nodes) for nodes in build_scenario(scenario).desired_node_paths]
+    # the game gets the factor design_loop hands every iteration's game
+    u, w = game.cost_factor
+    assert np.array_equal(u, q) and np.array_equal(w, q @ mid.T)
 
 
 def test_design_zero_step_logs_one_iteration(tmp_path, capsys):

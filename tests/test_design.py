@@ -24,7 +24,14 @@ from routedesign.errors import (
     NegativeCycleError,
     NotConvergedError,
 )
-from routedesign.game import AtomicRoutingGame, CostParams, Player, membership_D, path_to_target
+from routedesign.game import (
+    AtomicRoutingGame,
+    CostParams,
+    Player,
+    c_from_factor,
+    membership_D,
+    path_to_target,
+)
 from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import tracking_objective
@@ -126,7 +133,8 @@ def test_design_config_validation():
 
 def test_zero_step_design_stops_after_one_iteration():
     game, objective = two_player_setup()
-    b, c_mat, trace, _ = design_loop(game, objective, DesignConfig(alpha=0.0, lam=0.01))
+    b, c_factor, trace, _ = design_loop(game, objective, DesignConfig(alpha=0.0, lam=0.01))
+    c_mat = c_from_factor(*c_factor)
     assert len(trace.records) == 1
     assert trace.records[0].db_norm == 0.0
     assert trace.records[0].dC_norm == 0.0
@@ -144,7 +152,8 @@ def test_design_with_target_already_at_equilibrium_exits_fast():
 def test_design_run_tracks_the_desired_flow():
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01)
-    b, c_mat, trace, _ = design_loop(game, objective, cfg)
+    b, c_factor, trace, _ = design_loop(game, objective, cfg)
+    c_mat = c_from_factor(*c_factor)
     records = trace.records
     assert 1 <= len(records) <= cfg.max_outer_iters
     assert records[-1].psi_bar < records[0].psi_bar
@@ -383,7 +392,7 @@ def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=5, epsilon=0.0)
     memo = {}
-    b_first, c_first, first, verdict_first = design_loop(game, objective, cfg, memo=memo)
+    b_first, (q_first, mid_first), first, verdict_first = design_loop(game, objective, cfg, memo=memo)
     # the five logged iterations and the final, verifying one
     assert len(memo) == 6
     solves = []
@@ -394,11 +403,12 @@ def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(design_mod, "homotopy_solve", spy_solve)
-    b_again, c_again, again, verdict_again = design_loop(game, objective, cfg, memo=memo)
+    b_again, (q_again, mid_again), again, verdict_again = design_loop(game, objective, cfg, memo=memo)
     assert solves == []
     assert again.records == first.records
     assert verdict_again == verdict_first
-    assert np.array_equal(b_again, b_first) and np.array_equal(c_again, c_first)
+    assert np.array_equal(b_again, b_first)
+    assert np.array_equal(q_again, q_first) and np.array_equal(mid_again, mid_first)
 
 
 def test_designed_four_player_game_solves_below_the_design_weight():
@@ -407,8 +417,8 @@ def test_designed_four_player_game_solves_below_the_design_weight():
     sc = build_scenario("four_player_5x5")
     objective = tracking_objective(path_to_target(sc.game, sc.desired_node_paths))
     config = DesignConfig(alpha=0.01, lam=0.01)
-    b, c_mat, _, verdict = design_loop(sc.game, objective, config)
-    designed = sc.game.with_costs(b, c_mat, rho=config.rho)
+    b, c_factor, _, verdict = design_loop(sc.game, objective, config)
+    designed = sc.game.with_costs(b, c_from_factor(*c_factor), rho=config.rho)
     sol = homotopy_solve(designed, SmoothEqSettings(lam=1e-3))[-1]
     assert sol.converged
     assert designed.nash_gap(sol.x) <= 1e-8

@@ -1,6 +1,7 @@
 """Game container, cost parameters, equilibrium residuals, and JSON format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from routedesign.game import (
     AtomicRoutingGame,
     CostParams,
     Player,
+    c_from_factor,
     game_from_dict,
     game_to_dict,
     load_game_file,
@@ -254,6 +256,124 @@ def test_write_game_file_matches_json_dump_byte_for_byte(tmp_path, with_paths):
     assert np.array_equal(np.signbit(back.costs.C), np.signbit(game.costs.C))
     assert np.array_equal(back.costs.b, game.costs.b) and back.rho == game.rho
     assert back_paths == ([list(nodes) for nodes in paths] if with_paths else None)
+
+
+def _extreme_factor(pm, k, rng):
+    """(Q, M) holding 0.0, -0.0, 5e-324 and +-1e+-300 with a finite Q M Q^T."""
+    q = rng.standard_normal((pm, k))
+    mid = rng.standard_normal((k, k))
+    q[0, 1:5] = [0.0, -0.0, 5e-324, 1e-300]
+    q[1, 1] = -1e-300
+    mid[2, 1:5] = [0.0, -0.0, 5e-324, -1e-300]
+    mid[3, 4], mid[4, 3] = 1e300, -1e300
+    # a column of Q at 1e300 meets an M whose row and column 0 are 1e-300
+    mid[0, :], mid[:, 0] = 0.0, 0.0
+    mid[0, 0] = 1e-300
+    q[2, 0], q[3, 0] = 1e300, -1e300
+    return q, mid
+
+
+@pytest.mark.parametrize("with_paths", [True, False])
+def test_write_game_file_lays_a_factored_c_out_as_json_dump_would(tmp_path, with_paths):
+    sc = build_scenario("two_player_3x3")
+    q, mid = _extreme_factor(sc.game.pm, 6, np.random.default_rng(22))
+    c_mat = c_from_factor(q, mid)
+    assert np.all(np.isfinite(c_mat))
+    game = sc.game.with_costs(sc.game.costs.b + 1e-17, c_mat, rho=0.3)
+    paths = sc.desired_node_paths if with_paths else None
+    path = tmp_path / "factored.json"
+    write_game_file(path, game, paths, c_factor=(q, mid))
+    text = path.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    doc = json.loads(text)
+    assert "C" not in doc and list(doc)[3] == "C_factor"
+    for name, written in (("Q", q), ("M", mid)):
+        assert np.array_equal(doc["C_factor"][name], written)
+        assert np.array_equal(np.signbit(doc["C_factor"][name]), np.signbit(written))
+    back, back_paths = load_game_file(path)
+    assert np.array_equal(back.costs.C, c_mat)
+    assert np.array_equal(np.signbit(back.costs.C), np.signbit(c_mat))
+    assert np.array_equal(back.costs.b, game.costs.b) and back.rho == game.rho
+    assert back_paths == ([list(nodes) for nodes in paths] if with_paths else None)
+    u, w = back.cost_factor
+    assert np.array_equal(u, q) and np.array_equal(np.signbit(u), np.signbit(q))
+    assert np.array_equal(w, q @ mid.T)
+
+
+def test_a_width_zero_factor_round_trips_as_c_zero(tmp_path):
+    game = build_scenario("two_player_3x3").game
+    q, mid = np.zeros((game.pm, 0)), np.zeros((0, 0))
+    path = tmp_path / "factored.json"
+    write_game_file(path, game, c_factor=(q, mid))
+    text = path.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    assert json.loads(text)["C_factor"] == {"Q": [[]] * game.pm, "M": []}
+    back, _ = load_game_file(path)
+    assert np.array_equal(back.costs.C, np.zeros((game.pm, game.pm)))
+    assert [a.shape for a in back.cost_factor] == [(game.pm, 0), (game.pm, 0)]
+
+
+def test_write_game_file_rejects_a_factor_of_another_c(tmp_path):
+    game = build_scenario("two_player_3x3").game
+    q = np.eye(game.pm)[:, :2]
+    mid = np.array([[0.5, 0.0], [0.0, 0.25]])
+    # Q M Q^T is not the game's C = 0
+    with pytest.raises(ValueError, match="^c_factor's Q M Q\\^T is not the game's C$"):
+        write_game_file(tmp_path / "game.json", game, c_factor=(q, mid))
+    assert not (tmp_path / "game.json").exists()
+
+
+def _factored_document():
+    """_line_document with C as the factor Q = I, M = 0."""
+    doc = _line_document()
+    del doc["C"]
+    doc["C_factor"] = {"Q": [[1.0, 0.0], [0.0, 1.0]], "M": [[0.0, 0.0], [0.0, 0.0]]}
+    return doc
+
+
+def test_a_factored_document_loads_its_factor(tmp_path):
+    doc = _factored_document()
+    doc["C_factor"]["M"] = [[0.5, 0.0], [-0.25, 0.5]]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    game, _ = load_game_file(path)
+    assert np.array_equal(game.costs.C, [[0.5, 0.0], [-0.25, 0.5]])
+    u, w = game.cost_factor
+    assert np.array_equal(u, np.eye(2)) and np.array_equal(w, [[0.5, -0.25], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"C": [[0.0, 0.0], [0.0, 0.0]]}, "needs exactly one of 'C' and 'C_factor', got ['C', 'C_factor']"),
+        ({"C_factor": None}, "needs exactly one of 'C' and 'C_factor', got neither"),
+        ({"C_factor": [[1.0]]}, "C_factor must be an object with keys 'Q' and 'M'"),
+        ({"C_factor": {"Q": [[1.0], [0.0]]}}, "C_factor must be an object with keys 'Q' and 'M'"),
+        ({"Q": [[1.0, 0.0]]}, "C_factor.Q must be 2 x k, got shape (1, 2)"),
+        ({"Q": [1.0, 0.0]}, "C_factor.Q must be 2 x k, got shape (2,)"),
+        ({"M": [[0.0, 0.0]]}, "C_factor.M must be 2 x 2, got shape (1, 2)"),
+        ({"M": []}, "C_factor.M must be 2 x 2, got shape (0, 0)"),
+        ({"Q": [["1", "0"], ["0", "1"]]}, "C_factor.Q: strings are not numbers"),
+        ({"Q": [[1.0, 0.0], [0.0, "1"]]}, "C_factor.Q: strings are not numbers"),
+        ({"M": [[False, False], [False, False]]}, "C_factor.M: booleans are not numbers"),
+        ({"M": [[0.0, 0.0], [0.0, "0"]]}, "C_factor.M: strings are not numbers"),
+        ({"M": [[0.0, 0.0], [0.0, float("nan")]]}, "C_factor entries must be finite"),
+        ({"Q": [[1.0, 0.0], [0.0, float("inf")]]}, "C_factor entries must be finite"),
+    ],
+)
+def test_game_files_reject_malformed_factors(tmp_path, change, message):
+    doc = _factored_document()
+    for key, value in change.items():
+        if key in ("Q", "M"):
+            doc["C_factor"][key] = value
+        elif value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^malformed game document: {re.escape(message)}$"):
+        load_game_file(path)
 
 
 def test_game_from_dict_rejects_malformed_documents():
