@@ -268,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (RouteDesignError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (RouteDesignError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .errors import BrokenPathError, InfeasibleFlowError, UnreachableError
 from .graph import (
@@ -513,14 +514,22 @@ def _numbers(value, key: str, scalar: bool = False):
 def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]] | None]:
     """Load a game JSON file; also return optional desired node paths (0-based).
 
+    The file must be UTF-8 JSON as RFC 8259 defines it, with no byte-order
+    mark and no number too large for a double: the NaN, Infinity and
+    -Infinity tokens json.dump writes for non-finite floats are not JSON.
+    orjson parses it, to the same floats as json.loads, bit for bit.
+
     Raises:
-        ValueError: see game_from_dict; also malformed desired_paths.
+        ValueError: the file is not JSON in that dialect; see game_from_dict;
+            also malformed desired_paths.
         UnreachableError: see game_from_dict.
         BrokenPathError: see path_to_target, which also checks that there is
             one path per player; the message names nodes 1-based.
     """
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        data = orjson.loads(Path(path).read_bytes())
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"game file is not JSON: {exc}") from exc
     game = game_from_dict(data)
     desired = data.get("desired_paths") if isinstance(data, dict) else None
     if desired is None:

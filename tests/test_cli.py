@@ -347,6 +347,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         proc = run_main(capsys, *args)
         assert proc.returncode == 1, args
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        # json.dump writes the NaN offset as a NaN token, which JSON lacks
+        assert ("not JSON" in proc.stderr) == (args[1] == "--game"), proc.stderr
     assert not (tmp_path / "trace_rho_0.1.csv").exists()
     # a dead-end link, 2 -> 3 in the file and (1, 2) 0-based, that no flow can
     # use: the message names it as the file does

@@ -357,8 +357,6 @@ def test_a_factored_document_loads_its_factor(tmp_path):
         ({"Q": [[1.0, 0.0], [0.0, "1"]]}, "C_factor.Q: strings are not numbers"),
         ({"M": [[False, False], [False, False]]}, "C_factor.M: booleans are not numbers"),
         ({"M": [[0.0, 0.0], [0.0, "0"]]}, "C_factor.M: strings are not numbers"),
-        ({"M": [[0.0, 0.0], [0.0, float("nan")]]}, "C_factor entries must be finite"),
-        ({"Q": [[1.0, 0.0], [0.0, float("inf")]]}, "C_factor entries must be finite"),
     ],
 )
 def test_game_files_reject_malformed_factors(tmp_path, change, message):
@@ -373,6 +371,48 @@ def test_game_files_reject_malformed_factors(tmp_path, change, message):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match=f"^malformed game document: {re.escape(message)}$"):
+        load_game_file(path)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"M": [[0.0, 0.0], [0.0, float("nan")]]}, {"Q": [[1.0, 0.0], [0.0, float("inf")]]}],
+)
+def test_game_from_dict_rejects_non_finite_factors(change):
+    # a game file cannot carry these (see test_game_files_are_rfc_8259_json),
+    # a document built in Python can
+    doc = _factored_document()
+    doc["C_factor"].update(change)
+    with pytest.raises(ValueError, match="^malformed game document: C_factor entries must be finite$"):
+        game_from_dict(doc)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("where", ["b", "C", "Q", "M"])
+def test_game_files_are_rfc_8259_json(tmp_path, where, token):
+    # json.dump writes a non-finite float as NaN, Infinity or -Infinity,
+    # which JSON lacks; 1e400 is JSON but no double
+    doc = _line_document() if where in ("b", "C") else _factored_document()
+    marker = 12345.5
+    if where == "b":
+        doc["b"][1] = marker
+    else:
+        (doc["C"] if where == "C" else doc["C_factor"][where])[1][0] = marker
+    text = json.dumps(doc)
+    assert text.count(str(marker)) == 1
+    path = tmp_path / "game.json"
+    path.write_text(text.replace(str(marker), token), encoding="utf-8")
+    with pytest.raises(ValueError, match="^game file is not JSON: "):
+        load_game_file(path)
+
+
+def test_game_files_with_a_byte_order_mark_are_not_json(tmp_path):
+    path = tmp_path / "game.json"
+    text = json.dumps(_line_document())
+    path.write_bytes(text.encode("utf-8"))
+    load_game_file(path)
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    with pytest.raises(ValueError, match="^game file is not JSON: "):
         load_game_file(path)
 
 

@@ -1,6 +1,7 @@
 """Property tests on random small digraphs, many of them partly one-way,
 in a benign cost regime and in the one the design workloads reach, and on
-the projection onto the admissible interaction set.
+the projection onto the admissible interaction set, and on reading game
+files against the standard library's JSON parser.
 
 The precondition oracle is a linear program, independent of the graph search
 the game constructor uses: a player admits a strictly positive feasible flow
@@ -36,6 +37,7 @@ from routedesign.game import (
     Player,
     game_from_dict,
     game_to_dict,
+    load_game_file,
     membership_D,
 )
 from routedesign.graph import DirectedGraph, incidence_matrix, od_vectors, shortest_path_cost
@@ -467,3 +469,32 @@ def test_continuation_agrees_with_the_halving_oracle(case):
         for sol, oracle in zip(*outcomes):
             assert sol.lam == oracle.lam
             assert np.max(np.abs(sol.x - oracle.x)) <= 100.0 * tol, sol.lam
+
+
+# ±0, the subnormal extremes, the normal floor and the finite extremes
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]
+_EDGE_FLOATS += [1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e300, 1e-300, -1e-300]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=20, max_size=20))
+@example((_EDGE_FLOATS * 2)[:20])
+def test_game_files_read_the_floats_json_loads_reads(tmp_path_factory, values):
+    # two players on the two-node graph: b holds 4 of the values, C 16
+    doc = {
+        "graph": {"n": 2, "links": [[1, 2], [2, 1]]},
+        "players": [{"origin": 1, "destination": 2}, {"origin": 2, "destination": 1}],
+        "b": values[:4],
+        "C": [values[4 + 4 * row : 8 + 4 * row] for row in range(4)],
+        "rho": 0.5,
+    }
+    text = json.dumps(doc)
+    path = tmp_path_factory.getbasetemp() / "parity_game.json"
+    path.write_text(text, encoding="utf-8")
+    game, _ = load_game_file(path)
+    oracle = json.loads(text)
+    for key, array in (("b", game.costs.b), ("C", game.costs.C)):
+        expected = np.asarray(oracle[key])
+        assert array.dtype == expected.dtype == np.float64 and array.shape == expected.shape
+        # bit for bit, so -0.0 is told from 0.0
+        assert array.tobytes() == expected.tobytes(), key
