@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .design import DesignConfig, DesignTrace, DesignVerification, design_loop
 from .errors import NumericalError, RouteDesignError
@@ -117,9 +117,7 @@ def _load(args: argparse.Namespace) -> tuple[AtomicRoutingGame, Sequence[Sequenc
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    path.write_bytes(orjson.dumps(payload, option=orjson.OPT_INDENT_2) + b"\n")
 
 
 def _equilibrium_payload(sol: EquilibriumSolution, gap: float) -> dict:
@@ -128,8 +126,8 @@ def _equilibrium_payload(sol: EquilibriumSolution, gap: float) -> dict:
         "residual": sol.residual_norm,
         "iterations": sol.iterations,
         "gap": gap,
-        "x": [float(v) for v in sol.x],
-        "v": [float(v) for v in sol.v],
+        "x": sol.x.tolist(),
+        "v": sol.v.tolist(),
     }
 
 

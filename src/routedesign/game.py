@@ -9,7 +9,6 @@ m entries.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -325,9 +324,22 @@ def membership_D(C: np.ndarray, block_size: int, rho: float) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _wire_head(game: AtomicRoutingGame) -> dict:
-    # the wire schema's keys before C
-    return {
+def game_to_dict(
+    game: AtomicRoutingGame, c_factor: tuple[np.ndarray, np.ndarray] | None = None
+) -> dict:
+    """Serialize a game to the JSON wire schema, the mirror of game_from_dict.
+
+    Without c_factor the document holds C dense, as "C".  With c_factor =
+    (Q, M) it holds "C_factor": {"Q": Q, "M": M} in its place, pm * k + k^2
+    numbers for a factor of width k, from which game_from_dict rebuilds C
+    and the game's factor.
+
+    Raises:
+        ValueError: an entry of c_factor is not finite, or its Q M Q^T
+            (c_from_factor) is not exactly the game's C, so the document
+            would not reload to the game.
+    """
+    doc: dict = {
         "graph": {
             "n": game.n,
             "links": [[t + 1, h + 1] for t, h in game.graph.links],
@@ -336,34 +348,20 @@ def _wire_head(game: AtomicRoutingGame) -> dict:
             {"origin": p.origin + 1, "destination": p.destination + 1}
             for p in game.players
         ],
-        "b": [float(v) for v in game.costs.b],
+        "b": game.costs.b.tolist(),
     }
-
-
-def game_to_dict(game: AtomicRoutingGame) -> dict:
-    """Serialize a game to the JSON wire schema, with C dense."""
-    doc = _wire_head(game)
-    doc["C"] = [[float(v) for v in row] for row in game.costs.C]
+    if c_factor is None:
+        doc["C"] = game.costs.C.tolist()
+    else:
+        q, mid = (np.asarray(a, dtype=float) for a in c_factor)
+        # before any product: Q M Q^T of a non-finite entry warns
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(mid))):
+            raise ValueError("c_factor entries must be finite")
+        if not np.array_equal(c_from_factor(q, mid), game.costs.C):
+            raise ValueError("c_factor's Q M Q^T is not the game's C")
+        doc["C_factor"] = {"Q": q.tolist(), "M": mid.tolist()}
     doc["rho"] = game.rho
     return doc
-
-
-def _write_matrix(fh, rows: np.ndarray, indent: str) -> None:
-    # a 2-D array as json.dump(..., indent=2) lays it out under a key
-    # indented by indent, one float repr per line
-    if not rows.shape[0]:
-        fh.write("[]")
-        return
-    sep = "\n"
-    fh.write("[")
-    inner = indent + "    "
-    for row in rows.tolist():
-        fh.write(sep + indent + "  [")
-        if row:
-            fh.write("\n" + inner + (",\n" + inner).join(map(float.__repr__, row)) + "\n" + indent + "  ")
-        fh.write("]")
-        sep = ",\n"
-    fh.write("\n" + indent + "]")
 
 
 def write_game_file(
@@ -372,40 +370,18 @@ def write_game_file(
     desired_paths: Sequence[Sequence[int]] | None = None,
     c_factor: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """Write game to the JSON wire schema, plus desired_paths (0-based node
-    paths) as 1-based ones when given, byte for byte as json.dump(...,
-    indent=2) and a final newline would, for load_game_file to read back.
+    """Write game_to_dict(game, c_factor), plus desired_paths (0-based node
+    paths) as 1-based ones when given, for load_game_file to read back.
 
-    Without c_factor the file holds the dense "C" of game_to_dict.  With
-    c_factor = (Q, M) it holds "C_factor": {"Q": ..., "M": ...} in its place,
-    pm * k + k^2 numbers for a factor of width k, and load_game_file hands
-    the game the factor again.  Matrices go out one row at a time, never as
-    one list or string: json.dump's indenting encoder is pure Python, and the
-    repr of each float is all that the layout needs.
-
-    Raises:
-        ValueError: c_factor's Q M Q^T (c_from_factor) is not exactly the
-            game's C, so the file would not reload to the game.
+    orjson writes it, indented by two spaces with a final newline, each
+    float in its shortest form that reads back to the same double.  Every
+    number is finite (CostParams and game_to_dict check), so none becomes
+    orjson's null, and nothing is written when game_to_dict raises.
     """
-    if c_factor is not None:
-        q, mid = (np.asarray(a, dtype=float) for a in c_factor)
-        if not np.array_equal(c_from_factor(q, mid), game.costs.C):
-            raise ValueError("c_factor's Q M Q^T is not the game's C")
-    tail: dict = {"rho": game.rho}
+    doc = game_to_dict(game, c_factor)
     if desired_paths is not None:
-        tail["desired_paths"] = [[node + 1 for node in nodes] for nodes in desired_paths]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_wire_head(game), indent=2)[: -len("\n}")])
-        if c_factor is None:
-            fh.write(',\n  "C": ')
-            _write_matrix(fh, game.costs.C, "  ")
-        else:
-            fh.write(',\n  "C_factor": {\n    "Q": ')
-            _write_matrix(fh, q, "    ")
-            fh.write(',\n    "M": ')
-            _write_matrix(fh, mid, "    ")
-            fh.write("\n  }")
-        fh.write(",\n" + json.dumps(tail, indent=2)[len("{\n") :] + "\n")
+        doc["desired_paths"] = [[node + 1 for node in nodes] for nodes in desired_paths]
+    Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_INDENT_2) + b"\n")
 
 
 def game_from_dict(data: dict) -> AtomicRoutingGame:
@@ -531,7 +507,7 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
     except orjson.JSONDecodeError as exc:
         raise ValueError(f"game file is not JSON: {exc}") from exc
     game = game_from_dict(data)
-    desired = data.get("desired_paths") if isinstance(data, dict) else None
+    desired = data.get("desired_paths")
     if desired is None:
         return game, None
     try:

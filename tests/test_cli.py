@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import numpy as np
+import orjson
 import pytest
 
 import routedesign.design as design_mod
@@ -65,6 +66,30 @@ def test_solve_homotopy_reaches_the_default_floor(tmp_path, capsys):
     doc = json.loads((tmp_path / "equilibrium.json").read_text())
     assert doc["lambda"] == 1e-3
     assert doc["gap"] <= 1e-2
+
+
+def test_equilibrium_json_holds_the_solution_bit_for_bit(tmp_path, capsys, monkeypatch):
+    runs = []
+    real_homotopy_solve = cli.homotopy_solve
+
+    def spy_homotopy_solve(*args, **kwargs):
+        runs.append(real_homotopy_solve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "homotopy_solve", spy_homotopy_solve)
+    proc = run_main(capsys,
+        "solve", "--scenario", "two_player_3x3", "--homotopy", "--out", str(tmp_path)
+    )
+    assert proc.returncode == 0, proc.stderr
+    (stages,) = runs
+    sol = stages[-1]
+    raw = (tmp_path / "equilibrium.json").read_bytes()
+    # Python's json and orjson, which wrote the file, read the same doubles
+    for doc in (json.loads(raw), orjson.loads(raw)):
+        for key in ("x", "v"):
+            written = np.asarray(doc[key], dtype=float)
+            assert np.array_equal(written.view(np.int64), getattr(sol, key).view(np.int64))
+        assert doc["residual"] == sol.residual_norm and doc["lambda"] == sol.lam
 
 
 def test_gap_reports_a_certified_value(tmp_path, capsys):

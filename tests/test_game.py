@@ -4,6 +4,7 @@ import json
 import re
 
 import numpy as np
+import orjson
 import pytest
 
 from helpers import dual_slack, equals, kkt_residual, player_objective, pwl_residual, random_game
@@ -234,24 +235,51 @@ def test_json_roundtrip_uses_one_based_indices():
     assert equals(back, game)
 
 
+def _floats(doc):
+    """Every float in a parsed JSON document, in document order."""
+    if isinstance(doc, dict):
+        return [f for value in doc.values() for f in _floats(value)]
+    if isinstance(doc, list):
+        return [f for value in doc for f in _floats(value)]
+    return [doc] if isinstance(doc, float) else []
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _check_written_json(raw: bytes) -> dict:
+    """The document in raw, after checking that raw is orjson's two-space
+    layout of it with a final newline, that Python's json reads every float
+    in it to the same double as orjson, and that it holds no null, NaN or
+    Infinity token."""
+    doc = orjson.loads(raw)
+    assert raw == orjson.dumps(doc, option=orjson.OPT_INDENT_2) + b"\n"
+    stdlib = json.loads(raw)
+    assert stdlib == doc
+    assert np.array_equal(_bits(_floats(stdlib)), _bits(_floats(doc)))
+    assert re.search(rb"null|NaN|Infinity", raw) is None
+    return doc
+
+
 @pytest.mark.parametrize("with_paths", [True, False])
-def test_write_game_file_matches_json_dump_byte_for_byte(tmp_path, with_paths):
+def test_write_game_file_writes_a_dense_c_as_orjson_indent_2(tmp_path, with_paths):
     sc = build_scenario("two_player_3x3")
     rng = np.random.default_rng(21)
     c_mat = rng.standard_normal((sc.game.pm, sc.game.pm)) * np.logspace(-300, 300, sc.game.pm)
     c_mat[0, :4] = [0.0, -0.0, 5e-324, 1.0]
     game = sc.game.with_costs(sc.game.costs.b + 1e-17, c_mat, rho=0.3)
     paths = sc.desired_node_paths if with_paths else None
-    payload = game_to_dict(game)
+    path = tmp_path / "dense.json"
+    write_game_file(path, game, paths)
+    doc = _check_written_json(path.read_bytes())
+    expected = game_to_dict(game)
     if with_paths:
-        payload["desired_paths"] = [[node + 1 for node in nodes] for nodes in paths]
-    streamed, dumped = tmp_path / "streamed.json", tmp_path / "dumped.json"
-    write_game_file(streamed, game, paths)
-    with open(dumped, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    assert streamed.read_bytes() == dumped.read_bytes()
-    back, back_paths = load_game_file(streamed)
+        expected["desired_paths"] = [[node + 1 for node in nodes] for nodes in paths]
+    assert list(doc) == list(expected) and doc == expected
+    assert np.array_equal(_bits(doc["C"]), _bits(game.costs.C))
+    assert np.array_equal(_bits(doc["b"]), _bits(game.costs.b))
+    back, back_paths = load_game_file(path)
     assert np.array_equal(back.costs.C, game.costs.C)
     assert np.array_equal(np.signbit(back.costs.C), np.signbit(game.costs.C))
     assert np.array_equal(back.costs.b, game.costs.b) and back.rho == game.rho
@@ -274,7 +302,7 @@ def _extreme_factor(pm, k, rng):
 
 
 @pytest.mark.parametrize("with_paths", [True, False])
-def test_write_game_file_lays_a_factored_c_out_as_json_dump_would(tmp_path, with_paths):
+def test_write_game_file_writes_a_factored_c_as_orjson_indent_2(tmp_path, with_paths):
     sc = build_scenario("two_player_3x3")
     q, mid = _extreme_factor(sc.game.pm, 6, np.random.default_rng(22))
     c_mat = c_from_factor(q, mid)
@@ -283,13 +311,12 @@ def test_write_game_file_lays_a_factored_c_out_as_json_dump_would(tmp_path, with
     paths = sc.desired_node_paths if with_paths else None
     path = tmp_path / "factored.json"
     write_game_file(path, game, paths, c_factor=(q, mid))
-    text = path.read_text(encoding="utf-8")
-    assert json.dumps(json.loads(text), indent=2) + "\n" == text
-    doc = json.loads(text)
+    doc = _check_written_json(path.read_bytes())
     assert "C" not in doc and list(doc)[3] == "C_factor"
     for name, written in (("Q", q), ("M", mid)):
         assert np.array_equal(doc["C_factor"][name], written)
         assert np.array_equal(np.signbit(doc["C_factor"][name]), np.signbit(written))
+        assert np.array_equal(_bits(doc["C_factor"][name]), _bits(written))
     back, back_paths = load_game_file(path)
     assert np.array_equal(back.costs.C, c_mat)
     assert np.array_equal(np.signbit(back.costs.C), np.signbit(c_mat))
@@ -305,9 +332,7 @@ def test_a_width_zero_factor_round_trips_as_c_zero(tmp_path):
     q, mid = np.zeros((game.pm, 0)), np.zeros((0, 0))
     path = tmp_path / "factored.json"
     write_game_file(path, game, c_factor=(q, mid))
-    text = path.read_text(encoding="utf-8")
-    assert json.dumps(json.loads(text), indent=2) + "\n" == text
-    assert json.loads(text)["C_factor"] == {"Q": [[]] * game.pm, "M": []}
+    assert _check_written_json(path.read_bytes())["C_factor"] == {"Q": [[]] * game.pm, "M": []}
     back, _ = load_game_file(path)
     assert np.array_equal(back.costs.C, np.zeros((game.pm, game.pm)))
     assert [a.shape for a in back.cost_factor] == [(game.pm, 0), (game.pm, 0)]
@@ -319,6 +344,18 @@ def test_write_game_file_rejects_a_factor_of_another_c(tmp_path):
     mid = np.array([[0.5, 0.0], [0.0, 0.25]])
     # Q M Q^T is not the game's C = 0
     with pytest.raises(ValueError, match="^c_factor's Q M Q\\^T is not the game's C$"):
+        write_game_file(tmp_path / "game.json", game, c_factor=(q, mid))
+    assert not (tmp_path / "game.json").exists()
+
+
+@pytest.mark.parametrize(("where", "value"), [("Q", np.inf), ("Q", -np.inf), ("M", np.nan), ("M", np.inf)])
+def test_write_game_file_rejects_a_non_finite_factor(tmp_path, where, value):
+    # checked before Q M Q^T is formed, where inf * 0 would warn; orjson
+    # would write the entry as null
+    game = build_scenario("two_player_3x3").game
+    q, mid = np.eye(game.pm)[:, :2], np.zeros((2, 2))
+    (q if where == "Q" else mid)[1, 1] = value
+    with pytest.raises(ValueError, match="^c_factor entries must be finite$"):
         write_game_file(tmp_path / "game.json", game, c_factor=(q, mid))
     assert not (tmp_path / "game.json").exists()
 
