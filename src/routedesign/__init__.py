@@ -16,7 +16,6 @@ from .design import (
     DesignVerification,
     design_loop,
     project_B,
-    project_D,
 )
 from .errors import (
     BrokenPathError,
@@ -61,7 +60,6 @@ from .smooth_eq import (
     Linearization,
     SmoothEqSettings,
     homotopy_solve,
-    jacobian_F,
     residual_F,
     solve_nls,
 )
@@ -102,13 +100,11 @@ __all__ = [
     "homotopy_solve",
     "implicit_gradients",
     "incidence_matrix",
-    "jacobian_F",
     "load_game_file",
     "membership_D",
     "od_vectors",
     "path_to_target",
     "project_B",
-    "project_D",
     "reduced_incidence",
     "residual_F",
     "shortest_path_cost",

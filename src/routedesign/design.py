@@ -3,9 +3,9 @@
 The designer tunes the offsets b inside a box and the interaction matrix C
 inside a convex set (monotone, Frobenius-bounded, symmetric diagonal blocks)
 so that the smoothed equilibrium tracks a desired joint flow.  Gradients come
-from implicit differentiation; the C projection is one pass of three
-closed-form sub-projections, which the design takes in the coordinates of
-an orthonormal basis carried across its iterations.
+from implicit differentiation; the C projection, _step_factored, is one pass
+of three closed-form sub-projections, taken in the coordinates of an
+orthonormal basis carried across the design's iterations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeCycleError, NotConvergedError, NumericalError
-from .game import AtomicRoutingGame, _admissible_set_args, c_from_factor
+from .game import AtomicRoutingGame, c_from_factor
 from .sensitivity import DesignObjective, implicit_gradients
 from .smooth_eq import LOW_RANK_SHARE, EquilibriumSolution, SmoothEqSettings, homotopy_solve
 
@@ -108,14 +108,6 @@ def project_B(b: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(np.asarray(b, dtype=float), 0.0, delta)
 
 
-def _project_diag_blocks(c: np.ndarray, block_size: int) -> np.ndarray:
-    out = c.copy()
-    for i in range(c.shape[0] // block_size):
-        sl = slice(i * block_size, (i + 1) * block_size)
-        out[sl, sl] = 0.5 * (c[sl, sl] + c[sl, sl].T)
-    return out
-
-
 def _project_monotone(c: np.ndarray) -> np.ndarray:
     # Constraint touches only the symmetric part; the skew part rides along.
     sym = 0.5 * (c + c.T)
@@ -132,18 +124,6 @@ def _project_ball(c: np.ndarray, rho: float) -> np.ndarray:
     return c * (rho / norm)
 
 
-def project_D(C: np.ndarray, rho: float, block_size: int) -> np.ndarray:
-    """Project onto the admissible interaction set in Frobenius norm.
-
-    One pass of the three exact sub-projections suffices: the block
-    constraint acts only on the skew part of C and the monotone constraint
-    only on the orthogonal symmetric part, and scaling a cone's projection
-    into a ball centred at 0 projects onto cone and ball together.
-    """
-    c = _admissible_set_args(C, block_size, rho)
-    return _project_ball(_project_monotone(_project_diag_blocks(c, block_size)), rho)
-
-
 def _block_columns(v: np.ndarray, p: int) -> np.ndarray:
     # pm x p: column i holds player i's block of v, zeros elsewhere
     return (v.reshape(p, -1)[:, :, None] * np.eye(p)[:, None, :]).reshape(v.size, p)
@@ -158,7 +138,14 @@ def _step_factored(
     rho: float,
     block_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """project_D(Q M Q^T - alpha grad_b flow^T, rho, block_size) as Q' M' Q'^T.
+    """The projection of Q M Q^T - alpha grad_b flow^T onto D as Q' M' Q'^T.
+
+    D holds the C with C + C^T PSD, symmetric block_size x block_size
+    diagonal blocks and Frobenius norm at most rho.  One pass of the three
+    exact sub-projections suffices: the block constraint acts only on the
+    skew part of C and the monotone constraint only on the orthogonal
+    symmetric part, and scaling a cone's projection into a ball centred at
+    0 projects onto cone and ball together.
 
     Q (pm x k) has orthonormal columns and Q M Q^T is admissible, so its
     diagonal blocks are symmetric: symmetrizing the stepped blocks adds only

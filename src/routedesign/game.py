@@ -104,16 +104,19 @@ class AtomicRoutingGame:
     ) -> None:
         if not players:
             raise ValueError("a game needs at least one player")
+        # as plain ints, which the JSON writer serializes
+        players = tuple(
+            Player(_integer(p.origin, "origin"), _integer(p.destination, "destination"))
+            for p in players
+        )
         for player in players:
-            _integer(player.origin, "origin")
-            _integer(player.destination, "destination")
             if not (0 <= player.origin < graph.n and 0 <= player.destination < graph.n):
                 raise ValueError("player origin or destination out of range")
             if player.origin == player.destination:
                 raise ValueError("origin equals destination")
         _require_positive_flow(graph, players)
         self.graph = graph
-        self.players = tuple(players)
+        self.players = players
         self._set_costs(costs, rho)
 
         pm, n_red = self.pm, graph.n - 1
@@ -288,8 +291,12 @@ def c_from_factor(q: np.ndarray, mid: np.ndarray) -> np.ndarray:
     return q @ mid @ q.T
 
 
-def _admissible_set_args(C: np.ndarray, block_size: int, rho: float) -> np.ndarray:
-    # C as a float array, once the admissible set's arguments check out
+def membership_D(C: np.ndarray, block_size: int, rho: float) -> bool:
+    """Test membership in the admissible interaction set.
+
+    The set requires C + C^T positive semidefinite, Frobenius norm at most
+    rho, and symmetric per-player diagonal blocks, each checked within 1e-8.
+    """
     c = np.asarray(C, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("C must be square")
@@ -297,17 +304,7 @@ def _admissible_set_args(C: np.ndarray, block_size: int, rho: float) -> np.ndarr
         raise ValueError("matrix size must be a multiple of block_size")
     if not 0.0 <= rho < np.inf:
         raise ValueError("rho must be finite and nonnegative")
-    return c
-
-
-def membership_D(C: np.ndarray, block_size: int, rho: float) -> bool:
-    """Test membership in the admissible interaction set.
-
-    The set requires C + C^T positive semidefinite, Frobenius norm at most
-    rho, and symmetric per-player diagonal blocks, each checked within 1e-8.
-    """
     tol = 1e-8
-    c = _admissible_set_args(C, block_size, rho)
     if np.linalg.norm(c) > rho + tol:
         return False
     p = c.shape[0] // block_size

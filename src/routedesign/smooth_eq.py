@@ -6,9 +6,9 @@ piecewise-linear equilibrium conditions with a smooth square system
     F(x, v) = [x - exp(g);  s - E x] = 0,  g = (E^T v - b - C x) / lam - 1,
 
 which has a unique solution for lam > 0 with monotone interaction costs when
-every player has a strictly positive feasible flow.  residual_F and
-jacobian_F are F and its Jacobian J in (x, v).  The map is exact wherever
-its exponent g is at most EXP_LIMIT and overflows past it.
+every player has a strictly positive feasible flow.  residual_F is F, and
+its norm is the solver's convergence test.  The map is exact wherever its
+exponent g is at most EXP_LIMIT and overflows past it.
 
 The solver works in log flows y, x = e^y, on the system with the same
 solutions
@@ -25,7 +25,8 @@ costs far more than lam above the cheapest underflows to exactly 0.  A
 continuation steps lam down to a small target, by longer steps while Newton
 contracts fast at each stage.
 
-The log system's Jacobian is the saddle-point matrix
+The log system's Jacobian, the only one the package forms, is the
+saddle-point matrix
 
     J~ = dF~/d(y, v) = [[lam I + C X, -E^T], [-E X, 0]],  X = diag(e^y),
 
@@ -135,39 +136,9 @@ def residual_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float
         raise ValueError("lam must be finite and positive")
     if x.shape != (game.pm,) or v.shape != (game.dim_v,):
         raise ValueError("bad flow or multiplier length")
-    return np.concatenate([x - _map_diag(game, x, v, lam), game.s - game.e_blk @ x])
-
-
-def _map_diag(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    # The exponential map, which is also its own derivative.
     g = _exponent(game, x, v, lam)
     _check_exponent(g, lam)
-    return np.exp(g)
-
-
-def jacobian_F(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    """Jacobian of residual_F with respect to (x, v).
-
-    Blocks: [[I + D C / lam, -D E^T / lam], [-E, 0]] with D the diagonal of
-    exponential-map values.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not 0.0 < lam < np.inf:
-        raise ValueError("lam must be finite and positive")
-    if x.shape != (game.pm,) or v.shape != (game.dim_v,):
-        raise ValueError("bad flow or multiplier length")
-    d = _map_diag(game, x, v, lam)
-    pm, k = game.pm, game.pm + game.dim_v
-    jac = np.zeros((k, k))
-    top_left, top_right = jac[:pm, :pm], jac[:pm, pm:]
-    np.multiply(d[:, None], game.costs.C, out=top_left)
-    top_left /= lam
-    np.multiply(d[:, None], game.e_blk.T, out=top_right)
-    top_right /= -lam
-    np.negative(game.e_blk, out=jac[pm:, :pm])
-    jac.reshape(-1)[: pm * (k + 1) : k + 1] += 1.0
-    return jac
+    return np.concatenate([x - np.exp(g), game.s - game.e_blk @ x])
 
 
 def _log_jacobian(game: AtomicRoutingGame, x: np.ndarray, lam: float) -> np.ndarray:

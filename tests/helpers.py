@@ -4,12 +4,13 @@ Everything here recomputes equilibria by routes independent of the production
 solver: the first-order (KKT) and piecewise-linear equilibrium residuals, an
 active-set polish that pivots on sign violations, a stall-tolerant
 continuation used only to seed that polish, the continuation by fixed
-halvings of the entropy weight, a central-difference Jacobian,
-the log system's Jacobian from its definition, and Newton's method with dense
-solves on the smoothed system in the flows themselves, where the production
-solver works in log flows.  Dykstra's alternating scheme recomputes the
-admissible-set projection.  Tests compare solver output against these, never
-against the solver itself.
+halvings of the entropy weight, a central-difference Jacobian, the
+smoothed system's Jacobian J in the flows (jacobian_F), the log system's
+Jacobian from its definition, and Newton's method with dense solves on the
+smoothed system in the flows themselves, where the production solver works
+in log flows.  The admissible-set projection is recomputed on dense
+matrices in one pass (project_D) and by Dykstra's alternating scheme.
+Tests compare solver output against these, never against the solver itself.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ import scipy.linalg.lapack
 import scipy.sparse
 
 from routedesign import smooth_eq
-from routedesign.design import (
-    _project_ball,
-    _project_diag_blocks,
-    _project_monotone,
-    project_D,
-)
+from routedesign.design import _project_ball, _project_monotone
 from routedesign.errors import ExponentOverflowError, NotConvergedError, NumericalError
 from routedesign.game import AtomicRoutingGame, CostParams, Player
 from routedesign.graph import DirectedGraph, grid_graph
@@ -37,8 +33,8 @@ from routedesign.smooth_eq import (
     LOW_RANK_SHARE,
     EquilibriumSolution,
     SmoothEqSettings,
+    _check_exponent,
     _exponent,
-    jacobian_F,
     residual_F,
     solve_nls,
 )
@@ -66,12 +62,35 @@ def random_game(rng, shape, p, rho=0.3):
     return AtomicRoutingGame(graph, players, CostParams(b, c_mat), rho=rho)
 
 
+def project_diag_blocks(c, block_size):
+    out = c.copy()
+    for i in range(c.shape[0] // block_size):
+        sl = slice(i * block_size, (i + 1) * block_size)
+        out[sl, sl] = 0.5 * (c[sl, sl] + c[sl, sl].T)
+    return out
+
+
+def project_D(C, rho, block_size):
+    """Projection onto the admissible interaction set in Frobenius norm, as
+    one pass of the three exact sub-projections on a dense C: the one-pass
+    rule design._step_factored applies in the coordinates of its basis.
+
+    One pass suffices: the block constraint acts only on the skew part of C
+    and the monotone constraint only on the orthogonal symmetric part, and
+    scaling a cone's projection into a ball centred at 0 projects onto cone
+    and ball together.
+    """
+    c = np.asarray(C, dtype=float)
+    return _project_ball(_project_monotone(project_diag_blocks(c, block_size)), rho)
+
+
 def dykstra_project_D(C, rho, block_size, tol, max_sweeps):
     """Projection onto the admissible interaction set by Dykstra's scheme.
 
     Alternating the three exact sub-projections with Dykstra's corrections
     converges to the projection onto their intersection whatever the sets
-    are (Boyle & Dykstra, 1986), so this checks project_D's one-pass claim.
+    are (Boyle & Dykstra, 1986), so this checks the one-pass rule of
+    project_D and design._step_factored.
     Sweeps stop when successive iterates differ by at most tol; hitting the
     sweep cap returns the last iterate and warns.
     """
@@ -82,7 +101,7 @@ def dykstra_project_D(C, rho, block_size, tol, max_sweeps):
     prev = y.copy()
     converged = False
     for _ in range(max_sweeps):
-        z = _project_diag_blocks(y + corr_blocks, block_size)
+        z = project_diag_blocks(y + corr_blocks, block_size)
         corr_blocks = y + corr_blocks - z
         y = z
         z = _project_monotone(y + corr_psd)
@@ -361,21 +380,53 @@ def _x_trial(game, lam, x, v, step, t):
     return cand_x, cand_v, resid, float(np.linalg.norm(resid))
 
 
+def jacobian_F(game, x, v, lam):
+    """Jacobian J of residual_F in (x, v), as the paper states it.
+
+    Blocks: [[I + D C / lam, -D E^T / lam], [-E, 0]] with D the diagonal of
+    exponential-map values.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    g = _exponent(game, x, v, lam)
+    _check_exponent(g, lam)
+    d = np.exp(g)
+    pm, k = game.pm, game.pm + game.dim_v
+    jac = np.zeros((k, k))
+    top_left, top_right = jac[:pm, :pm], jac[:pm, pm:]
+    np.multiply(d[:, None], game.costs.C, out=top_left)
+    top_left /= lam
+    np.multiply(d[:, None], game.e_blk.T, out=top_right)
+    top_right /= -lam
+    np.negative(game.e_blk, out=jac[pm:, :pm])
+    jac.reshape(-1)[: pm * (k + 1) : k + 1] += 1.0
+    return jac
+
+
+def _central_differences(f, z0, h):
+    cols = []
+    for j in range(z0.size):
+        step = np.zeros(z0.size)
+        step[j] = h
+        cols.append((f(z0 + step) - f(z0 - step)) / (2 * h))
+    return np.column_stack(cols)
+
+
 def fd_jacobian(game, x, v, lam, h=1e-6):
     """Central finite differences of the smoothed residual."""
-    pm, dv = game.pm, game.dim_v
-    dim = pm + dv
-    jac = np.zeros((dim, dim))
-    z0 = np.concatenate([x, v])
-    for j in range(dim):
-        zp = z0.copy()
-        zp[j] += h
-        zm = z0.copy()
-        zm[j] -= h
-        fp = residual_F(game, zp[:pm], zp[pm:], lam)
-        fm = residual_F(game, zm[:pm], zm[pm:], lam)
-        jac[:, j] = (fp - fm) / (2 * h)
-    return jac
+    pm = game.pm
+    return _central_differences(
+        lambda z: residual_F(game, z[:pm], z[pm:], lam), np.concatenate([x, v]), h
+    )
+
+
+def fd_log_jacobian(game, y, v, lam, h=1e-6):
+    """Central finite differences of the log system's residual
+    F~(y, v) = [lam (y - g(e^y, v)); s - E e^y], the solver's own F~."""
+    pm = game.pm
+    return _central_differences(
+        lambda z: smooth_eq._state(game, z[:pm], z[pm:], lam).f, np.concatenate([y, v]), h
+    )
 
 
 def log_jacobian(game, x, lam):

@@ -15,19 +15,27 @@ from helpers import (
     certified_vertex,
     dual_slack,
     dykstra_project_D,
-    fd_jacobian,
+    fd_log_jacobian,
     kkt_residual,
+    project_D,
     pwl_residual,
     random_game,
     start_at,
     tolerant_chain,
 )
-from routedesign.design import DesignConfig, design_loop, project_B, project_D
+from routedesign.design import DesignConfig, design_loop, project_B
 from routedesign.game import c_from_factor, membership_D, path_to_target
 from routedesign.graph import shortest_path_cost
 from routedesign.scenarios import build_scenario
 from routedesign.sensitivity import implicit_gradients, tracking_objective
-from routedesign.smooth_eq import SmoothEqSettings, homotopy_solve, jacobian_F, solve_nls
+from routedesign.smooth_eq import (
+    Linearization,
+    SmoothEqSettings,
+    _log_jacobian,
+    _state,
+    homotopy_solve,
+    solve_nls,
+)
 
 
 def _report(index, label, ok, detail):
@@ -77,25 +85,67 @@ def test_criterion_01_residual_characterizations_agree():
     )
 
 
+def _admissible_factor(game, rng):
+    """A nonzero member of D as its factor (Q, M), C = Q M Q^T: two
+    orthonormal columns inside each player's block, and M a PSD part plus a
+    skew part that couples only different players' columns, so C's diagonal
+    blocks are symmetric; scaled to Frobenius norm game.rho."""
+    p, m = game.p, game.m
+    q = np.zeros((game.pm, 2 * p))
+    for i in range(p):
+        q[i * m : (i + 1) * m, 2 * i : 2 * i + 2] = np.linalg.qr(rng.standard_normal((m, 2)))[0]
+    a = rng.standard_normal((2 * p, 2 * p))
+    skew = rng.standard_normal((2 * p, 2 * p))
+    skew -= skew.T
+    for i in range(p):
+        skew[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 0.0
+    mid = a @ a.T + skew
+    return q, mid * (game.rho / np.linalg.norm(mid))
+
+
 def test_criterion_02_jacobian_matches_finite_differences():
+    # J~, the Jacobian the solver and the gradient factor, against central
+    # differences of the solver's F~ in (y, v) = (log x, v), and each route of
+    # Linearization against that difference quotient: the points cycle
+    # through C = 0, a nonzero admissible C handed as its factor (Woodbury)
+    # and the same C without one (dense LU)
     rng = np.random.default_rng(42)
+    coupling = np.random.default_rng(43)
     start = time.perf_counter()
-    worst = 0.0
+    worst = worst_solve = 0.0
     for name in ("two_player_3x3", "four_player_5x5"):
-        game = build_scenario(name).game
-        for _ in range(50):
+        base = build_scenario(name).game
+        q, mid = _admissible_factor(base, coupling)
+        c_mat = c_from_factor(q, mid)
+        assert np.any(c_mat) and membership_D(c_mat, base.m, base.rho)
+        routes = [
+            base,
+            base.with_costs(base.costs.b, c_mat, factor=(q, q @ mid.T)),
+            base.with_costs(base.costs.b, c_mat),
+        ]
+        for k in range(50):
+            game = routes[k % 3]
             x = rng.uniform(0.05, 1.0, size=game.pm)
             v = rng.uniform(-0.3, 0.3, size=game.dim_v)
-            jac = jacobian_F(game, x, v, 1.0)
-            rel = np.linalg.norm(fd_jacobian(game, x, v, 1.0) - jac) / np.linalg.norm(jac)
-            assert rel <= 1e-6, f"{name}: relative error {rel:.2e}"
+            jac = _log_jacobian(game, x, 1.0)
+            fd = fd_log_jacobian(game, np.log(x), v, 1.0)
+            rel = np.linalg.norm(fd - jac) / np.linalg.norm(jac)
+            assert rel <= 1e-6, f"{name}, route {k % 3}: relative error {rel:.2e}"
             worst = max(worst, rel)
+            lin = Linearization(game, x, 1.0)
+            assert lin.holds_dense_lu == (k % 3 == 2)
+            rhs = _state(game, np.log(x), v, 1.0).f
+            for label, mat, z in (("solve", fd, lin.solve(rhs)), ("solve_T", fd.T, lin.solve_T(rhs))):
+                res = np.linalg.norm(mat @ z - rhs) / np.linalg.norm(rhs)
+                assert res <= 1e-6, f"{name}, route {k % 3}: {label} relative residual {res:.2e}"
+                worst_solve = max(worst_solve, res)
     elapsed = time.perf_counter() - start
     _report(
         2,
         "jacobian matches finite differences",
         elapsed < 10.0,
-        f"100 points, worst relative error {worst:.1e}, {elapsed:.1f}s",
+        f"100 points on 3 routes, worst relative error {worst:.1e}, "
+        f"worst solve residual {worst_solve:.1e}, {elapsed:.1f}s",
     )
 
 
@@ -272,6 +322,22 @@ def test_criterion_09_projection_suite(monkeypatch):
         worst_oracle = max(worst_oracle, float(np.linalg.norm(quick - slow)))
     assert worst_oracle <= 1e-6
 
+    # the design's factored projection step against Dykstra's scheme on the
+    # dense stepped C, over chains of steps from C = 0, each step from the
+    # admissible output of the one before
+    worst_step = 0.0
+    for _ in range(10):
+        q, mid = np.zeros((8, 0)), np.zeros((0, 0))
+        for _ in range(4):
+            g, x = rng.standard_normal(8), rng.uniform(0.0, 1.0, 8)
+            alpha = rng.uniform(0.05, 2.0)
+            slow = dykstra_project_D(
+                c_from_factor(q, mid) - alpha * np.outer(g, x), 0.5, 4, tol=1e-12, max_sweeps=1000
+            )
+            q, mid = design_mod._step_factored(q, mid, g, x, alpha, 0.5, 4)
+            worst_step = max(worst_step, float(np.linalg.norm(c_from_factor(q, mid) - slow)))
+    assert worst_step <= 1e-6
+
     # every design iterate lands inside the parameter sets
     sc, objective = _scenario_objective("two_player_3x3")
     seen_b, seen_c = [], []
@@ -300,7 +366,8 @@ def test_criterion_09_projection_suite(monkeypatch):
         9,
         "projection suite",
         True,
-        f"oracle gap {worst_oracle:.1e}, {len(seen_b)} design iterates admissible",
+        f"oracle gap {worst_oracle:.1e}, factored step gap {worst_step:.1e}, "
+        f"{len(seen_b)} design iterates admissible",
     )
 
 

@@ -542,6 +542,18 @@ def test_game_rejects_player_ends_that_are_not_integers(player, field, value):
         AtomicRoutingGame(DirectedGraph(2, ((0, 1), (1, 0))), [player], costs)
 
 
+def test_a_game_of_numpy_integer_players_round_trips(tmp_path):
+    costs = CostParams(np.array([0.3, 0.7]), np.zeros((2, 2)))
+    game = AtomicRoutingGame(
+        DirectedGraph(2, ((0, 1), (1, 0))), [Player(np.int64(0), np.int64(1))], costs
+    )
+    assert all(type(end) is int for player in game.players for end in (player.origin, player.destination))
+    path = tmp_path / "game.json"
+    write_game_file(path, game)
+    back, _ = load_game_file(path)
+    assert equals(back, game)
+
+
 def test_load_game_file_with_desired_paths(tmp_path):
     game = random_game(np.random.default_rng(9), (1, 3), 1)
     doc = game_to_dict(game)

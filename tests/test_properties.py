@@ -22,6 +22,7 @@ from helpers import (
     equals,
     halving_chain,
     log_jacobian,
+    project_D,
     x_space_solve_nls,
 )
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 import routedesign.design as design_mod
 from routedesign import smooth_eq
-from routedesign.design import DesignConfig, design_loop, project_D
+from routedesign.design import DesignConfig, design_loop
 from routedesign.errors import NegativeCycleError, NumericalError, UnreachableError
 from routedesign.game import (
     AtomicRoutingGame,
