@@ -1,16 +1,28 @@
-"""Dense least squares, the fallback of every solve with the Jacobian.
+"""Dense least squares, and the package's one door to scipy.
 
 `lstsq` is a rank-revealing QR (LAPACK gelsy).  smooth_eq.Linearization
 calls it on the dense J~, the log system's Jacobian, where its factors meet
 a singular J~, and for the equilibrium solver's direction when the line
 search along the Newton step fails.  It is deterministic for fixed inputs,
 which the CLI relies on for byte-identical reruns.
+
+`scipy_linalg` imports scipy.linalg on its first call.  Only `lstsq` and
+Linearization's dense route (the LU of J~ and its chord solves) call it: the
+structured route runs on numpy's LAPACK, so a command that never takes the
+dense route or the least-squares fallback never loads scipy, whose import
+costs more than a whole scenario design.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+
+
+def scipy_linalg():
+    """The scipy.linalg module, imported on the first call."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -19,5 +31,5 @@ def lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or rhs.ndim != 1 or rhs.shape[0] != a.shape[0]:
         raise ValueError("incompatible shapes for lstsq")
-    sol, _, _, _ = scipy.linalg.lstsq(a, rhs, lapack_driver="gelsy", check_finite=False)
+    sol, _, _, _ = scipy_linalg().lstsq(a, rhs, lapack_driver="gelsy", check_finite=False)
     return sol

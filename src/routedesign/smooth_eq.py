@@ -31,13 +31,18 @@ saddle-point matrix
     J~ = dF~/d(y, v) = [[lam I + C X, -E^T], [-E X, 0]],  X = diag(e^y),
 
 and one Linearization of J~ at the flows serves the Newton step, the QR
-fallback direction and the implicit gradient.  It factors J~ per player
-through its block-diagonal part without C, then a Woodbury update through
-the factor C = U W^T the game was built with; by the LU of J~^T when C has
-no factor or one wider than pm * LOW_RANK_SHARE; and where J~ is singular
-it answers with the minimum-norm least-squares solution from a
-rank-revealing QR.  The structured factor is rebuilt at every iterate; the
-dense LU is kept for chord steps while they contract ||F~|| by _CHORD_RATE.
+fallback direction and the implicit gradient.  It takes one of two routes.
+The structured route inverts J~ per player through its block-diagonal part
+without C, then applies a Woodbury update through the factor C = U W^T the
+game was built with; it runs on numpy's batched LAPACK.  The dense route
+holds the LU of J~^T, where C has no factor or one wider than
+pm * LOW_RANK_SHARE, and runs on scipy's LAPACK.  Where J~ is singular,
+either route answers with the minimum-norm least-squares solution from a
+rank-revealing QR (numerics.lstsq, scipy's as well).  scipy is imported on
+the first dense factorization or least-squares solve
+(numerics.scipy_linalg), so a command that needs neither never loads it.
+The structured route is rebuilt at every iterate; the dense LU is kept for
+chord steps while they contract ||F~|| by _CHORD_RATE.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import scipy.linalg.lapack
 
 from . import numerics
 from .errors import ExponentOverflowError, NegativeCycleError, NotConvergedError, NumericalError
@@ -153,32 +157,46 @@ def _log_jacobian(game: AtomicRoutingGame, x: np.ndarray, lam: float) -> np.ndar
 
 
 class Linearization:
-    """J~ = dF~/d(y, v) at flows x, factored once by its structure.
+    """J~ = dF~/d(y, v) at flows x, prepared once by its structure.
 
     J~ = [[lam I + C X, -E^T], [-E X, 0]] with X = diag(x).  Its part
     without C, J0 = [[lam I, -E^T], [-E X, 0]], is block diagonal by player:
     eliminating player i's log flows leaves the weighted Laplacian
-    L_i = E_i X_i E_i^T / lam on its n - 1 multipliers, inverted from its LU
-    (at these sizes one LAPACK solve with many right-hand sides costs more
-    than the inverse).  The factor C = U W^T the game was built with
-    (game.cost_factor, width r) gives C X = U (X W)^T, so J~ is a rank-r
-    update of J0.  With Z = J0^-1 [U; 0], p block solves with r right-hand
-    sides, and the r x r capacitance K = I + (X W)^T Z_y, factored by LU,
-    Woodbury gives
+    L_i = E_i X_i E_i^T / lam on its n - 1 multipliers.  The constructor
+    inverts all p of them in one batched np.linalg.inv call: solving with
+    them instead costs more, both for the r right-hand sides of Z below
+    (on one thread of a Xeon core, 120 us against 106 us for the inverse
+    at p = 4, n - 1 = 24, r = 72) and for every later single right-hand
+    side (24 us against 3 us for the product with the inverse).  The
+    factor C = U W^T the game was built with (game.cost_factor, width r)
+    gives C X = U (X W)^T, so J~ is a rank-r update of J0.  With
+    Z = J0^-1 [U; 0], p block solves with r right-hand sides, and the r x r
+    capacitance K = I + (X W)^T Z_y, Woodbury gives
 
         J~^-1 rhs = z0 - Z K^-1 (X W)^T z0_y,  z0 = J0^-1 rhs,
         J~^-T rhs = J0^-T (rhs - [X W a; 0]),  a = K^-T Z^T rhs,
 
-    where J0^-T reuses the L_i, which are symmetric.  When C has no factor,
+    where J0^-T reuses the L_i^-1, which are symmetric.  K is not factored
+    in the constructor: a Linearization mostly serves one solve, so each
+    solve calls np.linalg.solve with K or K^T on its one column (40 us at
+    r = 72, against 123 us for np.linalg.inv of K).  When C has no factor,
     or one wider than pm * LOW_RANK_SHARE, the LU of the dense J~^T is held
-    instead: J~'s C-order buffer is J~^T in Fortran order, so LAPACK factors
-    it without a copy, and partial pivoting on J~^T picks its pivots along
-    the rows of J~, a choice that their scale does not change.
+    instead, from scipy's LAPACK: J~'s C-order buffer is J~^T in Fortran
+    order, so getrf factors it without a copy, and partial pivoting on J~^T
+    picks its pivots along the rows of J~, a choice that their scale does
+    not change.
 
-    J~ is singular where an LU meets a zero pivot or an inverted L_i is not
-    finite; the constructor alone decides it, and then keeps no factor.
-    Solves return numerics.lstsq on the dense J~ where no factor is kept or
-    their own result is not finite; a dense LU is released for good first.
+    J~ is singular, and the solves return numerics.lstsq on the dense J~,
+    where
+    - the dense LU meets a zero pivot (the constructor keeps no factor);
+    - np.linalg.inv raises LinAlgError on the stacked Laplacians, at a zero
+      pivot and at some NaNs, or returns an inverse that is not finite, as
+      an overflow or another NaN leaves it (the constructor keeps no
+      factor);
+    - np.linalg.solve raises LinAlgError on K (each solve decides this for
+      itself);
+    - a solve's own result is not finite.
+    A dense LU is released for good before the dense J~ is assembled.
     """
 
     def __init__(self, game: AtomicRoutingGame, x: np.ndarray, lam: float) -> None:
@@ -195,23 +213,19 @@ class Linearization:
         e = game.reduced
         p, _, m = e.shape
         self._ex = ex = e * x.reshape(p, 1, m)  # E_i X_i
-        l_inv = ex @ e.transpose(0, 2, 1) / lam
-        for i, l_i in enumerate(l_inv):
-            lu, piv, info = _lu(l_i)
-            if info != 0:
-                return  # singular: solves go to least squares
-            l_inv[i] = scipy.linalg.lapack.dgetri(lu, piv, overwrite_lu=True)[0]
-        if not np.all(np.isfinite(l_inv)):
+        try:
+            l_inv = np.linalg.inv(ex @ e.transpose(0, 2, 1) / lam)
+        except np.linalg.LinAlgError:
+            return  # singular: solves go to least squares
+        if not np.isfinite(l_inv).all():
             return  # an inverse overflowed: singular as well
         self._l_inv = l_inv
         u, w = factor
         if u.shape[1] > 0:
             z = self._j0_solve(u, None, trans=0)
-            lu, piv, info = _lu(np.eye(u.shape[1]) + w.T @ (x[:, None] * z[: p * m]))
-            if info != 0:
-                self._l_inv = None
-                return
-            self._woodbury = (z, w, lu, piv)
+            k = w.T @ (x[:, None] * z[: p * m])
+            k.reshape(-1)[:: u.shape[1] + 1] += 1.0
+            self._woodbury = (z, w, k)
 
     @property
     def holds_dense_lu(self) -> bool:
@@ -239,21 +253,25 @@ class Linearization:
         # None where J~ is singular or the result is not finite
         if self._dense is not None:
             lu, piv = self._dense
-            return _finite(scipy.linalg.lapack.dgetrs(lu, piv, rhs, trans=1 - trans)[0])
+            dgetrs = numerics.scipy_linalg().lapack.dgetrs
+            return _finite(dgetrs(lu, piv, rhs, trans=1 - trans)[0])
         if self._l_inv is None:  # singular, or a dense LU released
             return None
         pm, x = self._x.size, self._x[:, None]
         rhs = rhs[:, None]
         if self._woodbury is None:
             z = self._j0_solve(rhs[:pm], rhs[pm:], trans)
-        elif trans == 0:
-            big_z, w, lu, piv = self._woodbury
-            z = self._j0_solve(rhs[:pm], rhs[pm:], trans=0)
-            z -= big_z @ scipy.linalg.lapack.dgetrs(lu, piv, w.T @ (x * z[:pm]))[0]
         else:
-            big_z, w, lu, piv = self._woodbury
-            a = scipy.linalg.lapack.dgetrs(lu, piv, big_z.T @ rhs, trans=1)[0]
-            z = self._j0_solve(rhs[:pm] - x * (w @ a), rhs[pm:], trans=1)
+            big_z, w, k = self._woodbury
+            try:
+                if trans == 0:
+                    z = self._j0_solve(rhs[:pm], rhs[pm:], trans=0)
+                    z -= big_z @ np.linalg.solve(k, w.T @ (x * z[:pm]))
+                else:
+                    a = np.linalg.solve(k.T, big_z.T @ rhs)
+                    z = self._j0_solve(rhs[:pm] - x * (w @ a), rhs[pm:], trans=1)
+            except np.linalg.LinAlgError:
+                return None  # a singular capacitance: J~ is singular
         return _finite(z[:, 0])
 
     def _j0_solve(self, r1: np.ndarray, r2: np.ndarray | None, trans: int) -> np.ndarray:
@@ -287,13 +305,13 @@ class Linearization:
 
 
 def _lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    # LAPACK getrf directly, in place (every caller passes a fresh matrix):
+    # LAPACK getrf directly, in place (its one caller passes a fresh matrix):
     # scipy's lu_factor warns on an exact zero pivot
-    return scipy.linalg.lapack.dgetrf(a, overwrite_a=True)
+    return numerics.scipy_linalg().lapack.dgetrf(a, overwrite_a=True)
 
 
 def _finite(z: np.ndarray) -> np.ndarray | None:
-    return z if np.all(np.isfinite(z)) else None
+    return z if np.isfinite(z).all() else None
 
 
 class _State(NamedTuple):

@@ -2,9 +2,10 @@
 
 Each test runs a command through the CLI entry point and inspects exit codes,
 stdout, stderr, and the emitted JSON/CSV files.  Most call `cli.main` in the
-test process, with capsys capturing the streams; two start
+test process, with capsys capturing the streams; some start
 `python -m routedesign.cli` in a subprocess, exactly as a user would, to
-check the module entry point and that exit codes reach the shell.
+check the module entry point and that exit codes reach the shell, and one
+runs commands in a fresh interpreter to see which modules they load.
 """
 
 import csv
@@ -136,6 +137,40 @@ def test_a_designed_game_file_certifies_on_reloading(tmp_path, capsys):
     proc = run_main(capsys, "gap", "--game", str(designed), "--homotopy", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "equilibrium.json").read_text())["gap"] <= 1e-2
+
+
+SCIPY_PROBE = """
+import sys
+import numpy as np
+from routedesign import cli
+from routedesign.scenarios import build_scenario
+from routedesign.smooth_eq import Linearization
+
+out = sys.argv[1]
+common = ["--scenario", "two_player_3x3", "--alpha", "0.01", "--lambda", "0.01"]
+loaded = ["scipy" in sys.modules]
+assert cli.main(["design", *common, "--out", out + "/design"]) == 0
+loaded.append("scipy" in sys.modules)
+rhos = "0,0.1,0.2,0.3,0.4,0.5"
+assert cli.main(["sweep", *common, "--sweep-rho", rhos, "--out", out + "/sweep"]) == 0
+loaded.append("scipy" in sys.modules)
+game = build_scenario("two_player_3x3").game
+game = game.with_costs(game.costs.b, 0.1 * np.eye(game.pm))  # C with no factor
+assert Linearization(game, np.ones(game.pm), 0.01).holds_dense_lu
+loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_loads_only_for_the_dense_route(tmp_path):
+    # a fresh interpreter, since the test suite itself imports scipy: the
+    # scenario commands take only the structured route, which runs on
+    # numpy's LAPACK, and the dense LU of J~ is the first to import scipy
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, True]"
 
 
 @pytest.mark.parametrize("scenario", ["two_player_3x3", "four_player_5x5"])

@@ -255,24 +255,37 @@ def test_a_design_past_half_width_stays_bounded_and_admissible(monkeypatch):
 
 def test_a_scenario_design_makes_no_dense_decomposition_of_C(monkeypatch):
     game, objective = two_player_setup()
-    lu_sizes, eigh_sizes = [], []
-    real_lu, real_eigh = smooth_eq._lu, np.linalg.eigh
+    lu_sizes, solve_sizes, eigh_sizes = [], [], []
+    real_lu, real_inv, real_solve = smooth_eq._lu, np.linalg.inv, np.linalg.solve
+    real_eigh = np.linalg.eigh
 
-    # the structured route factors each (n-1)^2 Laplacian and a capacitance
-    # at most pm/2 wide; the dense route factors all pm + p(n-1) unknowns
+    # the structured route inverts each (n-1)^2 Laplacian and solves with a
+    # capacitance at most pm/2 wide; the dense route factors all
+    # pm + p(n-1) unknowns by _lu
     def spy_lu(a):
         lu_sizes.append(a.shape[0])
         return real_lu(a)
+
+    def spy_inv(a):
+        solve_sizes.append(np.shape(a)[-1])
+        return real_inv(a)
+
+    def spy_solve(a, b):
+        solve_sizes.append(np.shape(a)[-1])
+        return real_solve(a, b)
 
     def spy_eigh(a, *args, **kwargs):
         eigh_sizes.append(np.shape(a)[0])
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(smooth_eq, "_lu", spy_lu)
+    monkeypatch.setattr(np.linalg, "inv", spy_inv)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
     _, _, trace, verdict = design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
     assert verdict.path_match and len(trace.records) >= 2
-    assert lu_sizes and max(lu_sizes) < game.pm
+    assert lu_sizes == []
+    assert solve_sizes and max(solve_sizes) < game.pm
     assert eigh_sizes and max(eigh_sizes) < game.pm
 
 
