@@ -16,6 +16,10 @@ Exit codes: 0 on success, 1 on validation errors (bad flags, malformed game
 files), 2 on numerical failures (solver stalls, negative-cost cycles).
 All outputs are deterministic: rerunning a command reproduces its files
 byte for byte.
+
+The design and sensitivity modules load only when design or sweep runs, and
+orjson when a command first reads or writes JSON, so solve and gap start
+without the design pipeline and a scenario sweep without orjson.
 """
 
 from __future__ import annotations
@@ -25,17 +29,34 @@ import csv
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-import orjson
-
-from .design import DesignConfig, DesignTrace, DesignVerification, design_loop
 from .errors import NumericalError, RouteDesignError
 from .game import AtomicRoutingGame, c_from_factor, load_game_file, path_to_target, write_game_file
 from .scenarios import SCENARIOS, build_scenario
-from .sensitivity import tracking_objective
 from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .design import DesignConfig, DesignTrace, DesignVerification
+
+
+def _design_loop():
+    """design.design_loop, imported on first use and then kept in this
+    module's globals, where a caller that wraps it (a tracer, a test's spy)
+    replaces it."""
+    if "design_loop" not in globals():
+        from .design import design_loop
+
+        globals()["design_loop"] = design_loop
+    return globals()["design_loop"]
+
+
+def __getattr__(name: str):
+    if name == "design_loop":
+        return _design_loop()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
@@ -63,17 +84,22 @@ def _add_solve_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_design_args(sub: argparse.ArgumentParser) -> None:
     _add_source_args(sub)
-    sub.add_argument("--alpha", type=float, default=DesignConfig.alpha, help="gradient step size")
-    sub.add_argument("--lambda", dest="lam", type=float, default=DesignConfig.lam, help="entropy weight of the inner solves")
+    sub.add_argument("--alpha", type=float, help="gradient step size")
+    sub.add_argument("--lambda", dest="lam", type=float, help="entropy weight of the inner solves")
     sub.add_argument("--rho", type=float, default=None, help="Frobenius budget for C (default: the game's)")
-    sub.add_argument("--delta", type=float, default=DesignConfig.delta, help="upper bound of the offset box")
-    sub.add_argument("--eps", type=float, default=DesignConfig.epsilon, help="stopping threshold on parameter change")
-    sub.add_argument("--max-iters", type=int, default=DesignConfig.max_outer_iters, help="outer iteration cap")
+    sub.add_argument("--delta", type=float, help="upper bound of the offset box")
+    sub.add_argument("--eps", type=float, help="stopping threshold on parameter change")
+    sub.add_argument("--max-iters", type=int, help="outer iteration cap")
 
 
 def _design_config(args: argparse.Namespace, game: AtomicRoutingGame, **override: float) -> DesignConfig:
-    """The DesignConfig the design flags ask for; `override` replaces lam or rho."""
-    fields = {
+    """The DesignConfig the design flags ask for; `override` replaces lam or rho.
+
+    A flag left unset (None) keeps DesignConfig's default.
+    """
+    from .design import DesignConfig
+
+    flags = {
         "alpha": args.alpha,
         "lam": args.lam,
         "delta": args.delta,
@@ -81,6 +107,7 @@ def _design_config(args: argparse.Namespace, game: AtomicRoutingGame, **override
         "rho": args.rho if args.rho is not None else game.rho,
         "max_outer_iters": args.max_iters,
     }
+    fields = {name: value for name, value in flags.items() if value is not None}
     return DesignConfig(**(fields | override))
 
 
@@ -117,6 +144,8 @@ def _load(args: argparse.Namespace) -> tuple[AtomicRoutingGame, Sequence[Sequenc
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    import orjson
+
     path.write_bytes(orjson.dumps(payload, option=orjson.OPT_INDENT_2) + b"\n")
 
 
@@ -167,10 +196,12 @@ def _run_design(
         raise ValueError(
             "design needs desired paths: use a scenario or add 'desired_paths' to the game file"
         )
+    from .sensitivity import tracking_objective
+
     target = path_to_target(game, desired)
     objective = tracking_objective(target)
     start = time.perf_counter()
-    b, c_factor, trace, verdict = design_loop(game, objective, config, memo=memo)
+    b, c_factor, trace, verdict = _design_loop()(game, objective, config, memo=memo)
     return b, c_factor, trace, verdict, time.perf_counter() - start
 
 

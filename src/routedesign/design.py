@@ -11,7 +11,6 @@ orthonormal basis carried across the design's iterations.
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -226,7 +225,12 @@ def _iteration_key(
 ) -> bytes:
     """Digest of what a design iteration's solve, certification and gradient
     read, apart from the game's structure and the objective's callables:
-    C = Q M Q^T enters through its factor, which the game is handed."""
+    C = Q M Q^T enters through its factor, which the game is handed.
+
+    hashlib is imported here, the one place that uses it, because it loads
+    OpenSSL and only a sweep's memo reaches this."""
+    import hashlib
+
     h = hashlib.blake2b()
     h.update(np.float64(config.lam).tobytes())
     h.update(np.int64(mid.shape[0]).tobytes())

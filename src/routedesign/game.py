@@ -4,6 +4,9 @@ Each of p players ships one unit of flow between an origin-destination pair on
 a shared directed graph, paying link costs that are affine in the joint flow.
 The stacked flow x lives in R^(p*m) with player i occupying the i-th block of
 m entries.
+
+orjson is imported by write_game_file and load_game_file, the two functions
+that use it, so a game built in memory never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import orjson
 
 from .errors import BrokenPathError, InfeasibleFlowError, UnreachableError
 from .graph import (
@@ -375,6 +377,8 @@ def write_game_file(
     number is finite (CostParams and game_to_dict check), so none becomes
     orjson's null, and nothing is written when game_to_dict raises.
     """
+    import orjson
+
     doc = game_to_dict(game, c_factor)
     if desired_paths is not None:
         doc["desired_paths"] = [[node + 1 for node in nodes] for nodes in desired_paths]
@@ -499,6 +503,8 @@ def load_game_file(path: str | Path) -> tuple[AtomicRoutingGame, list[list[int]]
         BrokenPathError: see path_to_target, which also checks that there is
             one path per player; the message names nodes 1-based.
     """
+    import orjson
+
     try:
         data = orjson.loads(Path(path).read_bytes())
     except orjson.JSONDecodeError as exc:

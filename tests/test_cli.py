@@ -173,6 +173,32 @@ def test_scipy_loads_only_for_the_dense_route(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[False, False, False, True]"
 
 
+COMMAND_MODULES_PROBE = """
+import sys
+from routedesign import cli
+
+assert cli.main(sys.argv[1:]) == 0
+print([m for m in ("routedesign.design", "routedesign.sensitivity", "hashlib", "orjson") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["solve"], ["orjson"]),
+    (["design", "--alpha", "0.01"], ["routedesign.design", "routedesign.sensitivity", "orjson"]),
+    (["sweep", "--sweep-rho", "0,0.5"], ["routedesign.design", "routedesign.sensitivity", "hashlib"]),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    # a fresh interpreter, since the test suite has imported every module:
+    # solve never loads the design pipeline, hashlib loads only for a sweep's
+    # memo, and a scenario sweep writes no JSON, so it never loads orjson
+    command = [*argv, "--scenario", "two_player_3x3", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMAND_MODULES_PROBE, *command], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
 @pytest.mark.parametrize("scenario", ["two_player_3x3", "four_player_5x5"])
 def test_a_designed_game_file_reloads_to_the_designed_costs(tmp_path, capsys, monkeypatch, scenario):
     designs = []
