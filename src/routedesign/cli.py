@@ -32,14 +32,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import NumericalError, RouteDesignError
-from .game import AtomicRoutingGame, c_from_factor, load_game_file, path_to_target, write_game_file
+from .game import AtomicRoutingGame, load_game_file, path_to_target, write_game_file
 from .scenarios import SCENARIOS, build_scenario
 from .smooth_eq import EquilibriumSolution, SmoothEqSettings, homotopy_solve
 
 if TYPE_CHECKING:
-    import numpy as np
-
-    from .design import DesignConfig, DesignTrace, DesignVerification
+    from .design import DesignConfig
+    from .sensitivity import DesignObjective
 
 
 def _design_loop():
@@ -181,39 +180,26 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_design(
-    game: AtomicRoutingGame,
-    desired: Sequence[Sequence[int]] | None,
-    config: DesignConfig,
-    memo: dict | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], DesignTrace, DesignVerification, float]:
-    """design_loop's designed b and C's factor (Q, M), trace and verdict,
-    and its wall time.
-
-    memo is design_loop's iteration memo, shared by the designs of one sweep.
-    """
+def _objective(game: AtomicRoutingGame, desired: Sequence[Sequence[int]] | None) -> DesignObjective:
+    """The tracking objective of the desired paths, which a design needs."""
     if desired is None:
-        raise ValueError(
-            "design needs desired paths: use a scenario or add 'desired_paths' to the game file"
-        )
+        raise ValueError("design needs desired paths: use a scenario or add 'desired_paths' to the game file")
     from .sensitivity import tracking_objective
 
-    target = path_to_target(game, desired)
-    objective = tracking_objective(target)
-    start = time.perf_counter()
-    b, c_factor, trace, verdict = _design_loop()(game, objective, config, memo=memo)
-    return b, c_factor, trace, verdict, time.perf_counter() - start
+    return tracking_objective(path_to_target(game, desired))
 
 
 def cmd_design(args: argparse.Namespace) -> int:
     game, desired = _load(args)
+    config = _design_config(args, game)
+    objective = _objective(game, desired)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _design_config(args, game)
-    b, (q, mid), trace, verdict, wall = _run_design(game, desired, config)
+    start = time.perf_counter()
+    designed, verdict, trace = _design_loop()(game, objective, config)
+    wall = time.perf_counter() - start
     trace.write_csv(out / "trace.csv")
-    designed = game.with_costs(b, c_from_factor(q, mid), rho=config.rho)
-    write_game_file(out / "designed_game.json", designed, desired, c_factor=(q, mid))
+    write_game_file(out / "designed_game.json", designed, desired)
     print(
         f"design: psi={verdict.psi:.6f} gap={verdict.gap:.6f} "
         f"path_match={verdict.path_match} iterations={len(trace.records)} "
@@ -236,15 +222,15 @@ def _parse_sweep_values(raw: str, name: str) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     game, desired = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.sweep_lambda is not None:
         param, field = "lambda", "lam"
         values = _parse_sweep_values(args.sweep_lambda, "--sweep-lambda")
     else:
         param, field = "rho", "rho"
         values = _parse_sweep_values(args.sweep_rho, "--sweep-rho")
-    # every config and trace file name is validated before the first design runs
+    # the desired paths, every config and every trace file name are validated
+    # before the output directory is made
+    objective = _objective(game, desired)
     configs = [_design_config(args, game, **{field: value}) for value in values]
     trace_names: dict[str, float] = {}
     for value in values:
@@ -252,14 +238,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if name in trace_names:
             raise ValueError(f"{param} values {trace_names[name]!r} and {value!r} both write {name}")
         trace_names[name] = value
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[float, float]] = []
     failures = 0
     # every design starts from the same (b, C); designs that share iterations
-    # before their paths part compute them once
+    # before their paths part compute them once, through design_loop's memo
     memo: dict = {}
     for value, config, trace_name in zip(values, configs, trace_names):
         try:
-            _, _, trace, verdict, _ = _run_design(game, desired, config, memo)
+            _, verdict, trace = _design_loop()(game, objective, config, memo=memo)
         except NumericalError as exc:
             print(f"sweep {param}={value:g} failed: {exc}", file=sys.stderr)
             rows.append((value, float("nan")))

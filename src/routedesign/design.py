@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeCycleError, NotConvergedError, NumericalError
-from .game import AtomicRoutingGame, c_from_factor
+from .game import AtomicRoutingGame, CostParams
 from .sensitivity import DesignObjective, implicit_gradients
 from .smooth_eq import LOW_RANK_SHARE, EquilibriumSolution, SmoothEqSettings, homotopy_solve
 
@@ -218,14 +218,12 @@ def _certified_reference(
 def _iteration_key(
     config: DesignConfig,
     objective: DesignObjective,
-    b: np.ndarray,
-    q: np.ndarray,
-    mid: np.ndarray,
+    costs: CostParams,
     start: EquilibriumSolution | None,
 ) -> bytes:
     """Digest of what a design iteration's solve, certification and gradient
     read, apart from the game's structure and the objective's callables:
-    C = Q M Q^T enters through its factor, which the game is handed.
+    C = Q M Q^T enters through its factor, from which the costs form it.
 
     hashlib is imported here, the one place that uses it, because it loads
     OpenSSL and only a sweep's memo reaches this."""
@@ -233,6 +231,7 @@ def _iteration_key(
 
     h = hashlib.blake2b()
     h.update(np.float64(config.lam).tobytes())
+    b, (q, mid) = costs.b, costs.factor
     h.update(np.int64(mid.shape[0]).tobytes())
     for arr in (objective.target, b, q, mid, *(() if start is None else (start.x, start.v))):
         h.update(np.asarray(arr, dtype=float).tobytes())
@@ -247,16 +246,16 @@ def design_loop(
     config: DesignConfig,
     *,
     memo: dict | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], DesignTrace, DesignVerification]:
+) -> tuple[AtomicRoutingGame, DesignVerification, DesignTrace]:
     """Approximate projected gradient descent on the cost parameters.
 
     Starts from b = delta * 1 and C = 0 and repeats: solve the smoothed game
     at config.lam (by the cold chain from 1, then directly from the previous
     inner solution), take implicit gradients, and project the stepped
     parameters back onto their sets.  C is carried as Q M Q^T with Q
-    orthonormal (_step_factored) and each game is handed the factor U = Q,
-    W = Q M^T, so no pm x pm decomposition runs; the dense C is formed once
-    per iteration by c_from_factor, for the game's costs and the trace.
+    orthonormal (_step_factored), and each iteration's game is built from
+    (b, (Q, M)), so no pm x pm decomposition runs; its costs form the dense
+    C once, which the trace's dC_norm reads.
     Stops when the combined parameter change drops below config.epsilon or
     the iteration cap is reached.
     Every iteration logs the objective both at the inner solution and at a
@@ -270,8 +269,8 @@ def design_loop(
     gives the verdict's objective and gap, and path_match holds when every
     player's cheapest path under the marginal costs there uses exactly the
     target's links (False under a negative-cost cycle, whose gap is inf).
-    Returns the designed b, C's factor (Q, M), the trace and the verdict;
-    c_from_factor(Q, M) is the designed C, bit for bit.
+    Returns the designed game, with rho = config.rho and its costs holding
+    C's factor (Q, M), the verdict and the trace.
 
     memo, when given, maps a digest of an iteration's inputs (config.lam, the
     objective's target, b, C's factor and the inner solve's start) to that
@@ -297,21 +296,19 @@ def design_loop(
     target = np.asarray(objective.target, dtype=float)
     if target.shape != (pm,):
         raise ValueError("objective target must have length p*m")
-    b = np.full(pm, config.delta)
     # C = Q M Q^T with Q orthonormal, stepped and projected by _step_factored
-    q, mid = np.zeros((pm, 0)), np.zeros((0, 0))
-    c_mat = c_from_factor(q, mid)
+    empty = (np.zeros((pm, 0)), np.zeros((0, 0)))
+    current = game.with_costs(np.full(pm, config.delta), rho=config.rho, factor=empty)
     settings = SmoothEqSettings(lam=config.lam)
     trace = DesignTrace()
     sol: EquilibriumSolution | None = None  # the next inner solve's start
     final = False
 
     for outer in itertools.count(1):
-        key = None if memo is None else _iteration_key(config, objective, b, q, mid, sol)
+        key = None if memo is None else _iteration_key(config, objective, current.costs, sol)
         if key is not None and key in memo:
             sol, reference, gap, grads = memo[key]
         else:
-            current = game.with_costs(b, c_mat, rho=config.rho, factor=(q, q @ mid.T))
             try:
                 sol = homotopy_solve(current, settings, sol)[-1]
                 reference, gap = _certified_reference(current, sol)
@@ -323,11 +320,14 @@ def design_loop(
         if final:
             break
 
-        b_next = project_B(b - config.alpha * grads.grad_b, config.delta)
-        q, mid = _step_factored(q, mid, grads.grad_b, grads.flow, config.alpha, config.rho, game.m)
-        c_next = c_from_factor(q, mid)
-        db_norm = float(np.linalg.norm(b_next - b))
-        dc_norm = float(np.linalg.norm(c_next - c_mat))
+        b, (q, mid) = current.costs.b, current.costs.factor
+        stepped = game.with_costs(
+            project_B(b - config.alpha * grads.grad_b, config.delta),
+            rho=config.rho,
+            factor=_step_factored(q, mid, grads.grad_b, grads.flow, config.alpha, config.rho, game.m),
+        )
+        db_norm = float(np.linalg.norm(stepped.costs.b - b))
+        dc_norm = float(np.linalg.norm(stepped.costs.C - current.costs.C))
         trace.records.append(
             DesignRecord(
                 iteration=outer,
@@ -339,13 +339,11 @@ def design_loop(
                 gap=gap,
             )
         )
-        b, c_mat = b_next, c_next
+        current = stepped
         final = max(db_norm, dc_norm) < config.epsilon or outer == config.max_outer_iters
 
-    # a memo hit builds no game, so the designed one is built here
-    designed = game.with_costs(b, c_mat, rho=config.rho)
-    path_match = _paths_match(designed, reference.x, target)
-    return b, (q, mid), trace, DesignVerification(objective.evaluate(reference.x), gap, path_match)
+    path_match = _paths_match(current, reference.x, target)
+    return current, DesignVerification(objective.evaluate(reference.x), gap, path_match), trace
 
 
 def _paths_match(game: AtomicRoutingGame, x: np.ndarray, target: np.ndarray) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -44,22 +45,54 @@ class CostParams:
     Player i faces link costs b_i + C_ii x_i + sum_j C_ij x_j, so b stacks the
     per-player offsets (length p*m) and C couples the player blocks
     (p*m by p*m).
+
+    Built from b and exactly one of C, dense, and C's factor (Q, M), Q pm x k
+    and M k x k, from which C = c_from_factor(Q, M) is formed once the
+    factor's shapes and entries are checked.  factor holds that (Q, M); for
+    a dense C, the empty pm x 0 factor where C is 0 and None otherwise.
+    Messages call the factor C_factor, as game files do.
     """
 
     b: np.ndarray
-    C: np.ndarray
+    C: np.ndarray | None = None
+    factor: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        b = np.array(self.b, dtype=float)
-        c = np.array(self.C, dtype=float)
-        if b.ndim != 1 or c.ndim != 2 or c.shape != (b.size, b.size):
+        if (self.C is None) == (self.factor is None):
+            raise ValueError("costs need exactly one of C and factor")
+        b, factor = np.array(self.b, dtype=float), None
+        if self.C is not None:
+            c = np.array(self.C, dtype=float)
+        else:
+            q, mid = (np.array(a, dtype=float) for a in self.factor)
+            if q.ndim != 2 or q.shape[0] != b.size:
+                raise ValueError(f"C_factor.Q must be {b.size} x k, got shape {q.shape}")
+            k = q.shape[1]
+            if mid.shape != (k, k):
+                raise ValueError(f"C_factor.M must be {k} x {k}, got shape {mid.shape}")
+            # before the product: Q M Q^T of a non-finite entry warns
+            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(mid))):
+                raise ValueError("C_factor entries must be finite")
+            c, factor = c_from_factor(q, mid), (q, mid)
+        if b.ndim != 1 or c.shape != (b.size, b.size):
             raise ValueError("cost shapes must be b: (pm,), C: (pm, pm)")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
             raise ValueError("cost entries must be finite")
-        b.setflags(write=False)
-        c.setflags(write=False)
+        if factor is None and not np.any(c):
+            factor = (np.zeros((b.size, 0)), np.zeros((0, 0)))
+        for array in (b, c, *(factor or ())):
+            array.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "C", c)
+        object.__setattr__(self, "factor", factor)
+
+    @cached_property
+    def qw(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(Q, W) with W = Q M^T, so C = Q W^T, formed once; None without a factor."""
+        if self.factor is None:
+            return None
+        q, mid = self.factor
+        return q, q @ mid.T
 
 
 def _require_positive_flow(
@@ -88,10 +121,6 @@ class AtomicRoutingGame:
     Precomputes the per-player reduced incidence matrices, stacked as one
     (p, n - 1, m) array, their block diagonal, and the stacked demand
     vector, which every residual and solver in the package reuses.
-
-    cost_factor is the factor (U, W) with C = U W^T that C was built with:
-    the one with_costs was handed or a game file carried, the empty pm x 0
-    pair for a C with no nonzero entry, and None otherwise.
 
     Raises:
         UnreachableError: some player has no strictly positive feasible flow.
@@ -139,8 +168,6 @@ class AtomicRoutingGame:
             raise ValueError(f"b must have length {self.pm}")
         self.costs = costs
         self.rho = float(rho)
-        empty = np.zeros((self.pm, 0))
-        self.cost_factor = None if np.any(costs.C) else (empty, empty)
 
     @property
     def n(self) -> int:
@@ -174,21 +201,18 @@ class AtomicRoutingGame:
     def with_costs(
         self,
         b: np.ndarray,
-        c: np.ndarray,
+        c: np.ndarray | None = None,
         rho: float | None = None,
         factor: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> "AtomicRoutingGame":
-        """Same structure, new cost parameters.
+        """Same structure, new cost parameters: b and exactly one of C, dense,
+        and its factor (Q, M) (see CostParams).
 
         The new game shares this one's graph, players and incidence arrays,
-        which are read-only, and checks only the new costs and rho.  factor,
-        when given, is (U, W) with C = U W^T, which becomes the new game's
-        cost_factor.
+        which are read-only, and checks only the new costs and rho.
         """
         game = copy.copy(self)
-        game._set_costs(CostParams(b, c), self.rho if rho is None else rho)
-        if factor is not None:
-            game.cost_factor = factor
+        game._set_costs(CostParams(b, c, factor), self.rho if rho is None else rho)
         return game
 
     # ------------------------------------------------------------------
@@ -286,9 +310,9 @@ def path_to_target(
 def c_from_factor(q: np.ndarray, mid: np.ndarray) -> np.ndarray:
     """C = Q M Q^T from its factor (Q, M), Q pm x k and M k x k.
 
-    The one expression for C from a factor: design_loop, the command line
-    and load_game_file all build C with it, so on one machine a reloaded C
-    is bit-identical to the C the design ended with.
+    The one expression for C from a factor, which CostParams alone calls,
+    so on one machine a reloaded C is bit-identical to the C the design
+    ended with.
     """
     return q @ mid @ q.T
 
@@ -323,20 +347,13 @@ def membership_D(C: np.ndarray, block_size: int, rho: float) -> bool:
 # ----------------------------------------------------------------------
 
 
-def game_to_dict(
-    game: AtomicRoutingGame, c_factor: tuple[np.ndarray, np.ndarray] | None = None
-) -> dict:
+def game_to_dict(game: AtomicRoutingGame) -> dict:
     """Serialize a game to the JSON wire schema, the mirror of game_from_dict.
 
-    Without c_factor the document holds C dense, as "C".  With c_factor =
-    (Q, M) it holds "C_factor": {"Q": Q, "M": M} in its place, pm * k + k^2
-    numbers for a factor of width k, from which game_from_dict rebuilds C
-    and the game's factor.
-
-    Raises:
-        ValueError: an entry of c_factor is not finite, or its Q M Q^T
-            (c_from_factor) is not exactly the game's C, so the document
-            would not reload to the game.
+    A game whose costs hold a factor (Q, M) holds "C_factor": {"Q": Q,
+    "M": M}, pm * k + k^2 numbers for a factor of width k, from which
+    game_from_dict rebuilds the same costs; any other holds C dense, as
+    "C".  A C with no nonzero entry goes out as the factor of width 0.
     """
     doc: dict = {
         "graph": {
@@ -349,15 +366,10 @@ def game_to_dict(
         ],
         "b": game.costs.b.tolist(),
     }
-    if c_factor is None:
+    if game.costs.factor is None:
         doc["C"] = game.costs.C.tolist()
     else:
-        q, mid = (np.asarray(a, dtype=float) for a in c_factor)
-        # before any product: Q M Q^T of a non-finite entry warns
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(mid))):
-            raise ValueError("c_factor entries must be finite")
-        if not np.array_equal(c_from_factor(q, mid), game.costs.C):
-            raise ValueError("c_factor's Q M Q^T is not the game's C")
+        q, mid = game.costs.factor
         doc["C_factor"] = {"Q": q.tolist(), "M": mid.tolist()}
     doc["rho"] = game.rho
     return doc
@@ -367,19 +379,17 @@ def write_game_file(
     path: str | Path,
     game: AtomicRoutingGame,
     desired_paths: Sequence[Sequence[int]] | None = None,
-    c_factor: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """Write game_to_dict(game, c_factor), plus desired_paths (0-based node
-    paths) as 1-based ones when given, for load_game_file to read back.
+    """Write game_to_dict(game), plus desired_paths (0-based node paths) as
+    1-based ones when given, for load_game_file to read back.
 
     orjson writes it, indented by two spaces with a final newline, each
     float in its shortest form that reads back to the same double.  Every
-    number is finite (CostParams and game_to_dict check), so none becomes
-    orjson's null, and nothing is written when game_to_dict raises.
+    number is finite (CostParams checks), so none becomes orjson's null.
     """
     import orjson
 
-    doc = game_to_dict(game, c_factor)
+    doc = game_to_dict(game)
     if desired_paths is not None:
         doc["desired_paths"] = [[node + 1 for node in nodes] for nodes in desired_paths]
     Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_INDENT_2) + b"\n")
@@ -389,17 +399,16 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
     """Build a game from the JSON wire schema.
 
     C comes either dense, as "C", or as "C_factor": {"Q": Q, "M": M}, Q
-    pm x k and M k x k, which gives C = c_from_factor(Q, M) and the game
-    the cost_factor (Q, Q M^T).  Unknown keys are ignored so files may
-    carry extra metadata such as desired paths.
+    pm x k and M k x k, which CostParams takes as C's factor.  Unknown keys
+    are ignored so files may carry extra metadata such as desired paths.
 
     Raises:
         ValueError: missing keys, both or neither of "C" and "C_factor",
             malformed shapes or link entries, values of b, C, Q, M or rho
             that are not numbers (strings, and booleans in rho or filling
-            an array), a factor entry that is not finite, node indices that
-            are not integers or lie out of range, or links out of sorted
-            order or repeated.
+            an array), costs CostParams rejects (an entry that is not
+            finite, among others), node indices that are not integers or
+            lie out of range, or links out of sorted order or repeated.
         UnreachableError: some player has no strictly positive feasible flow;
             the message names nodes and links 1-based, as the document does.
     """
@@ -414,7 +423,7 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
             for p in data["players"]
         ]
         b = _numbers(data["b"], "b")
-        c, factor = _cost_matrix(data, len(players) * len(file_links))
+        c_or_factor = _c_or_factor(data)
         rho = _numbers(data["rho"], "rho", scalar=True)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed game document: {exc}") from exc
@@ -423,26 +432,27 @@ def game_from_dict(data: dict) -> AtomicRoutingGame:
             raise ValueError(f"link [{tail}, {head}] out of node range 1..{n}")
     graph = DirectedGraph(n, tuple((t - 1, h - 1) for t, h in file_links))
     try:
-        game = AtomicRoutingGame(graph, players, CostParams(b, c), rho)
+        costs = CostParams(b, **c_or_factor)
+    except ValueError as exc:
+        raise ValueError(f"malformed game document: {exc}") from exc
+    try:
+        return AtomicRoutingGame(graph, players, costs, rho)
     except UnreachableError:
         # the constructor's message is 0-based; name the document's indices
         _require_positive_flow(graph, players, base=1)
         raise
-    if factor is not None:
-        game.cost_factor = factor
-    return game
 
 
-def _cost_matrix(data: dict, pm: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """C from a document's dense "C" or its "C_factor" {"Q", "M"}, and
-    for the latter the factor (U, W) = (Q, Q M^T) of C = U W^T."""
+def _c_or_factor(data: dict) -> dict:
+    """CostParams' C or factor keyword from a document's dense "C" or its
+    "C_factor" {"Q", "M"}."""
     keys = [key for key in ("C", "C_factor") if key in data]
     if len(keys) != 1:
         raise ValueError(
             f"malformed game document: needs exactly one of 'C' and 'C_factor', got {keys or 'neither'}"
         )
     if "C" in data:
-        return _numbers(data["C"], "C"), None
+        return {"C": _numbers(data["C"], "C")}
     doc = data["C_factor"]
     if not isinstance(doc, dict) or sorted(doc) != ["M", "Q"]:
         raise ValueError("malformed game document: C_factor must be an object with keys 'Q' and 'M'")
@@ -450,14 +460,7 @@ def _cost_matrix(data: dict, pm: int) -> tuple[np.ndarray, tuple[np.ndarray, np.
     mid = _numbers(doc["M"], "C_factor.M")
     if mid.shape == (0,):
         mid = mid.reshape(0, 0)  # json's [] for an M of width 0
-    if q.ndim != 2 or q.shape[0] != pm:
-        raise ValueError(f"malformed game document: C_factor.Q must be {pm} x k, got shape {q.shape}")
-    k = q.shape[1]
-    if mid.shape != (k, k):
-        raise ValueError(f"malformed game document: C_factor.M must be {k} x {k}, got shape {mid.shape}")
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(mid))):
-        raise ValueError("malformed game document: C_factor entries must be finite")
-    return c_from_factor(q, mid), (q, q @ mid.T)
+    return {"factor": (q, mid)}
 
 
 def _link_entry(entry) -> tuple[int, int]:

@@ -33,8 +33,8 @@ saddle-point matrix
 and one Linearization of J~ at the flows serves the Newton step, the QR
 fallback direction and the implicit gradient.  It takes one of two routes.
 The structured route inverts J~ per player through its block-diagonal part
-without C, then applies a Woodbury update through the factor C = U W^T the
-game was built with; it runs on numpy's batched LAPACK.  The dense route
+without C, then applies a Woodbury update through C's factor, which the
+game's costs hold; it runs on numpy's batched LAPACK.  The dense route
 holds the LU of J~^T, where C has no factor or one wider than
 pm * LOW_RANK_SHARE, and runs on scipy's LAPACK.  Where J~ is singular,
 either route answers with the minimum-norm least-squares solution from a
@@ -168,10 +168,11 @@ class Linearization:
     (on one thread of a Xeon core, 120 us against 106 us for the inverse
     at p = 4, n - 1 = 24, r = 72) and for every later single right-hand
     side (24 us against 3 us for the product with the inverse).  The
-    factor C = U W^T the game was built with (game.cost_factor, width r)
-    gives C X = U (X W)^T, so J~ is a rank-r update of J0.  With
-    Z = J0^-1 [U; 0], p block solves with r right-hand sides, and the r x r
-    capacitance K = I + (X W)^T Z_y, Woodbury gives
+    costs' factor C = Q M Q^T of width r, as C = Q W^T with W = Q M^T
+    (game.costs.qw, formed once per costs object), gives C X = Q (X W)^T,
+    so J~ is a rank-r update of J0.  With Z = J0^-1 [Q; 0], p block solves
+    with r right-hand sides, and the r x r capacitance K = I + (X W)^T Z_y,
+    Woodbury gives
 
         J~^-1 rhs = z0 - Z K^-1 (X W)^T z0_y,  z0 = J0^-1 rhs,
         J~^-T rhs = J0^-T (rhs - [X W a; 0]),  a = K^-T Z^T rhs,
@@ -204,7 +205,7 @@ class Linearization:
         self._x = x
         self._lam = lam
         self._dense = self._l_inv = self._woodbury = None
-        factor = game.cost_factor
+        factor = game.costs.qw
         if factor is None or factor[0].shape[1] > LOW_RANK_SHARE * game.pm:
             lu, piv, info = _lu(_log_jacobian(game, x, lam).T)
             if info == 0:
@@ -220,11 +221,11 @@ class Linearization:
         if not np.isfinite(l_inv).all():
             return  # an inverse overflowed: singular as well
         self._l_inv = l_inv
-        u, w = factor
-        if u.shape[1] > 0:
-            z = self._j0_solve(u, None, trans=0)
+        q, w = factor
+        if q.shape[1] > 0:
+            z = self._j0_solve(q, None, trans=0)
             k = w.T @ (x[:, None] * z[: p * m])
-            k.reshape(-1)[:: u.shape[1] + 1] += 1.0
+            k.reshape(-1)[:: q.shape[1] + 1] += 1.0
             self._woodbury = (z, w, k)
 
     @property

@@ -320,7 +320,7 @@ def x_space_solve_nls(game, settings, warm_start=None):
         ExponentOverflowError: the starting point itself overflows.
     """
     lam = settings.lam
-    factor = game.cost_factor
+    factor = game.costs.factor
     chords = factor is None or factor[0].shape[1] > LOW_RANK_SHARE * game.pm
     x, v = (np.array(part, dtype=float) for part in warm_start or cold_start(game, lam))
     resid = residual_F(game, x, v, lam)

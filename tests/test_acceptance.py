@@ -120,7 +120,7 @@ def test_criterion_02_jacobian_matches_finite_differences():
         assert np.any(c_mat) and membership_D(c_mat, base.m, base.rho)
         routes = [
             base,
-            base.with_costs(base.costs.b, c_mat, factor=(q, q @ mid.T)),
+            base.with_costs(base.costs.b, factor=(q, mid)),
             base.with_costs(base.costs.b, c_mat),
         ]
         for k in range(50):
@@ -246,7 +246,7 @@ def test_criterion_06_design_drives_tracking_error_down():
         for lam, cap in ((0.01, 100), (1.0, cap_large_lam)):
             config = DesignConfig(alpha=0.005, lam=lam, max_outer_iters=cap)
             start = time.perf_counter()
-            _, _, trace, _ = design_loop(sc.game, objective, config)
+            _, _, trace = design_loop(sc.game, objective, config)
             elapsed = time.perf_counter() - start
             assert elapsed < 60.0, f"{name} lam={lam}: {elapsed:.1f}s"
             runs[(name, lam)] = [record.psi_bar for record in trace.records]
@@ -265,8 +265,7 @@ def test_criterion_06_design_drives_tracking_error_down():
 
 def test_criterion_07_designed_costs_reroute_the_players():
     sc, objective = _scenario_objective("two_player_3x3")
-    b, c_factor, _, verdict = design_loop(sc.game, objective, DesignConfig(lam=0.01))
-    designed = sc.game.with_costs(b, c_from_factor(*c_factor), rho=0.5)
+    designed, verdict, _ = design_loop(sc.game, objective, DesignConfig(lam=0.01))
 
     assert verdict.path_match, "designed equilibrium is off the desired paths"
 
@@ -291,7 +290,7 @@ def test_criterion_08_interaction_budget_improves_tracking():
         finals = []
         for rho in (0.0, 0.1, 0.2, 0.3):
             config = DesignConfig(alpha=0.01, lam=0.01, rho=rho)
-            _, _, trace, _ = design_loop(sc.game, objective, config)
+            _, _, trace = design_loop(sc.game, objective, config)
             finals.append(trace.records[-1].psi_bar)
         for tighter, looser in zip(finals, finals[1:]):
             assert looser <= 1.05 * tighter + 1e-9, f"{name}: finals {finals}"

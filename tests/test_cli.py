@@ -20,7 +20,7 @@ import pytest
 import routedesign.design as design_mod
 from routedesign import cli
 from routedesign.design import DesignConfig
-from routedesign.game import c_from_factor, game_to_dict, load_game_file, membership_D
+from routedesign.game import c_from_factor, game_to_dict, load_game_file, membership_D, write_game_file
 from routedesign.scenarios import build_scenario
 from routedesign.smooth_eq import Linearization, SmoothEqSettings
 
@@ -132,7 +132,7 @@ def test_a_designed_game_file_certifies_on_reloading(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     designed = tmp_path / "designed_game.json"
     game, _ = load_game_file(designed)
-    assert game.cost_factor is not None
+    assert game.costs.factor is not None
     assert not Linearization(game, np.ones(game.pm), 1e-3).holds_dense_lu
     proc = run_main(capsys, "gap", "--game", str(designed), "--homotopy", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
@@ -213,13 +213,14 @@ def test_a_designed_game_file_reloads_to_the_designed_costs(tmp_path, capsys, mo
         "design", "--scenario", scenario, "--alpha", "0.01", "--lambda", "0.01", "--out", str(tmp_path)
     )
     assert proc.returncode == 0, proc.stderr
-    (b, (q, mid), _, _), = designs
+    (designed, _, _), = designs
+    q, mid = designed.costs.factor
     game, desired = load_game_file(tmp_path / "designed_game.json")
     assert np.array_equal(game.costs.C, c_from_factor(q, mid))
-    assert np.array_equal(game.costs.b, b)
+    assert np.array_equal(game.costs.b, designed.costs.b)
     assert desired == [list(nodes) for nodes in build_scenario(scenario).desired_node_paths]
     # the game gets the factor design_loop hands every iteration's game
-    u, w = game.cost_factor
+    u, w = game.costs.qw
     assert np.array_equal(u, q) and np.array_equal(w, q @ mid.T)
 
 
@@ -553,6 +554,51 @@ def test_design_without_desired_paths_exits_one(tmp_path, capsys):
     proc = run_main(capsys, "design", "--game", str(game_file), "--out", str(tmp_path))
     assert proc.returncode == 1
     assert "desired" in proc.stderr
+
+
+def test_a_design_or_sweep_that_exits_one_makes_no_output_directory(tmp_path, capsys):
+    # the desired paths and every config are checked before --out is made
+    game_file = tmp_path / "game.json"
+    write_game_file(game_file, build_scenario("two_player_3x3").game)
+    for argv in (
+        ["design", "--game", str(game_file)],
+        ["sweep", "--game", str(game_file), "--sweep-rho", "0.1"],
+        ["sweep", "--scenario", "two_player_3x3", "--sweep-rho", "-1"],
+    ):
+        out = tmp_path / "out"
+        proc = run_main(capsys, *argv, "--out", str(out))
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert not out.exists(), argv
+
+
+SOLVE_GAME_PROBE = """
+import sys
+from routedesign import cli
+
+assert cli.main(["solve", "--game", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("scipy" in sys.modules)
+"""
+
+
+def test_a_scenario_game_file_holds_c_zero_as_a_width_zero_factor(tmp_path, capsys):
+    # a C = 0 game writes its empty factor, reloads to it, and solves as the
+    # scenario does, bit for bit, on the structured route, without scipy
+    sc = build_scenario("two_player_3x3")
+    game_file = tmp_path / "game.json"
+    write_game_file(game_file, sc.game)
+    assert orjson.loads(game_file.read_bytes())["C_factor"] == {"Q": [[]] * sc.game.pm, "M": []}
+    proc = run_main(capsys, "solve", "--scenario", "two_player_3x3", "--out", str(tmp_path / "scenario"))
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVE_GAME_PROBE, str(game_file), str(tmp_path / "file")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    written = [(tmp_path / name / "equilibrium.json").read_bytes() for name in ("scenario", "file")]
+    assert written[0] == written[1]
 
 
 def test_hopeless_entropy_weight_exits_two(tmp_path):

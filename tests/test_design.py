@@ -27,7 +27,6 @@ from routedesign.game import (
     AtomicRoutingGame,
     CostParams,
     Player,
-    c_from_factor,
     membership_D,
     path_to_target,
 )
@@ -121,8 +120,8 @@ def test_design_config_validation():
 
 def test_zero_step_design_stops_after_one_iteration():
     game, objective = two_player_setup()
-    b, c_factor, trace, _ = design_loop(game, objective, DesignConfig(alpha=0.0, lam=0.01))
-    c_mat = c_from_factor(*c_factor)
+    designed, _, trace = design_loop(game, objective, DesignConfig(alpha=0.0, lam=0.01))
+    b, c_mat = designed.costs.b, designed.costs.C
     assert len(trace.records) == 1
     assert trace.records[0].db_norm == 0.0
     assert trace.records[0].dC_norm == 0.0
@@ -133,15 +132,15 @@ def test_zero_step_design_stops_after_one_iteration():
 def test_design_with_target_already_at_equilibrium_exits_fast():
     game, _ = two_player_setup()
     eq = homotopy_solve(game, SmoothEqSettings(lam=0.01))[-1]
-    _, _, trace, _ = design_loop(game, tracking_objective(eq.x), DesignConfig(lam=0.01))
+    _, _, trace = design_loop(game, tracking_objective(eq.x), DesignConfig(lam=0.01))
     assert len(trace.records) <= 2
 
 
 def test_design_run_tracks_the_desired_flow():
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01)
-    b, c_factor, trace, _ = design_loop(game, objective, cfg)
-    c_mat = c_from_factor(*c_factor)
+    designed, _, trace = design_loop(game, objective, cfg)
+    b, c_mat = designed.costs.b, designed.costs.C
     records = trace.records
     assert 1 <= len(records) <= cfg.max_outer_iters
     assert records[-1].psi_bar < records[0].psi_bar
@@ -234,7 +233,7 @@ def test_a_design_past_half_width_stays_bounded_and_admissible(monkeypatch):
 
     def spy_with_costs(self, *args, **kwargs):
         built = real_with_costs(self, *args, **kwargs)
-        games.append((kwargs.get("factor"), built))
+        games.append((built.costs.factor, built))
         return built
 
     monkeypatch.setattr(design_mod, "_step_factored", spy_step)
@@ -282,7 +281,7 @@ def test_a_scenario_design_makes_no_dense_decomposition_of_C(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", spy_inv)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-    _, _, trace, verdict = design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
+    _, verdict, trace = design_loop(game, objective, DesignConfig(alpha=0.01, lam=0.01))
     assert verdict.path_match and len(trace.records) >= 2
     assert lu_sizes == []
     assert solve_sizes and max(solve_sizes) < game.pm
@@ -292,7 +291,7 @@ def test_a_scenario_design_makes_no_dense_decomposition_of_C(monkeypatch):
 def test_iteration_cap_is_honored():
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=3, epsilon=0.0)
-    _, _, trace, _ = design_loop(game, objective, cfg)
+    _, _, trace = design_loop(game, objective, cfg)
     assert len(trace.records) == 3
 
 
@@ -312,7 +311,7 @@ def test_certification_continues_down_from_the_inner_solution(monkeypatch):
 
     monkeypatch.setattr(design_mod, "homotopy_solve", spy_chain)
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=3, epsilon=0.0)
-    _, _, trace, _ = design_loop(game, objective, cfg)
+    _, _, trace = design_loop(game, objective, cfg)
     # the three logged iterations, then the unlogged one that verifies the
     # designed game, each warm-started from the solution before it
     assert len(trace.records) == 3
@@ -378,7 +377,7 @@ def test_a_design_solves_certifies_and_differentiates_once_past_its_trace(
 
     for name in calls:
         monkeypatch.setattr(design_mod, name, counted(name))
-    _, _, trace, verdict = design_loop(game, objective, cfg)
+    _, verdict, trace = design_loop(game, objective, cfg)
     assert len(trace.records) == rows
     # homotopy_solve runs both the inner solve and the certification
     assert calls == {
@@ -393,7 +392,7 @@ def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
     game, objective = two_player_setup()
     cfg = DesignConfig(alpha=0.01, lam=0.01, max_outer_iters=5, epsilon=0.0)
     memo = {}
-    b_first, (q_first, mid_first), first, verdict_first = design_loop(game, objective, cfg, memo=memo)
+    designed_first, verdict_first, first = design_loop(game, objective, cfg, memo=memo)
     # the five logged iterations and the final, verifying one
     assert len(memo) == 6
     solves = []
@@ -404,11 +403,12 @@ def test_a_shared_memo_replays_a_design_without_solving(monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(design_mod, "homotopy_solve", spy_solve)
-    b_again, (q_again, mid_again), again, verdict_again = design_loop(game, objective, cfg, memo=memo)
+    designed_again, verdict_again, again = design_loop(game, objective, cfg, memo=memo)
     assert solves == []
     assert again.records == first.records
     assert verdict_again == verdict_first
-    assert np.array_equal(b_again, b_first)
+    assert np.array_equal(designed_again.costs.b, designed_first.costs.b)
+    (q_first, mid_first), (q_again, mid_again) = designed_first.costs.factor, designed_again.costs.factor
     assert np.array_equal(q_again, q_first) and np.array_equal(mid_again, mid_first)
 
 
@@ -418,8 +418,7 @@ def test_designed_four_player_game_solves_below_the_design_weight():
     sc = build_scenario("four_player_5x5")
     objective = tracking_objective(path_to_target(sc.game, sc.desired_node_paths))
     config = DesignConfig(alpha=0.01, lam=0.01)
-    b, c_factor, _, verdict = design_loop(sc.game, objective, config)
-    designed = sc.game.with_costs(b, c_from_factor(*c_factor), rho=config.rho)
+    designed, verdict, _ = design_loop(sc.game, objective, config)
     sol = homotopy_solve(designed, SmoothEqSettings(lam=1e-3))[-1]
     assert sol.converged
     assert designed.nash_gap(sol.x) <= 1e-8
@@ -433,7 +432,7 @@ def test_a_design_that_cannot_move_reports_the_undesigned_game_off_target():
     game, objective = two_player_setup()
     # alpha = 0 leaves b = delta and C = 0: the design stops after one
     # iteration and its verdict judges the undesigned game
-    _, _, trace, verdict = design_loop(game, objective, DesignConfig(alpha=0.0, lam=0.01))
+    _, verdict, trace = design_loop(game, objective, DesignConfig(alpha=0.0, lam=0.01))
     assert len(trace.records) == 1
     assert not verdict.path_match
     assert verdict.gap <= 1e-2

@@ -2,12 +2,14 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import orjson
 import pytest
 
 from helpers import dual_slack, equals, kkt_residual, player_objective, pwl_residual, random_game
+import routedesign.game as game_mod
 from routedesign.errors import (
     BrokenPathError,
     InfeasibleFlowError,
@@ -215,13 +217,15 @@ def test_with_costs_keeps_structure():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
             game.with_costs(b2, c2, rho=bad)
-    # cost_factor: the empty pair for C = 0, None for a C handed without a
-    # factor, and the factor it was handed
-    assert other.cost_factor[0].shape == (game.pm, 0)
+    # the costs' factor: the empty one for C = 0, None for a C handed without
+    # a factor, and the factor it was handed, from which C is formed
+    assert other.costs.factor[0].shape == (game.pm, 0)
     c3 = np.outer(b2, b2)
-    assert game.with_costs(b2, c3).cost_factor is None
-    factor = (b2[:, None], b2[:, None])
-    assert game.with_costs(b2, c3, factor=factor).cost_factor is factor
+    assert game.with_costs(b2, c3).costs.factor is None
+    factored = game.with_costs(b2, factor=(b2[:, None], np.ones((1, 1))))
+    q, mid = factored.costs.factor
+    assert np.array_equal(q, b2[:, None]) and np.array_equal(mid, np.ones((1, 1)))
+    assert np.array_equal(factored.costs.C, c3)
     # the game it was built from keeps its costs
     assert game.costs is costs and game.rho == rho
 
@@ -307,10 +311,10 @@ def test_write_game_file_writes_a_factored_c_as_orjson_indent_2(tmp_path, with_p
     q, mid = _extreme_factor(sc.game.pm, 6, np.random.default_rng(22))
     c_mat = c_from_factor(q, mid)
     assert np.all(np.isfinite(c_mat))
-    game = sc.game.with_costs(sc.game.costs.b + 1e-17, c_mat, rho=0.3)
+    game = sc.game.with_costs(sc.game.costs.b + 1e-17, rho=0.3, factor=(q, mid))
     paths = sc.desired_node_paths if with_paths else None
     path = tmp_path / "factored.json"
-    write_game_file(path, game, paths, c_factor=(q, mid))
+    write_game_file(path, game, paths)
     doc = _check_written_json(path.read_bytes())
     assert "C" not in doc and list(doc)[3] == "C_factor"
     for name, written in (("Q", q), ("M", mid)):
@@ -322,7 +326,7 @@ def test_write_game_file_writes_a_factored_c_as_orjson_indent_2(tmp_path, with_p
     assert np.array_equal(np.signbit(back.costs.C), np.signbit(c_mat))
     assert np.array_equal(back.costs.b, game.costs.b) and back.rho == game.rho
     assert back_paths == ([list(nodes) for nodes in paths] if with_paths else None)
-    u, w = back.cost_factor
+    u, w = back.costs.qw
     assert np.array_equal(u, q) and np.array_equal(np.signbit(u), np.signbit(q))
     assert np.array_equal(w, q @ mid.T)
 
@@ -331,33 +335,51 @@ def test_a_width_zero_factor_round_trips_as_c_zero(tmp_path):
     game = build_scenario("two_player_3x3").game
     q, mid = np.zeros((game.pm, 0)), np.zeros((0, 0))
     path = tmp_path / "factored.json"
-    write_game_file(path, game, c_factor=(q, mid))
+    write_game_file(path, game.with_costs(game.costs.b, factor=(q, mid)))
     assert _check_written_json(path.read_bytes())["C_factor"] == {"Q": [[]] * game.pm, "M": []}
     back, _ = load_game_file(path)
     assert np.array_equal(back.costs.C, np.zeros((game.pm, game.pm)))
-    assert [a.shape for a in back.cost_factor] == [(game.pm, 0), (game.pm, 0)]
-
-
-def test_write_game_file_rejects_a_factor_of_another_c(tmp_path):
-    game = build_scenario("two_player_3x3").game
-    q = np.eye(game.pm)[:, :2]
-    mid = np.array([[0.5, 0.0], [0.0, 0.25]])
-    # Q M Q^T is not the game's C = 0
-    with pytest.raises(ValueError, match="^c_factor's Q M Q\\^T is not the game's C$"):
-        write_game_file(tmp_path / "game.json", game, c_factor=(q, mid))
-    assert not (tmp_path / "game.json").exists()
+    assert [a.shape for a in back.costs.qw] == [(game.pm, 0), (game.pm, 0)]
 
 
 @pytest.mark.parametrize(("where", "value"), [("Q", np.inf), ("Q", -np.inf), ("M", np.nan), ("M", np.inf)])
-def test_write_game_file_rejects_a_non_finite_factor(tmp_path, where, value):
+def test_cost_params_reject_a_non_finite_factor(where, value):
     # checked before Q M Q^T is formed, where inf * 0 would warn; orjson
     # would write the entry as null
     game = build_scenario("two_player_3x3").game
     q, mid = np.eye(game.pm)[:, :2], np.zeros((2, 2))
     (q if where == "Q" else mid)[1, 1] = value
-    with pytest.raises(ValueError, match="^c_factor entries must be finite$"):
-        write_game_file(tmp_path / "game.json", game, c_factor=(q, mid))
-    assert not (tmp_path / "game.json").exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^C_factor entries must be finite$"):
+            CostParams(game.costs.b, factor=(q, mid))
+
+
+def test_cost_params_form_c_from_the_factor_they_check(monkeypatch):
+    # a factor is checked before any product is formed, and costs hold
+    # exactly one of a dense C and a factor, so no game holds a factor that
+    # is not its C's
+    sc = build_scenario("four_player_5x5")
+    pm, b = sc.game.pm, sc.game.costs.b
+    q = np.linalg.qr(np.random.default_rng(34).standard_normal((pm, 4)))[0]
+    mid = 0.05 * np.eye(4)
+    monkeypatch.setattr(game_mod, "c_from_factor", lambda *args: pytest.fail("formed C"))
+    for factor, message in (
+        ((q, np.zeros((pm, 3))), f"C_factor.M must be 4 x 4, got shape ({pm}, 3)"),
+        ((q[:-1], mid), f"C_factor.Q must be {pm} x k, got shape ({pm - 1}, 4)"),
+        ((q[0], mid), f"C_factor.Q must be {pm} x k, got shape (4,)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CostParams(b, factor=factor)
+    monkeypatch.undo()
+    c_mat = c_from_factor(q, mid)
+    for c, factor in ((c_mat, (q, np.zeros((pm, 3)))), (c_mat, (q, -q @ mid.T)), (None, None)):
+        with pytest.raises(ValueError, match="^costs need exactly one of C and factor$"):
+            sc.game.with_costs(b, c, factor=factor)
+    factored = sc.game.with_costs(b, factor=(q, mid))
+    assert np.array_equal(factored.costs.C, c_mat)
+    assert factored.costs.qw is factored.costs.qw  # formed once
+    assert np.array_equal(factored.costs.qw[1], q @ mid.T)
 
 
 def _factored_document():
@@ -375,7 +397,7 @@ def test_a_factored_document_loads_its_factor(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     game, _ = load_game_file(path)
     assert np.array_equal(game.costs.C, [[0.5, 0.0], [-0.25, 0.5]])
-    u, w = game.cost_factor
+    u, w = game.costs.qw
     assert np.array_equal(u, np.eye(2)) and np.array_equal(w, [[0.5, -0.25], [0.0, 0.5]])
 
 

@@ -211,15 +211,20 @@ def test_random_digraph_games_solve_or_are_rejected(case, rho, seed):
             assert np.max(np.abs(other.x - cold.x)) <= 1e-8, f"lam={lam}"
     # the structured Newton step at the lam = 0.1 solution, under a random
     # admissible C of any rank up to full (Frobenius norm rho <= 0.5), is the
-    # dense-LU step: the game is handed a factor of C from its SVD, as wide
-    # as its numerical rank, which takes the Woodbury route up to width pm/2
-    # and the dense one above
+    # dense-LU step: the game is handed a factor (Q, M) of C from its SVD
+    # U S V^T cut to its numerical rank r, with Q an orthonormal basis of
+    # the span of [U_r, V_r], the ranges of C and C^T, and M = Q^T C Q, so Q
+    # is as narrow as a factor of C can be; it takes the Woodbury route up
+    # to width pm/2 and the dense one above
     rank = int(rng.integers(0, pm + 1))
     factors = rng.standard_normal((pm, rank)) @ rng.standard_normal((rank, pm))
     c_mat = project_D(factors, rho, game.m)
     u, sing, vt = np.linalg.svd(c_mat)
-    width = int(np.count_nonzero(sing > pm * np.finfo(float).eps * sing[0]))
-    coupled = game.with_costs(b, c_mat, factor=(u[:, :width] * sing[:width], vt[:width].T))
+    cut = pm * np.finfo(float).eps
+    width = int(np.count_nonzero(sing > cut * sing[0]))
+    basis, joint, _ = np.linalg.svd(np.hstack([u[:, :width], vt[:width].T]), full_matrices=False)
+    q = basis[:, joint > cut]
+    coupled = game.with_costs(b, factor=(q, q.T @ c_mat @ q))
     sol = solutions[0.1]
     assert_structured_step_is_dense_lu_step(coupled, sol.x, sol.v, 0.1)
 
@@ -279,7 +284,7 @@ def test_chord_steps_reach_the_newton_solution_on_dense_interactions(case, rho, 
     # full rank, so above pm / 2: the dense-LU route, where chord steps run
     c_mat = admissible_point(np.random.default_rng(seed), game.m, game.p, rho)
     game = game.with_costs(b, c_mat)
-    assert game.cost_factor is None
+    assert game.costs.factor is None
     for lam in (0.1, 0.01):
         settings_lam = SmoothEqSettings(lam=lam)
         outcomes = []
@@ -388,7 +393,7 @@ def test_short_designs_stay_admissible_and_log_finite_values(case, seed):
         mock.patch.object(design_mod, "_step_factored", spy_step),
         mock.patch.object(design_mod, "_certified_reference", spy_certify),
     ):
-        _, _, trace, verdict = design_loop(game, tracking_objective(target), config)
+        _, verdict, trace = design_loop(game, tracking_objective(target), config)
     assert len(trace.records) == len(iterates) == 3
     for c in iterates:
         assert membership_D(c, game.m, config.rho)

@@ -394,7 +394,7 @@ def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
     rng = np.random.default_rng(3)
     c_mat = project_D(rng.uniform(-0.5, 0.5, size=(base.pm, base.pm)), 0.5, base.m)
     game = base.with_costs(base.costs.b, c_mat)
-    assert game.cost_factor is None  # rank above pm / 2: the dense-LU route
+    assert game.costs.factor is None  # rank above pm / 2: the dense-LU route
     settings = SmoothEqSettings(lam=0.01)
     counts = Counter()
     _count_factors(monkeypatch, counts)
@@ -417,7 +417,7 @@ def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
 
 def _four_player_solution(c_mat, lam=0.05, factor=None):
     base = build_scenario("four_player_5x5").game
-    game = base.with_costs(base.costs.b, c_mat, factor=factor)
+    game = base.with_costs(base.costs.b, c_mat if factor is None else None, factor=factor)
     sol = homotopy_solve(game, SmoothEqSettings(lam=lam))[-1]
     assert sol.converged
     return game, sol
@@ -438,7 +438,7 @@ def _assert_structured_solves_match_dense(game, sol):
 def test_linearization_matches_dense_solves_without_interaction():
     pm = build_scenario("four_player_5x5").game.pm
     game, sol = _four_player_solution(np.zeros((pm, pm)))
-    u, w = game.cost_factor
+    u, w = game.costs.qw
     assert u.shape == w.shape == (pm, 0)
     _assert_structured_solves_match_dense(game, sol)
 
@@ -447,16 +447,17 @@ def test_linearization_matches_dense_solves_through_low_rank_interaction():
     base = build_scenario("four_player_5x5").game
     pm, m = base.pm, base.m
     rng = np.random.default_rng(8)
-    # a member of D with a factor of width 7: a PSD part A A^T plus a skew
-    # part a b^T - b a^T with a and b in different players' blocks
+    # a member of D C = U W^T with U, W of width 7: a PSD part A A^T plus a
+    # skew part a b^T - b a^T with a and b in different players' blocks, as
+    # the factor Q = [U, W], M = [[0, I], [0, 0]]
     a_mat = rng.standard_normal((pm, 5))
     a, b = np.zeros(pm), np.zeros(pm)
     a[:m], b[m : 2 * m] = rng.standard_normal(m), rng.standard_normal(m)
     u, w = np.column_stack([a_mat, a, b]), np.column_stack([a_mat, b, -a])
     w *= 0.5 / np.linalg.norm(u @ w.T)
-    c_mat = u @ w.T
-    assert membership_D(c_mat, m, 0.5)
-    game, sol = _four_player_solution(c_mat, factor=(u, w))
+    mid = np.block([[np.zeros((7, 7)), np.eye(7)], [np.zeros((7, 14))]])
+    game, sol = _four_player_solution(None, factor=(np.hstack([u, w]), mid))
+    assert membership_D(game.costs.C, m, 0.5)
     assert not Linearization(game, sol.x, sol.lam).holds_dense_lu  # the Woodbury route
     _assert_structured_solves_match_dense(game, sol)
 
@@ -466,7 +467,7 @@ def test_linearization_matches_dense_solves_with_dense_interaction():
     rng = np.random.default_rng(9)
     c_mat = project_D(rng.uniform(-0.5, 0.5, size=(base.pm, base.pm)), 0.5, base.m)
     game, sol = _four_player_solution(c_mat)
-    assert game.cost_factor is None  # the dense-LU route
+    assert game.costs.factor is None  # the dense-LU route
     _assert_structured_solves_match_dense(game, sol)
 
 
@@ -476,7 +477,7 @@ def test_linearization_solves_a_singular_jacobian_by_least_squares():
     rng = np.random.default_rng(0)
     c_mat = project_D(rng.uniform(-0.5, 0.5, size=(game.pm, game.pm)), 0.5, game.m)
     dense = game.with_costs(game.costs.b, c_mat)
-    assert dense.cost_factor is None
+    assert dense.costs.factor is None
     dense_sol = solve_nls(dense, SmoothEqSettings(lam=sol.lam, residual_tol=1e-13))
     assert dense_sol.converged
     for game, sol in ((game, sol), (dense, dense_sol)):
@@ -490,14 +491,16 @@ def test_linearization_solves_a_singular_jacobian_by_least_squares():
 
 
 def test_linearization_solves_through_a_singular_capacitance_by_least_squares():
-    # C = U W^T outside D on the triangle, one player 0 -> 2, at x = 1 and
-    # lam = 1: U = [1, -1, 1] is the cycle, so E U = 0 and Z_y = U exactly,
-    # and W = -e_1 makes the capacitance K = 1 + (X W)^T U = 0 exactly, while
-    # every Laplacian factors
+    # C = u w^T outside D on the triangle, one player 0 -> 2, at x = 1 and
+    # lam = 1, as the factor Q = [u, w], M = [[0, 1], [0, 0]], so that
+    # W = Q M^T = [w, 0]: u = [1, -1, 1] is the cycle, so E u = 0 and the
+    # first column of Z_y is u exactly, and w = -e_1 makes the first column
+    # of the capacitance K = I + (X W)^T Z_y zero exactly, while every
+    # Laplacian factors
     graph = DirectedGraph(3, ((0, 1), (0, 2), (1, 2)))
-    u, w = np.array([[1.0], [-1.0], [1.0]]), np.array([[-1.0], [0.0], [0.0]])
-    game = AtomicRoutingGame(graph, [Player(0, 2)], CostParams(-np.ones(3), u @ w.T))
-    game = game.with_costs(game.costs.b, game.costs.C, factor=(u, w))
+    q = np.array([[1.0, -1.0], [-1.0, 0.0], [1.0, 0.0]])
+    costs = CostParams(-np.ones(3), factor=(q, np.array([[0.0, 1.0], [0.0, 0.0]])))
+    game = AtomicRoutingGame(graph, [Player(0, 2)], costs)
     x = np.ones(3)
     jac = log_jacobian(game, x, 1.0)
     assert np.linalg.matrix_rank(jac) == 4
