@@ -62,7 +62,7 @@ _EXPORTS = {
     ),
     "numerics": (),
     "scenarios": ("SCENARIOS", "Scenario", "build_scenario", "four_player_5x5", "two_player_3x3"),
-    "sensitivity": ("DesignObjective", "GradientPair", "implicit_gradients", "tracking_objective"),
+    "sensitivity": ("DesignObjective", "implicit_gradients", "tracking_objective"),
     "smooth_eq": (
         "EquilibriumSolution",
         "Linearization",

@@ -162,10 +162,10 @@ def _equilibrium_payload(sol: EquilibriumSolution, gap: float) -> dict:
 def cmd_solve(args: argparse.Namespace) -> int:
     """Handler of both solve and gap."""
     game, _ = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lam = args.lam if args.lam is not None else (1e-3 if args.homotopy else 0.01)
     settings = SmoothEqSettings(lam=lam, max_iters=args.max_iters)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     sol = homotopy_solve(game, settings)[-1]
     gap = game.nash_gap(sol.x)
     _write_json(out / "equilibrium.json", _equilibrium_payload(sol, gap))

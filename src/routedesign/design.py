@@ -274,7 +274,7 @@ def design_loop(
 
     memo, when given, maps a digest of an iteration's inputs (config.lam, the
     objective's target, b, C's factor and the inner solve's start) to that
-    iteration's inner solution, certified reference, gap and gradients.  An
+    iteration's inner solution, certified reference, gap and gradient in b.  An
     iteration found there skips its solve, certification and gradient and
     reuses the stored objects, which nothing mutates; one not found stores
     them.
@@ -307,24 +307,24 @@ def design_loop(
     for outer in itertools.count(1):
         key = None if memo is None else _iteration_key(config, objective, current.costs, sol)
         if key is not None and key in memo:
-            sol, reference, gap, grads = memo[key]
+            sol, reference, gap, grad_b = memo[key]
         else:
             try:
                 sol = homotopy_solve(current, settings, sol)[-1]
                 reference, gap = _certified_reference(current, sol)
             except NumericalError as exc:
                 raise type(exc)(f"design iteration {outer}: {exc}") from exc
-            grads = implicit_gradients(current, sol, objective)
+            grad_b = implicit_gradients(current, sol, objective)
             if key is not None:
-                memo[key] = (sol, reference, gap, grads)
+                memo[key] = (sol, reference, gap, grad_b)
         if final:
             break
 
         b, (q, mid) = current.costs.b, current.costs.factor
         stepped = game.with_costs(
-            project_B(b - config.alpha * grads.grad_b, config.delta),
+            project_B(b - config.alpha * grad_b, config.delta),
             rho=config.rho,
-            factor=_step_factored(q, mid, grads.grad_b, grads.flow, config.alpha, config.rho, game.m),
+            factor=_step_factored(q, mid, grad_b, sol.x, config.alpha, config.rho, game.m),
         )
         db_norm = float(np.linalg.norm(stepped.costs.b - b))
         dc_norm = float(np.linalg.norm(stepped.costs.C - current.costs.C))

@@ -58,34 +58,22 @@ def tracking_objective(target: np.ndarray) -> DesignObjective:
     return DesignObjective(target=target, evaluate=evaluate, gradient=gradient)
 
 
-@dataclass(frozen=True)
-class GradientPair:
-    """Implicit gradients in (b, C); the C gradient is the rank-1 product
-    grad_b flow^T and is materialized on demand."""
-
-    grad_b: np.ndarray
-    flow: np.ndarray
-
-    @property
-    def grad_C(self) -> np.ndarray:
-        return np.outer(self.grad_b, self.flow)
-
-
 def implicit_gradients(
     game: AtomicRoutingGame,
     sol: EquilibriumSolution,
     objective: DesignObjective,
-) -> GradientPair:
-    """Objective gradients in (b, C) through the solved smoothed system.
+) -> np.ndarray:
+    """The objective's gradient in b through the solved smoothed system.
 
     Solves J~^T w = [x * grad_psi(x); 0] through Linearization.solve_T at
     the solution's flows x (in the minimum-norm least-squares sense where
-    J~ is singular) and returns grad_b = -w_y; grad_C follows as the rank-1
-    outer product with the flow.
+    J~ is singular) and returns grad_b = -w_y, of length p*m.  The costs are
+    b + C x, so the gradient in C is the rank-1 product grad_b x^T; nothing
+    forms it: the design's factored C step takes grad_b and x apart.
     """
     grad_x = np.asarray(objective.gradient(sol.x), dtype=float)
     if grad_x.shape != (game.pm,):
         raise ValueError("objective gradient must have length p*m")
     rhs = np.concatenate([sol.x * grad_x, np.zeros(game.dim_v)])
     w = Linearization(game, sol.x, sol.lam).solve_T(rhs)
-    return GradientPair(grad_b=-w[: game.pm], flow=np.array(sol.x))
+    return -w[: game.pm]

@@ -195,30 +195,42 @@ def test_criterion_04_implicit_gradient_matches_resolve_differences():
     # base solve and every re-solve run at a much tighter residual tolerance
     settings = SmoothEqSettings(lam=0.1, residual_tol=1e-13)
     sol = homotopy_solve(game, settings)[-1]
-    grads = implicit_gradients(game, sol, objective)
+    grad_b = implicit_gradients(game, sol, objective)
 
     h = 1e-5
+
+    def resolved_psi(shifted_b, shifted_c):
+        shifted = solve_nls(
+            game.with_costs(shifted_b, shifted_c), settings, warm_start=(sol.x, sol.v)
+        )
+        assert shifted.converged
+        return objective.evaluate(shifted.x)
+
     fd = np.zeros(pm)
     for k in range(pm):
         vals = []
         for sign in (1.0, -1.0):
             shifted_b = b.copy()
             shifted_b[k] += sign * h
-            shifted = solve_nls(
-                game.with_costs(shifted_b, c_mat), settings, warm_start=(sol.x, sol.v)
-            )
-            assert shifted.converged
-            vals.append(objective.evaluate(shifted.x))
+            vals.append(resolved_psi(shifted_b, c_mat))
         fd[k] = (vals[0] - vals[1]) / (2 * h)
     checked = np.abs(fd) > 1e-6
-    rel = np.max(np.abs(grads.grad_b[checked] - fd[checked]) / np.abs(fd[checked]))
+    rel = np.max(np.abs(grad_b[checked] - fd[checked]) / np.abs(fd[checked]))
     assert rel <= 1e-3, f"worst coordinate relative error {rel:.2e}"
-    assert np.array_equal(grads.grad_C, np.outer(grads.grad_b, sol.x))
+
+    # the gradient in C is grad_b x^T; along an admissible direction dC, drawn
+    # as C was, its derivative grad_b^T dC x must match the re-solves too
+    dc = project_D(c_mat + rng.uniform(-0.4, 0.4, size=(pm, pm)), 0.3, graph.m) - c_mat
+    exact = float(grad_b @ dc @ sol.x)
+    fd_c = (resolved_psi(b, c_mat + h * dc) - resolved_psi(b, c_mat - h * dc)) / (2 * h)
+    rel_c = abs(fd_c - exact) / abs(exact)
+    assert rel_c <= 1e-3, f"C-direction relative error {rel_c:.2e}"
     _report(
         4,
         "implicit gradient matches finite differences",
         True,
-        f"{int(checked.sum())}/{pm} coordinates, worst relative error {rel:.1e}, exact outer product",
+        f"{int(checked.sum())}/{pm} b coordinates, worst relative error {rel:.1e}; "
+        f"C direction, relative error {rel_c:.1e}",
     )
 
 

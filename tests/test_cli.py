@@ -556,14 +556,17 @@ def test_design_without_desired_paths_exits_one(tmp_path, capsys):
     assert "desired" in proc.stderr
 
 
-def test_a_design_or_sweep_that_exits_one_makes_no_output_directory(tmp_path, capsys):
-    # the desired paths and every config are checked before --out is made
+def test_a_command_that_exits_one_on_its_inputs_makes_no_output_directory(tmp_path, capsys):
+    # the desired paths and every setting or config are checked before --out is made
     game_file = tmp_path / "game.json"
     write_game_file(game_file, build_scenario("two_player_3x3").game)
     for argv in (
         ["design", "--game", str(game_file)],
         ["sweep", "--game", str(game_file), "--sweep-rho", "0.1"],
         ["sweep", "--scenario", "two_player_3x3", "--sweep-rho", "-1"],
+        ["solve", "--scenario", "two_player_3x3", "--lambda", "-1"],
+        ["gap", "--scenario", "two_player_3x3", "--lambda", "nan"],
+        ["solve", "--scenario", "two_player_3x3", "--max-iters", "0"],
     ):
         out = tmp_path / "out"
         proc = run_main(capsys, *argv, "--out", str(out))

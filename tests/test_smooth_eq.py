@@ -24,6 +24,7 @@ from helpers import (
 )
 from routedesign import smooth_eq
 from routedesign.errors import ExponentOverflowError, NotConvergedError, NumericalError
+from routedesign.design import REFERENCE_GAP_TOL
 from routedesign.game import AtomicRoutingGame, CostParams, Player, membership_D
 from routedesign.graph import DirectedGraph
 from routedesign.scenarios import build_scenario
@@ -389,6 +390,31 @@ def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
     assert counts["jacobian"] == 1
 
 
+def test_a_chain_that_needs_the_qr_direction_converges(monkeypatch):
+    # the smallest random game found whose chain needs the second direction:
+    # with only the factored Newton step, the stage at lam = 1e-3 stalls with
+    # residual 3.1e-5; with it the chain converges through 2^-7 and 2^-9
+    graph = DirectedGraph(4, ((0, 1), (0, 2), (1, 0), (1, 3), (2, 3), (3, 1), (3, 2)))
+    b = np.array(
+        [0.013, 0.026, 0.072, 0.07, 0.044, 0.095, 0.047, 0.038, 0.063, 0.006, 0.027, 0.052, 0.028, 0.027]
+    )
+    game = AtomicRoutingGame(graph, [Player(2, 3), Player(0, 3)], CostParams(b, np.zeros((14, 14))))
+    offered = Counter()
+    directions = Linearization.directions
+
+    def counting_directions(self, rhs):
+        for k, step in enumerate(directions(self, rhs)):
+            offered[k] += 1
+            yield step
+
+    monkeypatch.setattr(Linearization, "directions", counting_directions)
+    sol = homotopy_solve(game, SmoothEqSettings(lam=1e-3))[-1]
+    assert offered[1] > 0  # a second direction after a failed Newton search
+    assert sol.converged and sol.lam == 1e-3
+    assert sol.residual_norm <= 1e-10
+    assert game.nash_gap(sol.x) <= REFERENCE_GAP_TOL
+
+
 def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
     base = build_scenario("two_player_3x3").game
     rng = np.random.default_rng(3)
@@ -597,10 +623,15 @@ def test_strict_continuation_names_the_stalled_stage(monkeypatch):
     assert calls == [(0.5, False), (1.0, True)]
 
 
-def test_continuation_returns_stage_list():
+@pytest.mark.parametrize("lam", [0.01, 1e-5])
+def test_continuation_returns_stage_list(lam):
+    # at 1e-5 Newton contracts fast enough at every stage that r squares to
+    # 2^-8 after 2^-7, and the stage at 2^-15 overflows at its start
+    # (exponent 255): the halving retry re-solves at 2^-8, and the chain
+    # reaches 1e-5 by 2^-10 and 2^-14
     game = two_node_game(0.3, 0.7)
-    stages = homotopy_solve(game, SmoothEqSettings(lam=0.01))
-    assert_schedule([s.lam for s in stages], 1.0, 0.01)
+    stages = homotopy_solve(game, SmoothEqSettings(lam=lam))
+    assert_schedule([s.lam for s in stages], 1.0, lam)
     assert all(isinstance(s, EquilibriumSolution) and s.converged for s in stages)
     for sol in stages:
         assert np.allclose(sol.x, two_node_oracle(0.3, 0.7, sol.lam)[0], atol=1e-8)
