@@ -183,6 +183,23 @@ def _step_factored(
     return q, mid
 
 
+def _c_distance(old: CostParams, new: CostParams) -> float:
+    """||C' - C||_F between costs that hold factors (Q, M) and (Q', M'),
+    Q and Q' with orthonormal columns.
+
+    Where Q' extends Q, as after every step of _step_factored that does not
+    recompress, this is ||M' - M padded||_F, and no C is formed; otherwise
+    it is taken from the dense Cs, which the costs then hold.
+    """
+    (q, mid), (q2, mid2) = old.factor, new.factor
+    k, k2 = mid.shape[0], mid2.shape[0]
+    if k2 >= k and np.array_equal(q2[:, :k], q):
+        diff = mid2.copy()
+        diff[:k, :k] -= mid
+        return float(np.linalg.norm(diff))
+    return float(np.linalg.norm(new.C - old.C))
+
+
 def _certified_reference(
     game: AtomicRoutingGame,
     start: EquilibriumSolution,
@@ -254,8 +271,10 @@ def design_loop(
     inner solution), take implicit gradients, and project the stepped
     parameters back onto their sets.  C is carried as Q M Q^T with Q
     orthonormal (_step_factored), and each iteration's game is built from
-    (b, (Q, M)), so no pm x pm decomposition runs; its costs form the dense
-    C once, which the trace's dC_norm reads.
+    (b, (Q, M)), so no pm x pm decomposition runs; the trace's dC_norm comes
+    from the factors where Q' extends Q (_c_distance), so a design whose
+    solves stay on the structured route and whose Q never recompresses
+    never forms the dense C.
     Stops when the combined parameter change drops below config.epsilon or
     the iteration cap is reached.
     Every iteration logs the objective both at the inner solution and at a
@@ -327,7 +346,7 @@ def design_loop(
             factor=_step_factored(q, mid, grad_b, sol.x, config.alpha, config.rho, game.m),
         )
         db_norm = float(np.linalg.norm(stepped.costs.b - b))
-        dc_norm = float(np.linalg.norm(stepped.costs.C - current.costs.C))
+        dc_norm = _c_distance(current.costs, stepped.costs)
         trace.records.append(
             DesignRecord(
                 iteration=outer,

@@ -38,7 +38,6 @@ class Player:
     destination: int
 
 
-@dataclass(frozen=True)
 class CostParams:
     """Affine link-cost parameters: offset vector b and interaction matrix C.
 
@@ -47,44 +46,71 @@ class CostParams:
     (p*m by p*m).
 
     Built from b and exactly one of C, dense, and C's factor (Q, M), Q pm x k
-    and M k x k, from which C = c_from_factor(Q, M) is formed once the
-    factor's shapes and entries are checked.  factor holds that (Q, M); for
-    a dense C, the empty pm x 0 factor where C is 0 and None otherwise.
-    Messages call the factor C_factor, as game files do.
+    and M k x k, whose shapes and entries are checked when it is handed.
+    factor holds that (Q, M); for a dense C, the empty pm x 0 factor where
+    C is 0 and None otherwise.  Costs that hold a factor form the dense C,
+    as c_from_factor(Q, M), on the first read of C, which only the dense
+    route of smooth_eq.Linearization, its least-squares solve, a caller of
+    membership_D and a design step that recompresses Q make; products C x
+    go through the factor wherever there is one (c_times).  Messages call the factor C_factor, as game files do.
+    b, C and the factor's arrays are read-only.
     """
 
-    b: np.ndarray
-    C: np.ndarray | None = None
-    factor: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.C is None) == (self.factor is None):
+    def __init__(
+        self,
+        b: np.ndarray,
+        C: np.ndarray | None = None,
+        factor: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        if (C is None) == (factor is None):
             raise ValueError("costs need exactly one of C and factor")
-        b, factor = np.array(self.b, dtype=float), None
-        if self.C is not None:
-            c = np.array(self.C, dtype=float)
+        b, c = np.array(b, dtype=float), None
+        if C is not None:
+            c = np.array(C, dtype=float)
         else:
-            q, mid = (np.array(a, dtype=float) for a in self.factor)
+            q, mid = (np.array(a, dtype=float) for a in factor)
             if q.ndim != 2 or q.shape[0] != b.size:
                 raise ValueError(f"C_factor.Q must be {b.size} x k, got shape {q.shape}")
             k = q.shape[1]
             if mid.shape != (k, k):
                 raise ValueError(f"C_factor.M must be {k} x {k}, got shape {mid.shape}")
-            # before the product: Q M Q^T of a non-finite entry warns
+            # before any product: Q M Q^T of a non-finite entry warns
             if not (np.all(np.isfinite(q)) and np.all(np.isfinite(mid))):
                 raise ValueError("C_factor entries must be finite")
-            c, factor = c_from_factor(q, mid), (q, mid)
-        if b.ndim != 1 or c.shape != (b.size, b.size):
+            factor = (q, mid)
+            # C's entries are at most k^2 max|Q|^2 max|M| in size, so only a
+            # factor past this bound is formed here, to check that C is finite
+            top = float(np.abs(q).max(initial=0.0))
+            if not k * k * top * top * float(np.abs(mid).max(initial=0.0)) < 1e300:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    c = c_from_factor(q, mid)
+        if b.ndim != 1 or (c is not None and c.shape != (b.size, b.size)):
             raise ValueError("cost shapes must be b: (pm,), C: (pm, pm)")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        if not (np.all(np.isfinite(b)) and (c is None or np.all(np.isfinite(c)))):
             raise ValueError("cost entries must be finite")
         if factor is None and not np.any(c):
             factor = (np.zeros((b.size, 0)), np.zeros((0, 0)))
         for array in (b, c, *(factor or ())):
-            array.setflags(write=False)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "factor", factor)
+            if array is not None:
+                array.setflags(write=False)
+        self._b, self._factor, self._c = b, factor, c
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._b
+
+    @property
+    def factor(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return self._factor
+
+    @property
+    def C(self) -> np.ndarray:
+        """The dense C, formed from the factor on the first read where the
+        costs were built from one."""
+        if self._c is None:
+            self._c = c_from_factor(*self._factor)
+            self._c.setflags(write=False)
+        return self._c
 
     @cached_property
     def qw(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -93,6 +119,13 @@ class CostParams:
             return None
         q, mid = self.factor
         return q, q @ mid.T
+
+    def c_times(self, x: np.ndarray) -> np.ndarray:
+        """C x; Q (W^T x) where the costs hold a factor, so C is not formed."""
+        if self.factor is None:
+            return self.C @ x
+        q, w = self.qw
+        return q @ (w.T @ x)
 
 
 def _require_positive_flow(
@@ -225,7 +258,7 @@ class AtomicRoutingGame:
         if x.shape != (self.pm,):
             raise ValueError("flow length must be p*m")
         sl = self.player_slice(i)
-        return self.costs.b[sl] + (self.costs.C @ x)[sl]
+        return self.costs.b[sl] + self.costs.c_times(x)[sl]
 
     def conservation_violation(self, x: np.ndarray) -> float:
         """Max-norm violation of the stacked unit-demand constraints."""

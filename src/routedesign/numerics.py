@@ -2,8 +2,8 @@
 
 `lstsq` is a rank-revealing QR (LAPACK gelsy).  smooth_eq.Linearization
 calls it on the dense J~, the log system's Jacobian, where its factors meet
-a singular J~, and for the equilibrium solver's direction when the line
-search along the Newton step fails.  It is deterministic for fixed inputs,
+a singular J~, and for the equilibrium solver's last direction, when the
+line searches along the Newton and proximal steps fail.  It is deterministic for fixed inputs,
 which the CLI relies on for byte-identical reruns.
 
 `scipy_linalg` imports scipy.linalg on its first call.  Only `lstsq` and

@@ -30,19 +30,25 @@ saddle-point matrix
 
     J~ = dF~/d(y, v) = [[lam I + C X, -E^T], [-E X, 0]],  X = diag(e^y),
 
-and one Linearization of J~ at the flows serves the Newton step, the QR
-fallback direction and the implicit gradient.  It takes one of two routes.
-The structured route inverts J~ per player through its block-diagonal part
-without C, then applies a Woodbury update through C's factor, which the
-game's costs hold; it runs on numpy's batched LAPACK.  The dense route
-holds the LU of J~^T, where C has no factor or one wider than
-pm * LOW_RANK_SHARE, and runs on scipy's LAPACK.  Where J~ is singular,
-either route answers with the minimum-norm least-squares solution from a
-rank-revealing QR (numerics.lstsq, scipy's as well).  scipy is imported on
-the first dense factorization or least-squares solve
-(numerics.scipy_linalg), so a command that needs neither never loads it.
-The structured route is rebuilt at every iterate; the dense LU is kept for
-chord steps while they contract ||F~|| by _CHORD_RATE.
+and one Linearization of J~ at the flows serves the Newton step, the
+solver's fallback directions and the implicit gradient.  It takes one of
+two routes.  The structured route inverts J~ per player through its
+block-diagonal part without C, then applies a Woodbury update through C's
+factor, which the game's costs hold; it runs on numpy's batched LAPACK.
+The dense route holds the LU of J~^T, where C has no factor or one wider
+than pm * LOW_RANK_SHARE, and runs on scipy's LAPACK.  The solver's
+directions come in a fixed order: the Newton step; where its line search
+fails, the proximal step, a Levenberg-Marquardt-style solve with -||F~|| I
+in place of J~'s zero multiplier block, by the same route (Yamashita and
+Fukushima, Computing Suppl. 15, 2001); and last the minimum-norm
+least-squares solution from a rank-revealing QR of the dense J~
+(numerics.lstsq, scipy's as well), which is also the only answer where J~
+is singular.  scipy is imported on the first dense factorization or
+least-squares solve (numerics.scipy_linalg), so a command that needs
+neither never loads it.  The structured route is rebuilt at every iterate;
+the dense LU is kept for chord steps while they contract ||F~|| by
+_CHORD_RATE.  C x is taken through the costs' factor where they hold one
+(CostParams.c_times), so the structured route never forms the dense C.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ class EquilibriumSolution:
 
 
 def _exponent(game: AtomicRoutingGame, x: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    return (game.e_blk.T @ v - game.costs.b - game.costs.C @ x) / lam - 1.0
+    return (game.e_blk.T @ v - game.costs.b - game.costs.c_times(x)) / lam - 1.0
 
 
 def _check_exponent(g: np.ndarray, lam: float) -> None:
@@ -197,7 +203,17 @@ class Linearization:
     - np.linalg.solve raises LinAlgError on K (each solve decides this for
       itself);
     - a solve's own result is not finite.
-    A dense LU is released for good before the dense J~ is assembled.
+    A dense LU is released for good before the dense J~ is assembled for
+    least squares.
+
+    directions(rhs) offers a step between the factored solve and least
+    squares where J~ is not singular: the proximal step, which solves J~
+    with its zero multiplier block set to -mu I, mu = ||rhs||.  Eliminating
+    the log flows then leaves L_i + mu I, positive definite even where
+    underflowed flows leave L_i singular in floating point.  The structured
+    route inverts the stacked L_i + mu I and forms Z and K from them here;
+    the dense route takes one more LU, not kept for chord steps.  The step
+    is skipped where that matrix is singular or the step is not finite.
     """
 
     def __init__(self, game: AtomicRoutingGame, x: np.ndarray, lam: float) -> None:
@@ -214,19 +230,9 @@ class Linearization:
         e = game.reduced
         p, _, m = e.shape
         self._ex = ex = e * x.reshape(p, 1, m)  # E_i X_i
-        try:
-            l_inv = np.linalg.inv(ex @ e.transpose(0, 2, 1) / lam)
-        except np.linalg.LinAlgError:
-            return  # singular: solves go to least squares
-        if not np.isfinite(l_inv).all():
-            return  # an inverse overflowed: singular as well
-        self._l_inv = l_inv
-        q, w = factor
-        if q.shape[1] > 0:
-            z = self._j0_solve(q, None, trans=0)
-            k = w.T @ (x[:, None] * z[: p * m])
-            k.reshape(-1)[:: q.shape[1] + 1] += 1.0
-            self._woodbury = (z, w, k)
+        self._l_inv = _inverse(ex @ e.transpose(0, 2, 1) / lam)
+        if self._l_inv is not None:
+            self._woodbury = self._capacitance(self._l_inv)
 
     @property
     def holds_dense_lu(self) -> bool:
@@ -243,11 +249,15 @@ class Linearization:
         return self._least_squares(rhs, trans=1) if z is None else z
 
     def directions(self, rhs: np.ndarray) -> Iterator[np.ndarray]:
-        """Steps for J~ d = rhs: the factored solve unless J~ is singular,
-        then the least-squares solution, computed only when asked for."""
+        """Steps for J~ d = rhs, each computed only when asked for: the
+        factored solve; where it exists, the proximal step (see the class
+        docstring); and last the least-squares solution."""
         step = self._factored_solve(rhs, trans=0)
         if step is not None:
             yield step
+            step = self._proximal_solve(rhs)
+            if step is not None:
+                yield step
         yield self._least_squares(rhs, trans=0)
 
     def _factored_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray | None:
@@ -258,28 +268,75 @@ class Linearization:
             return _finite(dgetrs(lu, piv, rhs, trans=1 - trans)[0])
         if self._l_inv is None:  # singular, or a dense LU released
             return None
+        return self._structured_solve(rhs, trans, self._l_inv, self._woodbury)
+
+    def _proximal_solve(self, rhs: np.ndarray) -> np.ndarray | None:
+        # d with (J~ - mu [[0, 0], [0, I]]) d = rhs, mu = ||rhs||, by the
+        # route J~'s own factor took (see the class docstring), for a J~
+        # that has one; None where that matrix is singular or the result is
+        # not finite.  No factor is kept.
+        mu = math.sqrt(rhs @ rhs)
+        if self._dense is not None:
+            pm, k = self._x.size, rhs.size
+            jac = _log_jacobian(self._game, self._x, self._lam)
+            jac.reshape(-1)[pm * (k + 1) :: k + 1] -= mu
+            lu, piv, info = _lu(jac.T)
+            if info != 0:
+                return None
+            dgetrs = numerics.scipy_linalg().lapack.dgetrs
+            return _finite(dgetrs(lu, piv, rhs, trans=1)[0])
+        e, ex = self._game.reduced, self._ex
+        shifted = ex @ e.transpose(0, 2, 1) / self._lam
+        shifted.reshape(len(e), -1)[:, :: e.shape[1] + 1] += mu
+        l_inv = _inverse(shifted)
+        if l_inv is None:
+            return None
+        return self._structured_solve(rhs, 0, l_inv, self._capacitance(l_inv))
+
+    def _capacitance(self, l_inv: np.ndarray) -> tuple | None:
+        # (Z, W, K) of the Woodbury update through the costs' factor (Q, W)
+        # of width r > 0, for J0 with its Laplacians' inverses l_inv; None
+        # for width 0
+        q, w = self._game.costs.qw
+        if q.shape[1] == 0:
+            return None
+        z = self._j0_solve(q, None, 0, l_inv)
+        k = w.T @ (self._x[:, None] * z[: self._x.size])
+        k.reshape(-1)[:: q.shape[1] + 1] += 1.0
+        return z, w, k
+
+    def _structured_solve(
+        self, rhs: np.ndarray, trans: int, l_inv: np.ndarray, woodbury: tuple | None
+    ) -> np.ndarray | None:
+        # J~^-1 rhs, or J~^-T rhs with trans=1, by Woodbury from J0's
+        # Laplacian inverses l_inv; None at a singular capacitance or a
+        # result that is not finite
         pm, x = self._x.size, self._x[:, None]
         rhs = rhs[:, None]
-        if self._woodbury is None:
-            z = self._j0_solve(rhs[:pm], rhs[pm:], trans)
+        if woodbury is None:
+            z = self._j0_solve(rhs[:pm], rhs[pm:], trans, l_inv)
         else:
-            big_z, w, k = self._woodbury
+            big_z, w, k = woodbury
             try:
                 if trans == 0:
-                    z = self._j0_solve(rhs[:pm], rhs[pm:], trans=0)
+                    z = self._j0_solve(rhs[:pm], rhs[pm:], 0, l_inv)
                     z -= big_z @ np.linalg.solve(k, w.T @ (x * z[:pm]))
                 else:
                     a = np.linalg.solve(k.T, big_z.T @ rhs)
-                    z = self._j0_solve(rhs[:pm] - x * (w @ a), rhs[pm:], trans=1)
+                    z = self._j0_solve(rhs[:pm] - x * (w @ a), rhs[pm:], 1, l_inv)
             except np.linalg.LinAlgError:
                 return None  # a singular capacitance: J~ is singular
         return _finite(z[:, 0])
 
-    def _j0_solve(self, r1: np.ndarray, r2: np.ndarray | None, trans: int) -> np.ndarray:
+    def _j0_solve(
+        self, r1: np.ndarray, r2: np.ndarray | None, trans: int, l_inv: np.ndarray
+    ) -> np.ndarray:
         # J0^-1 [r1; r2], or J0^-T [r1; r2] with trans=1, for r1 of shape
         # (pm, k) and r2 of shape (p (n - 1), k) or None for 0, player by
-        # player: with left = E X for J0 and E for J0^T,
-        # b_i = L_i^-1 (r2_i + left_i r1_i / lam) and the solution is
+        # player, with l_inv the stacked L_i^-1 (the (L_i + mu I)^-1 give
+        # J0 with -mu I in its multiplier block): with left = E X for J0
+        # and E for J0^T, b_i = L_i^-1 (r2_i + left_i r1_i / lam) and the
+        # solution is
         # [(r1_i - E_i^T b_i) / lam; -b_i] for J0 and
         # [(r1_i - X_i (E_i^T b_i)) / lam; -b_i] for J0^T.  X multiplies
         # E_i^T b_i after it is formed: where a flow below 1e-40 meets
@@ -292,7 +349,7 @@ class Linearization:
         b = (self._ex if trans == 0 else e) @ r1 / self._lam
         if r2 is not None:
             b += r2.reshape(b.shape)
-        b = self._l_inv @ b
+        b = l_inv @ b
         et_b = e.transpose(0, 2, 1) @ b
         if trans:
             et_b *= self._x.reshape(p, m, 1)
@@ -309,6 +366,17 @@ def _lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     # LAPACK getrf directly, in place (its one caller passes a fresh matrix):
     # scipy's lu_factor warns on an exact zero pivot
     return numerics.scipy_linalg().lapack.dgetrf(a, overwrite_a=True)
+
+
+def _inverse(laplacians: np.ndarray) -> np.ndarray | None:
+    # the stacked inverses; None where np.linalg.inv raises LinAlgError, at
+    # a zero pivot and at some NaNs, or returns an inverse that is not
+    # finite, as an overflow or another NaN leaves it
+    try:
+        l_inv = np.linalg.inv(laplacians)
+    except np.linalg.LinAlgError:
+        return None
+    return l_inv if np.isfinite(l_inv).all() else None
 
 
 def _finite(z: np.ndarray) -> np.ndarray | None:
@@ -363,8 +431,10 @@ def solve_nls(
     takes the full chord step from it with the new residual; it accepts that
     step only if ||F~|| falls by the factor again.  Any other iteration
     factors J~ afresh and tries its directions in turn, each with an Armijo
-    line search on ||F~||: the Newton step, and, when J~ is singular or that
-    search fails, the one from the minimum-norm least-squares solution.
+    line search on ||F~||: the Newton step; when that search fails, the
+    proximal step, with -||F~|| I in J~'s multiplier block; and, when J~ is
+    singular or those searches fail, the minimum-norm least-squares
+    solution.
     Trial points where y or g passes EXP_LIMIT count as failed steps.
 
     Convergence is judged on ||residual_F(x, v)|| <= settings.residual_tol,

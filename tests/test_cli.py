@@ -173,6 +173,41 @@ def test_scipy_loads_only_for_the_dense_route(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[False, False, False, True]"
 
 
+DESIGN_PATH_PROBE = """
+import json, sys
+from routedesign import cli, numerics
+
+calls = []
+real_lstsq = numerics.lstsq
+
+def spy_lstsq(*args):
+    calls.append(args)
+    return real_lstsq(*args)
+
+numerics.lstsq = spy_lstsq
+argv = ["design", "--scenario", "four_player_5x5", "--alpha", "0.01", "--lambda", "0.01"]
+assert cli.main([*argv, "--out", sys.argv[1]]) == 0
+print(json.dumps({"lstsq": len(calls), "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_the_four_player_design_needs_no_least_squares(tmp_path):
+    # the design's certifications pass iterates at lambda = 1e-3 with flows
+    # near 1e-191, where the Newton step's line search can fail on a
+    # rounding-level change, and the proximal step keeps them on the
+    # structured route: no least-squares direction, so no scipy, and the
+    # same path.  A fresh interpreter, since the test suite imports scipy
+    proc = subprocess.run(
+        [sys.executable, "-c", DESIGN_PATH_PROBE, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[-1]) == {"lstsq": 0, "scipy": False}
+    summary = lines[0].split()
+    assert summary[0] == "design:"
+    assert "iterations=9" in summary and "path_match=True" in summary
+
+
 COMMAND_MODULES_PROBE = """
 import sys
 from routedesign import cli

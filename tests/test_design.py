@@ -27,6 +27,7 @@ from routedesign.game import (
     AtomicRoutingGame,
     CostParams,
     Player,
+    c_from_factor,
     membership_D,
     path_to_target,
 )
@@ -250,6 +251,32 @@ def test_a_design_past_half_width_stays_bounded_and_admissible(monkeypatch):
             wide = factor[0].shape[1] > game.pm / 2
             lin = Linearization(built, np.ones(built.pm), cfg.lam)
             assert lin.holds_dense_lu == wide
+
+
+def test_the_trace_reads_dc_norm_from_the_factors(monkeypatch):
+    # dC_norm is ||C' - C||_F, taken from the factors on a step that extends
+    # Q: it matches the dense difference on every step, those that extend Q
+    # and those that recompress it past pm / 2, as the noisy design above does
+    game, objective = two_player_setup()
+    rng = np.random.default_rng(5)
+    noisy = replace(objective, gradient=lambda x: rng.standard_normal(x.size))
+    factors = [(np.zeros((game.pm, 0)), np.zeros((0, 0)))]
+    real_step = design_mod._step_factored
+
+    def spy_step(*args):
+        factors.append(real_step(*args))
+        return factors[-1]
+
+    monkeypatch.setattr(design_mod, "_step_factored", spy_step)
+    cfg = DesignConfig(alpha=0.05, lam=0.01, epsilon=0.0, max_outer_iters=12)
+    _, _, trace = design_loop(game, noisy, cfg)
+    assert len(trace.records) == len(factors) - 1 == 12
+    recompressed = 0
+    for (q, mid), (q2, mid2), record in zip(factors, factors[1:], trace.records):
+        want = np.linalg.norm(c_from_factor(q2, mid2) - c_from_factor(q, mid))
+        assert abs(record.dC_norm - want) <= 1e-12 * want
+        recompressed += not np.array_equal(q2[:, : q.shape[1]], q)
+    assert recompressed > 0
 
 
 def test_a_scenario_design_makes_no_dense_decomposition_of_C(monkeypatch):

@@ -30,6 +30,7 @@ from routedesign.game import (
 )
 from routedesign.graph import DirectedGraph, grid_graph, shortest_path_cost
 from routedesign.scenarios import build_scenario
+from routedesign.smooth_eq import SmoothEqSettings, _exponent, homotopy_solve
 
 
 def line_game(b, c=None):
@@ -371,15 +372,58 @@ def test_cost_params_form_c_from_the_factor_they_check(monkeypatch):
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CostParams(b, factor=factor)
+    # nor is C formed by building costs from a valid factor, or by C x
+    factored = sc.game.with_costs(b, factor=(q, mid))
+    factored.costs.c_times(np.ones(pm))
     monkeypatch.undo()
     c_mat = c_from_factor(q, mid)
     for c, factor in ((c_mat, (q, np.zeros((pm, 3)))), (c_mat, (q, -q @ mid.T)), (None, None)):
         with pytest.raises(ValueError, match="^costs need exactly one of C and factor$"):
             sc.game.with_costs(b, c, factor=factor)
-    factored = sc.game.with_costs(b, factor=(q, mid))
-    assert np.array_equal(factored.costs.C, c_mat)
+    # C is formed on its first read, once, bit for bit as c_from_factor forms it
+    assert np.array_equal(_bits(factored.costs.C), _bits(c_mat))
+    assert factored.costs.C is factored.costs.C
+    assert not factored.costs.C.flags.writeable
     assert factored.costs.qw is factored.costs.qw  # formed once
     assert np.array_equal(factored.costs.qw[1], q @ mid.T)
+
+
+def test_a_factor_whose_c_overflows_is_rejected():
+    # finite Q and M whose product Q M Q^T is not finite
+    q, mid = np.full((2, 1), 1e160), np.ones((1, 1))
+    with pytest.raises(ValueError, match="^cost entries must be finite$"):
+        CostParams(np.zeros(2), factor=(q, mid))
+
+
+def test_factored_costs_give_the_dense_products(monkeypatch):
+    # C x goes through the factor: the smoothed map's exponent, the marginal
+    # costs and the Nash gap of a factored game agree with those of the same
+    # C held dense, away from an equilibrium, and none of them forms C
+    sc = build_scenario("four_player_5x5")
+    pm = sc.game.pm
+    rng = np.random.default_rng(36)
+    q = np.linalg.qr(rng.standard_normal((pm, 6)))[0]
+    low = rng.standard_normal((6, 6))
+    mid = 0.05 * low @ low.T + 0.02 * (low - low.T)
+    factored = sc.game.with_costs(sc.game.costs.b, factor=(q, mid))
+    dense = sc.game.with_costs(sc.game.costs.b, c_from_factor(q, mid))
+    assert dense.costs.factor is None
+    lam = 0.05
+    sol = homotopy_solve(dense, SmoothEqSettings(lam=lam))[-1]
+
+    def products(game):
+        return (
+            _exponent(game, sol.x, sol.v, lam),
+            np.concatenate([game.marginal_cost(sol.x, i) for i in range(game.p)]),
+            np.array([game.nash_gap(sol.x)]),
+        )
+
+    want = products(dense)
+    monkeypatch.setattr(game_mod, "c_from_factor", lambda *args: pytest.fail("formed C"))
+    got = products(factored)
+    assert want[2][0] > 1e-3  # not an equilibrium
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
 def _factored_document():

@@ -1,5 +1,6 @@
 """Smoothed equilibrium system: residual, Jacobian, solver, continuation."""
 
+import itertools
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -379,15 +380,30 @@ def test_solver_assembles_one_jacobian_per_accepted_iterate(monkeypatch):
     assert [c["factor"] for c in added] == [1] * sol.iterations
     assert [c["jacobian"] for c in added] == [1] * sol.iterations
 
-    # from the cold start neither direction's line search gets anywhere: the
-    # one iteration tries the Newton step, then the QR direction, once
+    # from the cold start at lam = 1e-3 no direction's line search gets
+    # anywhere: the one iteration tries the Newton step, the proximal step
+    # and the QR direction, once each, from its one factorization
     game = build_scenario("two_player_3x3").game
     counts.clear()
-    stalled = solve_nls(game, SmoothEqSettings(lam=0.003), warm_start=cold_start(game, 0.003))
+    stalled = solve_nls(game, SmoothEqSettings(lam=1e-3), warm_start=cold_start(game, 1e-3))
     assert not stalled.converged
     assert stalled.iterations == 1
     assert counts["factor"] == 1
     assert counts["jacobian"] == 1
+
+
+def _count_directions(monkeypatch, offered):
+    # offered[k] counts the iterations that asked Linearization.directions
+    # for its direction k: 0 Newton, 1 proximal (or QR where J~ is
+    # singular), 2 QR
+    directions = Linearization.directions
+
+    def counting_directions(self, rhs):
+        for k, step in enumerate(directions(self, rhs)):
+            offered[k] += 1
+            yield step
+
+    monkeypatch.setattr(Linearization, "directions", counting_directions)
 
 
 def test_a_chain_that_needs_the_qr_direction_converges(monkeypatch):
@@ -400,19 +416,32 @@ def test_a_chain_that_needs_the_qr_direction_converges(monkeypatch):
     )
     game = AtomicRoutingGame(graph, [Player(2, 3), Player(0, 3)], CostParams(b, np.zeros((14, 14))))
     offered = Counter()
-    directions = Linearization.directions
-
-    def counting_directions(self, rhs):
-        for k, step in enumerate(directions(self, rhs)):
-            offered[k] += 1
-            yield step
-
-    monkeypatch.setattr(Linearization, "directions", counting_directions)
+    _count_directions(monkeypatch, offered)
     sol = homotopy_solve(game, SmoothEqSettings(lam=1e-3))[-1]
     assert offered[1] > 0  # a second direction after a failed Newton search
     assert sol.converged and sol.lam == 1e-3
     assert sol.residual_norm <= 1e-10
     assert game.nash_gap(sol.x) <= REFERENCE_GAP_TOL
+
+
+def test_the_proximal_step_rescues_a_cold_start_that_newton_stalls(monkeypatch):
+    # from the cold start at lam = 0.003 the Newton step's line search fails
+    # at some iterates, and the proximal step, with L_i + ||F~|| I in place
+    # of each Laplacian, takes them on, so the solve converges with no QR
+    # direction; without the proximal step it stalls after one iteration
+    game = build_scenario("two_player_3x3").game
+    settings = SmoothEqSettings(lam=0.003)
+    warm = cold_start(game, 0.003)
+    offered = Counter()
+    _count_directions(monkeypatch, offered)
+    sol = solve_nls(game, settings, warm_start=warm)
+    assert sol.converged and sol.residual_norm <= 1e-10
+    assert offered[1] > 0 and offered[2] == 0
+    assert game.nash_gap(sol.x) <= REFERENCE_GAP_TOL
+    monkeypatch.setattr(Linearization, "_proximal_solve", lambda self, rhs: None)
+    stalled = solve_nls(game, settings, warm_start=warm)
+    assert not stalled.converged
+    assert stalled.iterations == 1
 
 
 def test_dense_route_keeps_its_factor_while_chord_steps_contract(monkeypatch):
@@ -450,13 +479,21 @@ def _four_player_solution(c_mat, lam=0.05, factor=None):
 
 
 def _assert_structured_solves_match_dense(game, sol):
+    # the solves with J~ and J~^T, and the first two directions: the Newton
+    # step and the proximal step, the solve with J~'s multiplier block set
+    # to -||rhs|| I
     jac = log_jacobian(game, sol.x, sol.lam)
     lin = Linearization(game, sol.x, sol.lam)
     rng = np.random.default_rng(5)
     for rhs in (-residual_F(game, sol.x, sol.v, sol.lam), rng.standard_normal(jac.shape[0])):
+        proximal = jac.copy()
+        proximal[game.pm :, game.pm :] -= np.linalg.norm(rhs) * np.eye(game.dim_v)
+        newton_step, proximal_step = itertools.islice(lin.directions(rhs), 2)
         for got, want in (
             (lin.solve(rhs), np.linalg.solve(jac, rhs)),
             (lin.solve_T(rhs), np.linalg.solve(jac.T, rhs)),
+            (newton_step, np.linalg.solve(jac, rhs)),
+            (proximal_step, np.linalg.solve(proximal, rhs)),
         ):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -654,15 +691,15 @@ def test_overflowing_warm_start_falls_back_to_continuation():
 
 def test_stalled_warm_start_falls_back_to_continuation():
     game = build_scenario("two_player_3x3").game
-    settings = SmoothEqSettings(lam=0.003)
-    warm = cold_start(game, 0.003)
+    settings = SmoothEqSettings(lam=1e-3)
+    warm = cold_start(game, 1e-3)
     stalled = solve_nls(game, settings, warm_start=warm)
-    # neither direction's line search gets anywhere from this start
+    # no direction's line search gets anywhere from this start
     assert not stalled.converged
     assert stalled.iterations == 1
     sol = homotopy_solve(game, settings, start_at(*warm, settings.lam))[-1]
     assert sol.converged
-    assert sol.lam == 0.003
+    assert sol.lam == 1e-3
     chain = homotopy_solve(game, settings)
     assert np.array_equal(sol.x, chain[-1].x)
 
